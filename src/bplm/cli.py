@@ -23,8 +23,8 @@ from .finetune import (GridSearchSpec, STUDY_LEARNING_RATES, ci95_half_width,
 from .model import ModelConfig
 from .objectives import Objective, STUDY_MASK_RATIOS
 from .optim import WsdSchedule
-from .runner import (Checkpoint, TrainConfig, load_checkpoint, run_biphasic,
-                     run_cpt, run_pfs, save_checkpoint, write_trace)
+from .runner import (TrainConfig, cpt_schedule, load_checkpoint, run_cpt,
+                     run_pfs, save_checkpoint, write_trace)
 
 PRESETS = {
     "pfs-clm": {"train": {"objective": "clm"}},
@@ -174,11 +174,9 @@ def cmd_pretrain(args) -> int:
     corpus, stream = _corpus_stream(cfg, train_cfg, model_cfg)
 
     trace: list = []
+    final = run_pfs(train_cfg, stream, model_cfg, MASK_ID, trace=trace)
     if train_cfg.switch_step() is not None:
-        final = run_biphasic(train_cfg, stream, model_cfg, MASK_ID, trace=trace)
         print(f"biphasic switch at step {train_cfg.switch_step()}")
-    else:
-        final = run_pfs(train_cfg, stream, model_cfg, MASK_ID, trace=trace)
     save_checkpoint(final, os.path.join(out, "final.ckpt"))
     write_trace(trace, os.path.join(out, "metrics.csv"))
     _write_expanded(cfg, out)
@@ -191,9 +189,6 @@ def cmd_pretrain(args) -> int:
 def cmd_cpt(args) -> int:
     cfg = expand_config(args.config)
     base = load_checkpoint(args.base)
-    if not base.decayed and not args.force:
-        raise CliError("base checkpoint has not undergone lr decay; "
-                       "use run_biphasic for in-flight switches or --force")
     c = cfg["cpt"]
     cpt_steps = c.getint("steps")
     mask_ratio = c.getfloat("mask_ratio")
@@ -203,11 +198,8 @@ def cmd_cpt(args) -> int:
                        "pass --allow-nonstudy to override")
     out = _out_dir(args, "cpt")
     seed = args.seed if args.seed is not None else cfg["train"].getint("seed")
-    schedule = WsdSchedule(peak_lr=cfg["train"].getfloat("peak_lr"),
-                           warmup_steps=max(1, cpt_steps // 10),
-                           total_steps=max(cpt_steps, 2),
-                           decay_steps=max(1, cpt_steps // 20))
-    train_cfg = TrainConfig(objective_plan=[(Objective.MLM, max(cpt_steps, 2))],
+    schedule = cpt_schedule(cfg["train"].getfloat("peak_lr"), cpt_steps)
+    train_cfg = TrainConfig(objective_plan=[(Objective.MLM, cpt_steps)],
                             schedule=schedule, mask_ratio=mask_ratio,
                             batch_rows=cfg["train"].getint("batch_rows"),
                             seed=seed)

@@ -9,7 +9,7 @@ mean-per-predicted-token so values stay comparable across sequence lengths.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -34,9 +34,6 @@ class MaskingPlan:
     mask_token_id: int
     masked_positions: List[int]  # sorted
     original_targets: List[int]
-    # fraction of selected tokens replaced by the placeholder / a random
-    # token / kept unchanged; the study default replaces everything
-    corruption: tuple = (1.0, 0.0, 0.0)
 
     def apply(self, tokens: Sequence[int]) -> List[int]:
         """Return a corrupted copy of tokens per the plan."""

@@ -1,9 +1,10 @@
 """Pretraining regimes and bit-exact checkpoint persistence.
 
-Three entry points mirror the studied setups: run_pfs (single objective from
-random init), run_biphasic (CLM first, switching to MLM before the decay
-window, schedule uninterrupted), and run_cpt (MLM resumed on a fully decayed
-checkpoint with fresh optimizer state and a short rescaled schedule).
+Two entry points mirror the studied setups: run_pfs (from random init under
+the config's objective plan: one objective, or biphasic CLM switching to MLM
+before the decay window with the schedule uninterrupted), and run_cpt (MLM
+resumed on a fully decayed checkpoint with fresh optimizer state and a short
+rescaled schedule).
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import tensor as T
 from .data import BatchStream
-from .model import ModelConfig, Parameters, forward, init_params
+from .model import ModelConfig, Parameters, init_params
 from .objectives import LmBatch, Objective, pretrain_loss, select_mask
 from .optim import AdamWState, WsdSchedule, adamw_step, clip_global_norm, wsd_lr
 from .tensor import Tape, Tensor, backward
@@ -61,6 +61,9 @@ class TrainConfig:
                 raise ValueError("biphasic plans run CLM first, then MLM")
         elif len(phases) > 2:
             raise ValueError("at most two non-empty phases are supported")
+        switch = self.switch_step()
+        if switch is not None and switch >= self.schedule.decay_start:
+            raise ValueError("phase boundary must precede the decay window")
 
     def objective_at(self, step: int) -> Tuple[int, Objective]:
         """(phase index, objective) in effect at a global step."""
@@ -89,7 +92,6 @@ class Checkpoint:
     objective_history: List[dict] = field(default_factory=list)
     seed: int = 0
     mask_ratio: float = 0.4
-    rng_state: dict = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
 
     @property
@@ -134,7 +136,7 @@ def _train_loop(params: Parameters, opt_state: AdamWState, cfg: TrainConfig,
             opt_state.m.clear()
             opt_state.v.clear()
         batch = stream.batch(step)
-        if objective is Objective.MLM and batch.plans is None:
+        if objective is Objective.MLM:
             batch = _mask_batch(batch, cfg.mask_ratio, mask_id, cfg.seed, step)
         lr = wsd_lr(cfg.schedule, step)
 
@@ -174,27 +176,9 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
             mask_id: int = 1,
             resume_from: Optional[Checkpoint] = None,
             trace: Optional[List[dict]] = None) -> Checkpoint:
-    """Pretrain from scratch (or resume a cadence checkpoint of such a run)."""
-    phases = [(o, n) for o, n in cfg.objective_plan if n > 0]
-    if len(phases) != 1:
-        raise ValueError("run_pfs expects a single-phase objective plan")
-    return _run(cfg, stream, model_cfg, mask_id, resume_from, trace)
-
-
-def run_biphasic(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
-                 mask_id: int = 1,
-                 resume_from: Optional[Checkpoint] = None,
-                 trace: Optional[List[dict]] = None) -> Checkpoint:
-    """CLM phase at stable lr, then MLM; decay only at the end of phase 2."""
-    switch = cfg.switch_step()
-    if switch is not None and switch >= cfg.schedule.decay_start:
-        raise ValueError("phase boundary must precede the decay window")
-    return _run(cfg, stream, model_cfg, mask_id, resume_from, trace)
-
-
-def _run(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
-         mask_id: int, resume_from: Optional[Checkpoint],
-         trace: Optional[List[dict]]) -> Checkpoint:
+    """Pretrain from scratch under cfg's objective plan (or resume a cadence
+    checkpoint of such a run). A biphasic plan trains CLM at stable lr, then
+    MLM; the schedule runs on uninterrupted and decays only in phase 2."""
     if resume_from is not None:
         params = resume_from.params
         opt_state = resume_from.opt_state
@@ -209,25 +193,26 @@ def _run(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
                        mask_id, trace, _plan_history(cfg))
 
 
+def cpt_schedule(peak_lr: float, steps: int) -> WsdSchedule:
+    """CPT's rescaled schedule: 10% warmup, then 5% decay clamped to the
+    steps left after warmup, so a 1-step CPT is one warmup step at peak lr."""
+    warmup = math.ceil(0.10 * steps)
+    return WsdSchedule(peak_lr=peak_lr, warmup_steps=warmup, total_steps=steps,
+                       decay_steps=min(math.ceil(0.05 * steps), steps - warmup))
+
+
 def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
             stream: BatchStream, mask_id: int = 1, force: bool = False,
             trace: Optional[List[dict]] = None) -> Checkpoint:
-    """Continue a decayed checkpoint with MLM under a fresh short schedule.
-
-    Warmup is 10% and decay 5% of the CPT length; optimizer moments restart.
+    """Continue a decayed checkpoint with MLM under cpt_schedule at cfg's
+    peak lr; optimizer moments restart.
     """
     if not base.decayed and not force:
         raise ValueError("CPT base checkpoint has not undergone lr decay")
     if cpt_steps == 0:
         return base
-    schedule = WsdSchedule(
-        peak_lr=cfg.schedule.peak_lr,
-        warmup_steps=math.ceil(0.10 * cpt_steps),
-        total_steps=cpt_steps,
-        decay_steps=math.ceil(0.05 * cpt_steps),
-    )
     cpt_cfg = replace(cfg, objective_plan=[(Objective.MLM, cpt_steps)],
-                      schedule=schedule)
+                      schedule=cpt_schedule(cfg.schedule.peak_lr, cpt_steps))
     if trace is None:
         trace = []
     history = list(base.objective_history) + [
@@ -257,7 +242,6 @@ def _config_block(ckpt: Checkpoint) -> bytes:
         "objective_history": ckpt.objective_history,
         "seed": ckpt.seed,
         "mask_ratio": ckpt.mask_ratio,
-        "rng_state": ckpt.rng_state,
         "opt": {
             "beta1": ckpt.opt_state.beta1, "beta2": ckpt.opt_state.beta2,
             "eps": ckpt.opt_state.eps,
@@ -366,4 +350,4 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"unknown tensor record {name!r}")
     return Checkpoint(model_cfg, params, opt, WsdSchedule.from_dict(cfg["schedule"]),
                       cfg["step"], cfg["objective_history"], cfg["seed"],
-                      cfg["mask_ratio"], cfg.get("rng_state", {}), version)
+                      cfg["mask_ratio"], version)

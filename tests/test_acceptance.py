@@ -21,8 +21,8 @@ from bplm.objectives import (MaskingPlan, LmBatch, Objective, mlm_loss,
                              pretrain_loss, select_mask)
 from bplm.optim import (AdamWState, WsdSchedule, adamw_step,
                         clip_global_norm, wsd_lr)
-from bplm.runner import (Checkpoint, TrainConfig, load_checkpoint, run_biphasic,
-                         run_cpt, run_pfs, save_checkpoint)
+from bplm.runner import (Checkpoint, TrainConfig, load_checkpoint, run_cpt,
+                         run_pfs, save_checkpoint)
 from bplm.tensor import Tape, Tensor, backward, grad_check
 
 
@@ -406,19 +406,19 @@ class TestC8RegimeIdentities:
 
         pure_clm = run_pfs(cfg([(Objective.CLM, 30)]), stream(), DESK_CFG)
         pure_mlm = run_pfs(cfg([(Objective.MLM, 30)]), stream(), DESK_CFG)
-        bi_clm = run_biphasic(cfg([(Objective.CLM, 30), (Objective.MLM, 0)]),
-                              stream(), DESK_CFG)
-        bi_mlm = run_biphasic(cfg([(Objective.CLM, 0), (Objective.MLM, 30)]),
-                              stream(), DESK_CFG)
+        bi_clm = run_pfs(cfg([(Objective.CLM, 30), (Objective.MLM, 0)]),
+                         stream(), DESK_CFG)
+        bi_mlm = run_pfs(cfg([(Objective.CLM, 0), (Objective.MLM, 30)]),
+                         stream(), DESK_CFG)
         identities = (self.params_equal(pure_clm.params, bi_clm.params)
                       and self.params_equal(pure_mlm.params, bi_mlm.params))
 
         # handoff: weights at the switch equal a pure-CLM run stopped there
         d1, d2 = tmp_path / "bi", tmp_path / "clm"
         d1.mkdir(), d2.mkdir()
-        run_biphasic(cfg([(Objective.CLM, 10), (Objective.MLM, 20)],
-                         checkpoint_cadence=10, checkpoint_dir=str(d1)),
-                     stream(), DESK_CFG)
+        run_pfs(cfg([(Objective.CLM, 10), (Objective.MLM, 20)],
+                    checkpoint_cadence=10, checkpoint_dir=str(d1)),
+                stream(), DESK_CFG)
         run_pfs(cfg([(Objective.CLM, 30)], checkpoint_cadence=10,
                     checkpoint_dir=str(d2)), stream(), DESK_CFG)
         at_switch = load_checkpoint(d1 / "step_00000010.ckpt")
@@ -495,8 +495,7 @@ class TestC10DirectionalTrend:
             stream = pack_batches(corpus.sequences, 4, 16, 48, PAD_ID, 0)
             cfg = TrainConfig(objective_plan=plan, schedule=sched,
                               mask_ratio=0.4)
-            runner = run_biphasic if len(plan) == 2 else run_pfs
-            ckpt = runner(cfg, stream, model_cfg)
+            ckpt = run_pfs(cfg, stream, model_cfg)
             scores = []
             for seed in spec.seeds:
                 params, head = finetune_one(ckpt, ds, 1e-3, seed, spec)

@@ -156,6 +156,15 @@ class TestCpt:
         final = load_checkpoint(os.path.join(out, "final.ckpt"))
         assert final.objective_history[-1]["cpt"] is True
 
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_short_cpt(self, tmp_path, steps):
+        pre = self.pretrain(tmp_path)
+        cfg = self.cpt_config(tmp_path, steps)
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", os.path.join(pre, "final.ckpt"),
+                     "--config", cfg, "--out", out]) == 0
+        assert len(read_csv(os.path.join(out, "metrics.csv"))) == steps
+
     def test_non_decayed_base_refused(self, tmp_path, capsys):
         pre = self.pretrain(tmp_path, total=6, cadence=3)
         mid = os.path.join(pre, "step_00000003.ckpt")

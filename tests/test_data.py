@@ -9,7 +9,6 @@ from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, Corpus, CorpusSpec,
                        load_corpus, load_jsonl, load_task_dataset,
                        pack_batches, save_corpus, save_jsonl,
                        save_task_dataset)
-from bplm.objectives import Objective
 
 
 def power_iteration_stationary(P, iters=10_000):
@@ -206,20 +205,6 @@ class TestBatchStream:
         stream = self.make()
         for step, batch in zip(range(5), stream):
             assert batch.rows == stream.batch(step).rows
-
-    def test_mlm_plans_attached(self):
-        stream = self.make(objective=Objective.MLM, mask_ratio=0.4)
-        batch = stream.batch(0)
-        assert batch.plans is not None and len(batch.plans) == 3
-        for plan, pad in zip(batch.plans, batch.pad_masks):
-            assert plan.masked_positions
-            assert all(pad[p] for p in plan.masked_positions)
-
-    def test_mlm_plans_deterministic(self):
-        a = self.make(objective=Objective.MLM, mask_ratio=0.4).batch(5)
-        b = self.make(objective=Objective.MLM, mask_ratio=0.4).batch(5)
-        assert [p.masked_positions for p in a.plans] \
-            == [p.masked_positions for p in b.plans]
 
     def test_coverage_histogram(self):
         # over many steps every pool sequence should get sampled

@@ -4,12 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from bplm.data import PAD_ID, CorpusSpec, gen_corpus, pack_batches
+from bplm.data import MASK_ID, PAD_ID, CorpusSpec, gen_corpus, pack_batches
 from bplm.model import ModelConfig
 from bplm.objectives import Objective
 from bplm.optim import WsdSchedule, wsd_lr
-from bplm.runner import (CheckpointError, TrainConfig, load_checkpoint,
-                         run_biphasic, run_cpt, run_pfs, save_checkpoint,
+from bplm.runner import (CheckpointError, TrainConfig, _mask_batch,
+                         load_checkpoint, run_cpt, run_pfs, save_checkpoint,
                          write_trace)
 
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
@@ -79,11 +79,6 @@ class TestRunPfs:
         assert all(0 < row["masked_fraction"] <= 1 for row in trace)
         assert all(row["objective"] == "mlm" for row in trace)
 
-    def test_rejects_two_phase_plan(self):
-        cfg = train_cfg([(Objective.CLM, 4), (Objective.MLM, 6)], total=10)
-        with pytest.raises(ValueError, match="single-phase"):
-            run_pfs(cfg, make_stream(), CFG)
-
     def test_final_checkpoint_is_decayed(self):
         cfg = train_cfg([(Objective.CLM, 6)], total=6)
         ckpt = run_pfs(cfg, make_stream(), CFG)
@@ -102,6 +97,24 @@ class TestRunPfs:
         assert trace[-1]["loss"] < trace[0]["loss"] / 2
 
 
+class TestMaskBatch:
+    def masked(self, seed, step):
+        return _mask_batch(make_stream().batch(5), 0.4, MASK_ID, seed, step)
+
+    def test_plans_attached(self):
+        batch = self.masked(0, 5)
+        assert batch.plans is not None and len(batch.plans) == len(batch.rows)
+        for plan, pad in zip(batch.plans, batch.pad_masks):
+            assert plan.masked_positions
+            assert all(pad[p] for p in plan.masked_positions)
+
+    def test_plans_deterministic(self):
+        def positions(seed, step):
+            return [p.masked_positions for p in self.masked(seed, step).plans]
+        assert positions(0, 5) == positions(0, 5)
+        assert positions(0, 5) != positions(1, 5)
+
+
 class TestBiphasic:
     def test_degenerate_plans_match_single_phase(self):
         # (CLM n, MLM 0) must be bit-exactly a pure CLM run, and vice versa
@@ -109,7 +122,7 @@ class TestBiphasic:
             ([(Objective.CLM, 8), (Objective.MLM, 0)], [(Objective.CLM, 8)]),
             ([(Objective.CLM, 0), (Objective.MLM, 8)], [(Objective.MLM, 8)]),
         ):
-            bi = run_biphasic(train_cfg(plan, total=8), make_stream(), CFG)
+            bi = run_pfs(train_cfg(plan, total=8), make_stream(), CFG)
             pfs = run_pfs(train_cfg(pure, total=8), make_stream(), CFG)
             assert_params_equal(bi.params, pfs.params)
 
@@ -123,7 +136,7 @@ class TestBiphasic:
         import tempfile
         with tempfile.TemporaryDirectory() as d:
             cfg.checkpoint_dir = d
-            run_biphasic(cfg, make_stream(), CFG)
+            run_pfs(cfg, make_stream(), CFG)
             mid = load_checkpoint(os.path.join(d, "step_00000004.ckpt"))
 
         # replay CLM-only for 4 steps on the same stream/schedule
@@ -131,7 +144,7 @@ class TestBiphasic:
                            warmup=2, decay=2, checkpoint_cadence=4)
         with tempfile.TemporaryDirectory() as d:
             replay.checkpoint_dir = d
-            run_biphasic(replay, make_stream(), CFG)
+            run_pfs(replay, make_stream(), CFG)
             mid2 = load_checkpoint(os.path.join(d, "step_00000004.ckpt"))
         assert_params_equal(mid.params, mid2.params)
         assert mid.objective_history == [{"objective": "clm", "steps": 4},
@@ -139,24 +152,22 @@ class TestBiphasic:
 
     def test_switch_inside_decay_rejected(self):
         plan = [(Objective.CLM, 9), (Objective.MLM, 1)]
-        cfg = train_cfg(plan, total=10, warmup=2, decay=2)
         with pytest.raises(ValueError, match="decay"):
-            run_biphasic(cfg, make_stream(), CFG)
+            train_cfg(plan, total=10, warmup=2, decay=2)
 
     def test_switch_at_decay_boundary_rejected(self):
         plan = [(Objective.CLM, 8), (Objective.MLM, 2)]
-        cfg = train_cfg(plan, total=10, warmup=2, decay=2)
         with pytest.raises(ValueError):
-            run_biphasic(cfg, make_stream(), CFG)
+            train_cfg(plan, total=10, warmup=2, decay=2)
 
     def test_moment_reset_changes_outcome(self):
         plan = [(Objective.CLM, 4), (Objective.MLM, 4)]
-        carried = run_biphasic(train_cfg(plan, total=8,
-                                         carry_moments_across_switch=True),
-                               make_stream(), CFG)
-        reset = run_biphasic(train_cfg(plan, total=8,
-                                       carry_moments_across_switch=False),
-                             make_stream(), CFG)
+        carried = run_pfs(train_cfg(plan, total=8,
+                                    carry_moments_across_switch=True),
+                          make_stream(), CFG)
+        reset = run_pfs(train_cfg(plan, total=8,
+                                  carry_moments_across_switch=False),
+                        make_stream(), CFG)
         assert any(not np.array_equal(carried.params[n].data,
                                       reset.params[n].data)
                    for n in carried.params)
@@ -239,6 +250,27 @@ class TestCheckpointIo:
         path.write_bytes(body)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def test_legacy_rng_state_key_loads(self, tmp_path, monkeypatch):
+        # older files carry an always-empty "rng_state" entry in the header
+        import json
+        from bplm import runner
+        plain = runner._config_block
+
+        def legacy_block(ckpt):
+            cfg = json.loads(plain(ckpt))
+            cfg["rng_state"] = {}
+            return json.dumps(cfg, sort_keys=True).encode("utf-8")
+        ckpt = self.make_ckpt()
+        monkeypatch.setattr(runner, "_config_block", legacy_block)
+        save_checkpoint(ckpt, tmp_path / "old.ckpt")
+        monkeypatch.undo()
+        assert b'"rng_state": {}' in (tmp_path / "old.ckpt").read_bytes()
+        loaded = load_checkpoint(tmp_path / "old.ckpt")
+        assert_params_equal(ckpt.params, loaded.params)
+        assert loaded.step == ckpt.step
+        save_checkpoint(loaded, tmp_path / "new.ckpt")
+        assert b"rng_state" not in (tmp_path / "new.ckpt").read_bytes()
 
     def test_no_tmp_file_left(self, tmp_path):
         save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")
