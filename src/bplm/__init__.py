@@ -3,7 +3,7 @@ model pretraining: a small float64 autodiff engine, a RoPE/GQA transformer,
 CLM/MLM/biphasic/CPT pretraining regimes with bit-exact checkpoints, and a
 grid-search fine-tuning and evaluation harness."""
 
-from .model import AttentionMode, ModelConfig, init_params, forward
+from .model import AttentionMode, ModelConfig, init_params, forward, forward_batch
 from .objectives import LmBatch, MaskingPlan, Objective
 from .optim import AdamWState, WsdSchedule, finetune_lr, wsd_lr
 from .runner import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
@@ -12,7 +12,7 @@ from .tensor import Tape, Tensor, backward, grad_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionMode", "ModelConfig", "init_params", "forward",
+    "AttentionMode", "ModelConfig", "init_params", "forward", "forward_batch",
     "LmBatch", "MaskingPlan", "Objective",
     "AdamWState", "WsdSchedule", "finetune_lr", "wsd_lr",
     "Checkpoint", "TrainConfig", "load_checkpoint", "save_checkpoint",

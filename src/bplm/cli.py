@@ -152,10 +152,10 @@ def _corpus_stream(cfg, train_cfg: TrainConfig, model_cfg: ModelConfig):
 
 
 def _out_dir(args, default_name: str) -> str:
-    out = args.out or os.path.join(
+    """The output directory's path; each command creates it when it first
+    writes there, so a refused command leaves nothing behind."""
+    return args.out or os.path.join(
         os.environ.get("BPLM_OUT_DIR", "runs"), default_name)
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _write_expanded(cfg, out_dir: str) -> None:
@@ -170,6 +170,7 @@ def cmd_pretrain(args) -> int:
     model_cfg = _model_config(cfg)
     train_cfg = _train_config(cfg, args.allow_nonstudy)
     out = _out_dir(args, cfg.get("experiment", "preset", fallback="pretrain"))
+    os.makedirs(out, exist_ok=True)  # cadence checkpoints land here
     train_cfg.checkpoint_dir = out
     corpus, stream = _corpus_stream(cfg, train_cfg, model_cfg)
 
@@ -207,6 +208,7 @@ def cmd_cpt(args) -> int:
     trace: list = []
     final = run_cpt(base, cpt_steps, train_cfg, stream, MASK_ID,
                     force=args.force, trace=trace)
+    os.makedirs(out, exist_ok=True)
     save_checkpoint(final, os.path.join(out, "final.ckpt"))
     write_trace(trace, os.path.join(out, "metrics.csv"))
     _write_expanded(cfg, out)
@@ -225,6 +227,7 @@ def cmd_finetune(args) -> int:
     spec = GridSearchSpec(seeds=seeds)
     out = _out_dir(args, f"finetune-{dataset.task.lower()}")
     report = run_grid_search(base, dataset, spec, jobs=args.jobs)
+    os.makedirs(out, exist_ok=True)
     name = os.path.basename(os.path.normpath(args.task_data))
     write_report(report, name, os.path.join(out, "runs.csv"))
     with open(os.path.join(out, "aggregate.csv"), "w", newline="") as f:

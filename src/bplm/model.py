@@ -69,95 +69,67 @@ class ModelConfig:
 Parameters = Dict[str, Tensor]
 
 
-def param_names(cfg: ModelConfig) -> list[str]:
-    """Canonical parameter name set for a config, in a fixed order."""
-    names = ["embed"]
+def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
+    """Canonical parameter names and shapes for a config, in a fixed order.
+    The 1-D entries are the RMSNorm gains."""
+    d, f = cfg.embed_dim, cfg.ffn_dim
+    shapes = {"embed": (cfg.vocab_size, d)}
     for i in range(cfg.layers):
         p = f"layer.{i}"
-        names += [
-            f"{p}.attn_norm", f"{p}.attn.wq", f"{p}.attn.wk",
-            f"{p}.attn.wv", f"{p}.attn.wo",
-            f"{p}.ffn_norm", f"{p}.ffn.w_gate", f"{p}.ffn.w_up",
-            f"{p}.ffn.w_down",
-        ]
-    names.append("final_norm")
+        shapes.update({
+            f"{p}.attn_norm": (d,), f"{p}.attn.wq": (d, d),
+            f"{p}.attn.wk": (d, cfg.kv_dim), f"{p}.attn.wv": (d, cfg.kv_dim),
+            f"{p}.attn.wo": (d, d),
+            f"{p}.ffn_norm": (d,), f"{p}.ffn.w_gate": (d, f),
+            f"{p}.ffn.w_up": (d, f), f"{p}.ffn.w_down": (f, d),
+        })
+    shapes["final_norm"] = (d,)
     if not cfg.tie_embeddings:
-        names.append("head")
-    return names
+        shapes["head"] = (d, cfg.vocab_size)
+    return shapes
+
+
+def param_names(cfg: ModelConfig) -> list[str]:
+    """Canonical parameter name set for a config, in a fixed order."""
+    return list(param_shapes(cfg))
 
 
 def init_params(cfg: ModelConfig, seed: int) -> Parameters:
-    """Weights i.i.d. N(0, init_std^2); RMSNorm gains start at 1."""
+    """Weights i.i.d. N(0, init_std^2), drawn in param_names order; RMSNorm
+    gains start at 1."""
     rng = np.random.default_rng(seed)
-    d, f = cfg.embed_dim, cfg.ffn_dim
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, cfg.init_std, size=shape), requires_grad=True)
-
-    params: Parameters = {"embed": w(cfg.vocab_size, d)}
-    for i in range(cfg.layers):
-        p = f"layer.{i}"
-        params[f"{p}.attn_norm"] = Tensor(np.ones(d), requires_grad=True)
-        params[f"{p}.attn.wq"] = w(d, d)
-        params[f"{p}.attn.wk"] = w(d, cfg.kv_dim)
-        params[f"{p}.attn.wv"] = w(d, cfg.kv_dim)
-        params[f"{p}.attn.wo"] = w(d, d)
-        params[f"{p}.ffn_norm"] = Tensor(np.ones(d), requires_grad=True)
-        params[f"{p}.ffn.w_gate"] = w(d, f)
-        params[f"{p}.ffn.w_up"] = w(d, f)
-        params[f"{p}.ffn.w_down"] = w(f, d)
-    params["final_norm"] = Tensor(np.ones(d), requires_grad=True)
-    if not cfg.tie_embeddings:
-        params["head"] = w(d, cfg.vocab_size)
-    return params
+    return {name: Tensor(np.ones(shape) if len(shape) == 1
+                         else rng.normal(0.0, cfg.init_std, size=shape),
+                         requires_grad=True)
+            for name, shape in param_shapes(cfg).items()}
 
 
-def _mask_matrix(seq_len: int, mode: AttentionMode,
-                 pad_mask: Optional[Sequence[bool]]) -> np.ndarray:
-    """Additive [T, T] mask: 0 where attending is allowed, NEG_INF elsewhere."""
-    m = np.zeros((seq_len, seq_len))
+def attention_mask(mode: AttentionMode, pad_masks) -> np.ndarray:
+    """Additive [B, T, T] mask from [B, T] pad masks (True where real): 0
+    where a query may attend a key, NEG_INF elsewhere. Pad keys are masked
+    in every row; CAUSAL also masks keys after the query."""
+    pad = np.asarray(pad_masks, dtype=bool)
+    if not pad.any(axis=1).all():
+        raise ValueError("attention: all positions padded")
+    rows, seq_len = pad.shape
+    allowed = np.broadcast_to(pad[:, None, :], (rows, seq_len, seq_len))
     if mode is AttentionMode.CAUSAL:
-        m[np.triu_indices(seq_len, k=1)] = T.NEG_INF
-    if pad_mask is not None:
-        pad = ~np.asarray(pad_mask, dtype=bool)
-        if pad.all():
-            raise ValueError("attention: all positions padded")
-        m[:, pad] = T.NEG_INF
-    return m
+        allowed = allowed & np.tri(seq_len, dtype=bool)
+    return np.where(allowed, 0.0, T.NEG_INF)
 
 
 def attention(hidden: Tensor, params: Parameters, layer: int, cfg: ModelConfig,
-              mode: AttentionMode,
-              pad_mask: Optional[Sequence[bool]] = None) -> Tensor:
-    """Grouped-query scaled dot-product attention over one [T, d] block input
-    (already normalized by the caller). Query head i uses key/value group
-    floor(i / (heads / kv_heads))."""
-    seq_len = hidden.data.shape[0]
-    if seq_len > cfg.max_seq_len:
-        raise ValueError("sequence longer than max_seq_len")
+              mask: np.ndarray) -> Tensor:
+    """Grouped-query attention over a [B*T, d] block input (already
+    normalized by the caller) under an additive [B, T, T] attention_mask.
+    Query head i uses key/value group floor(i / (heads / kv_heads))."""
     p = f"layer.{layer}.attn"
     q = T.matmul(hidden, params[f"{p}.wq"])
     k = T.matmul(hidden, params[f"{p}.wk"])
     v = T.matmul(hidden, params[f"{p}.wv"])
-
-    hd = cfg.head_dim
-    positions = list(range(seq_len))
-    mask = _mask_matrix(seq_len, mode, pad_mask)
-    group_size = cfg.heads // cfg.kv_heads
-    scale = 1.0 / np.sqrt(hd)
-
-    head_outputs = []
-    for h in range(cfg.heads):
-        g = h // group_size
-        qh = T.rope_apply(T.slice_cols(q, h * hd, (h + 1) * hd), positions,
-                          cfg.rope_theta)
-        kh = T.rope_apply(T.slice_cols(k, g * hd, (g + 1) * hd), positions,
-                          cfg.rope_theta)
-        vh = T.slice_cols(v, g * hd, (g + 1) * hd)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
-        weights = T.softmax(T.add_const(scores, mask), axis=-1)
-        head_outputs.append(T.matmul(weights, vh))
-    return T.matmul(T.concat_cols(head_outputs), params[f"{p}.wo"])
+    heads = T.gqa_attention(q, k, v, mask, cfg.heads, cfg.kv_heads,
+                            cfg.rope_theta)
+    return T.matmul(heads, params[f"{p}.wo"])
 
 
 def _ffn(hidden: Tensor, params: Parameters, layer: int) -> Tensor:
@@ -167,23 +139,46 @@ def _ffn(hidden: Tensor, params: Parameters, layer: int) -> Tensor:
     return T.matmul(T.swiglu(gate, up), params[f"{p}.w_down"])
 
 
-def forward(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
-            mode: AttentionMode,
-            pad_mask: Optional[Sequence[bool]] = None) -> Tuple[Tensor, Tensor]:
-    """Run the model, returning (final hidden states [T, d], logits [T, V])."""
-    tokens = list(tokens)
-    if len(tokens) > cfg.max_seq_len:
+def forward_batch(params: Parameters, cfg: ModelConfig,
+                  rows: Sequence[Sequence[int]], mode: AttentionMode,
+                  pad_masks: Optional[Sequence[Sequence[bool]]] = None
+                  ) -> Tuple[Tensor, Tensor]:
+    """Run the model on B rows of one length T as a single [B*T, d] residual
+    stream, returning (final hidden states [B*T, d], logits [B*T, V]) with
+    row b at positions b*T .. b*T+T-1. pad_masks (True where real) mask pad
+    keys; None means no padding."""
+    if not rows:
+        raise ValueError("empty batch")
+    seq_len = len(rows[0])
+    if any(len(r) != seq_len for r in rows):
+        raise ValueError("rows of one batch must share one length")
+    if seq_len > cfg.max_seq_len:
         raise ValueError("sequence longer than max_seq_len")
-    if any(t < 0 or t >= cfg.vocab_size for t in tokens):
+    tokens = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError("token id out of range")
+    if pad_masks is None:
+        pad_masks = np.ones((len(rows), seq_len), dtype=bool)
+    elif np.shape(pad_masks) != (len(rows), seq_len):
+        raise ValueError("pad masks must match the rows' shape")
+    mask = attention_mask(mode, pad_masks)
 
     x = T.gather_rows(params["embed"], tokens)
     for i in range(cfg.layers):
         normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], cfg.rmsnorm_eps)
-        x = T.add(x, attention(normed, params, i, cfg, mode, pad_mask))
+        x = T.add(x, attention(normed, params, i, cfg, mask))
         normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], cfg.rmsnorm_eps)
         x = T.add(x, _ffn(normed, params, i))
     hidden = T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
     head = params["embed"] if cfg.tie_embeddings else params["head"]
     logits = T.matmul(hidden, T.transpose(head) if cfg.tie_embeddings else head)
     return hidden, logits
+
+
+def forward(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
+            mode: AttentionMode,
+            pad_mask: Optional[Sequence[bool]] = None) -> Tuple[Tensor, Tensor]:
+    """Run the model on one row, returning (final hidden states [T, d],
+    logits [T, V])."""
+    return forward_batch(params, cfg, [list(tokens)], mode,
+                         None if pad_mask is None else [list(pad_mask)])

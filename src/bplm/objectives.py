@@ -15,7 +15,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import AttentionMode, ModelConfig, Parameters, forward
+# forward is not called here; benchmark/probes.py wraps bplm.objectives.forward
+from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
+                    forward_batch)
 from .tensor import Tensor
 
 IGNORE_INDEX = -100
@@ -82,54 +84,67 @@ def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
     raise RuntimeError(f"no positions selected after {max_attempts} attempts")
 
 
-def mlm_loss(logits: Tensor, plan: MaskingPlan) -> Tensor:
-    """Mean NLL of the original tokens at masked positions only."""
+def _mlm_targets(plan: MaskingPlan, seq_len: int) -> np.ndarray:
+    """Original tokens at the masked positions, IGNORE_INDEX elsewhere."""
     if not plan.masked_positions:
         raise ValueError("empty masking plan")
-    seq_len = logits.data.shape[0]
     targets = np.full(seq_len, IGNORE_INDEX, dtype=np.int64)
-    for pos, orig in zip(plan.masked_positions, plan.original_targets):
-        targets[pos] = orig
-    return T.cross_entropy_from_logits(logits, targets, IGNORE_INDEX)
+    targets[plan.masked_positions] = plan.original_targets
+    return targets
+
+
+def _clm_targets(tokens: Sequence[int],
+                 pad_mask: Optional[Sequence[bool]]) -> np.ndarray:
+    """Next-token shift: position t targets token t+1 where both are real."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    pad = (np.ones(tokens.shape, dtype=bool) if pad_mask is None
+           else np.asarray(pad_mask, dtype=bool))
+    if pad.sum() < 2:
+        raise ValueError("clm_loss needs at least 2 non-pad tokens")
+    targets = np.full(tokens.shape, IGNORE_INDEX, dtype=np.int64)
+    targets[:-1] = np.where(pad[:-1] & pad[1:], tokens[1:], IGNORE_INDEX)
+    return targets
+
+
+def mlm_loss(logits: Tensor, plan: MaskingPlan) -> Tensor:
+    """Mean NLL of the original tokens at masked positions only."""
+    return T.cross_entropy_from_logits(
+        logits, _mlm_targets(plan, logits.data.shape[0]), IGNORE_INDEX)
 
 
 def clm_loss(logits: Tensor, tokens: Sequence[int],
              pad_mask: Optional[Sequence[bool]] = None) -> Tensor:
     """Next-token shift: position t predicts token t+1; pad targets ignored."""
-    tokens = list(tokens)
-    if pad_mask is None:
-        pad_mask = [True] * len(tokens)
-    n_real = sum(bool(b) for b in pad_mask)
-    if n_real < 2:
-        raise ValueError("clm_loss needs at least 2 non-pad tokens")
-    seq_len = len(tokens)
-    targets = np.full(seq_len, IGNORE_INDEX, dtype=np.int64)
-    for t in range(seq_len - 1):
-        if pad_mask[t] and pad_mask[t + 1]:
-            targets[t] = tokens[t + 1]
-    return T.cross_entropy_from_logits(logits, targets, IGNORE_INDEX)
+    return T.cross_entropy_from_logits(logits, _clm_targets(tokens, pad_mask),
+                                       IGNORE_INDEX)
 
 
 def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
                   batch: LmBatch) -> Tensor:
-    """Per-row losses averaged over the batch."""
+    """Per-row losses averaged over the batch: the mean over rows of
+    clm_loss / mlm_loss, computed as one batched forward and one
+    cross-entropy weighted 1 / (rows * predicted positions in the row)."""
     if not batch.rows:
         raise ValueError("empty batch")
-    if objective is Objective.MLM and (batch.plans is None
-                                       or len(batch.plans) != len(batch.rows)):
-        raise ValueError("MLM batch must carry one masking plan per row")
-    per_row = []
-    for i, (tokens, pad) in enumerate(zip(batch.rows, batch.pad_masks)):
-        if objective is Objective.CLM:
-            _, logits = forward(params, cfg, tokens, AttentionMode.CAUSAL, pad)
-            per_row.append(clm_loss(logits, tokens, pad))
-        else:
-            plan = batch.plans[i]
-            corrupted = plan.apply(tokens)
-            _, logits = forward(params, cfg, corrupted,
-                                AttentionMode.BIDIRECTIONAL, pad)
-            per_row.append(mlm_loss(logits, plan))
-    total = per_row[0]
-    for loss in per_row[1:]:
-        total = T.add(total, loss)
-    return T.scale(total, 1.0 / len(per_row))
+    if objective is Objective.CLM:
+        mode = AttentionMode.CAUSAL
+        inputs = batch.rows
+        targets = [_clm_targets(tokens, pad)
+                   for tokens, pad in zip(batch.rows, batch.pad_masks)]
+    else:
+        if batch.plans is None or len(batch.plans) != len(batch.rows):
+            raise ValueError("MLM batch must carry one masking plan per row")
+        mode = AttentionMode.BIDIRECTIONAL
+        inputs = [plan.apply(tokens)
+                  for plan, tokens in zip(batch.plans, batch.rows)]
+        targets = [_mlm_targets(plan, len(tokens))
+                   for plan, tokens in zip(batch.plans, batch.rows)]
+    weights = []
+    for row_targets in targets:
+        kept = row_targets != IGNORE_INDEX
+        if not kept.any():
+            raise ValueError("empty loss: all positions ignored")
+        weights.append(kept / (kept.sum() * len(targets)))
+    _, logits = forward_batch(params, cfg, inputs, mode, batch.pad_masks)
+    return T.cross_entropy_from_logits(logits, np.concatenate(targets),
+                                       IGNORE_INDEX, np.concatenate(weights))

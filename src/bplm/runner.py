@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import BatchStream
-from .model import ModelConfig, Parameters, init_params
+from .model import ModelConfig, Parameters, init_params, param_shapes
 from .objectives import LmBatch, Objective, pretrain_loss, select_mask
 from .optim import AdamWState, WsdSchedule, adamw_step, clip_global_norm, wsd_lr
 from .tensor import Tape, Tensor, backward
@@ -208,7 +208,8 @@ def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
     peak lr; optimizer moments restart.
     """
     if not base.decayed and not force:
-        raise ValueError("CPT base checkpoint has not undergone lr decay")
+        raise ValueError("CPT base checkpoint has not undergone lr decay; "
+                         "pass --force (force=True) to continue it anyway")
     if cpt_steps == 0:
         return base
     cpt_cfg = replace(cfg, objective_plan=[(Objective.MLM, cpt_steps)],
@@ -309,6 +310,33 @@ class _Reader:
         return struct.unpack("<I", self.read(4))[0]
 
 
+def _check_tensors(model_cfg: ModelConfig, params: Parameters,
+                   opt: AdamWState) -> None:
+    """Parameters must be exactly the config's set, at the config's shapes;
+    optimizer moments must come in (m, v) pairs for known parameters."""
+    expected = param_shapes(model_cfg)
+    missing = sorted(set(expected) - set(params))
+    unknown = sorted(set(params) - set(expected))
+    if missing or unknown:
+        raise CheckpointError("parameters do not match the model config: "
+                              f"missing {missing}, unknown {unknown}")
+    for name, t in params.items():
+        if t.data.shape != expected[name]:
+            raise CheckpointError(f"parameter {name!r} has shape {t.data.shape}, "
+                                  f"the model config expects {expected[name]}")
+    if set(opt.m) != set(opt.v):
+        raise CheckpointError("optimizer m and v moments name different parameters")
+    for kind, moments in (("m", opt.m), ("v", opt.v)):
+        for name, arr in moments.items():
+            if name not in expected:
+                raise CheckpointError(
+                    f"optimizer {kind} moment for unknown parameter {name!r}")
+            if arr.shape != expected[name]:
+                raise CheckpointError(
+                    f"optimizer {kind} moment {name!r} has shape {arr.shape}, "
+                    f"the parameter has {expected[name]}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     import json
     with open(path, "rb") as f:
@@ -348,6 +376,7 @@ def load_checkpoint(path) -> Checkpoint:
             opt.v[name[len("opt.v."):]] = arr
         else:
             raise CheckpointError(f"unknown tensor record {name!r}")
+    _check_tensors(model_cfg, params, opt)
     return Checkpoint(model_cfg, params, opt, WsdSchedule.from_dict(cfg["schedule"]),
                       cfg["step"], cfg["objective_history"], cfg["seed"],
                       cfg["mask_ratio"], version)

@@ -8,6 +8,7 @@ and checked against central finite differences (see grad_check).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -271,41 +272,129 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     return _record(out, (gate, up), bw)
 
 
+def _rope_angles(positions, head_dim: int, theta: float):
+    """cos and sin of pos * theta**(-2i/head_dim), one row per position and
+    one column per coordinate pair i."""
+    freqs = theta ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
+    ang = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    return np.cos(ang), np.sin(ang)
+
+
+@functools.lru_cache(maxsize=64)
+def _rope_table(seq_len: int, head_dim: int, theta: float):
+    """_rope_angles for positions 0..seq_len-1, built once and read-only."""
+    cos, sin = _rope_angles(np.arange(seq_len), head_dim, theta)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+def _rope_rotate(arr: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate coordinate pairs (2i, 2i+1) of the last axis; cos and sin
+    broadcast against arr[..., 0::2]. Passing -sin undoes the rotation."""
+    even = arr[..., 0::2]
+    odd = arr[..., 1::2]
+    out = np.empty_like(arr)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
 def rope_apply(x: Tensor, positions: Sequence[int], theta: float) -> Tensor:
     """Rotate coordinate pairs (2i, 2i+1) of the last axis by
     pos * theta**(-2i/head_dim). Works on [T, hd] or [T, h, hd]."""
     hd = x.data.shape[-1]
     if hd % 2 != 0:
         raise ValueError("rope requires an even head dimension")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape[0] != x.data.shape[0]:
+    if len(positions) != x.data.shape[0]:
         raise ValueError("positions length must match sequence length")
-    freqs = theta ** (-2.0 * np.arange(hd // 2, dtype=np.float64) / hd)
-    # angle[t, i] = pos[t] * theta^(-2i/hd)
-    ang = pos[:, None] * freqs[None, :]
-    cos = np.cos(ang)
-    sin = np.sin(ang)
+    cos, sin = _rope_angles(positions, hd, theta)
     # broadcast over any middle axes
     bshape = (x.data.shape[0],) + (1,) * (x.data.ndim - 2) + (hd // 2,)
     cos = cos.reshape(bshape)
     sin = sin.reshape(bshape)
-
-    def rotate(arr, c, s):
-        even = arr[..., 0::2]
-        odd = arr[..., 1::2]
-        out = np.empty_like(arr)
-        out[..., 0::2] = even * c - odd * s
-        out[..., 1::2] = even * s + odd * c
-        return out
-
-    out = Tensor(rotate(x.data, cos, sin))
+    out = Tensor(_rope_rotate(x.data, cos, sin))
     # inverse rotation transposes the 2x2 blocks
-    return _record(out, (x,), lambda g: (rotate(g, cos, -sin),))
+    return _record(out, (x,), lambda g: (_rope_rotate(g, cos, -sin),))
+
+
+def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                  heads: int, kv_heads: int, theta: float) -> Tensor:
+    """Grouped-query scaled dot-product attention with RoPE, for B rows of
+    T positions laid out row after row.
+
+    q is [B*T, heads*hd], k and v are [B*T, kv_heads*hd], and mask is the
+    additive [B, T, T] mask (0 where a query may attend a key, NEG_INF
+    elsewhere). Queries and keys are rotated by their position 0..T-1
+    within the row; query head h reads key/value group h // (heads /
+    kv_heads). Returns the head outputs side by side, [B*T, heads*hd].
+    """
+    B, seq_len = mask.shape[0], mask.shape[-1]
+    if mask.shape != (B, seq_len, seq_len):
+        raise ValueError("attention mask must be [B, T, T]")
+    if heads % kv_heads != 0 or q.data.shape[1] % heads != 0:
+        raise ValueError("heads must divide the query width and be a "
+                         "multiple of kv_heads")
+    hd = q.data.shape[1] // heads
+    if hd % 2 != 0:
+        raise ValueError("rope requires an even head dimension")
+    kv_shape = (B * seq_len, kv_heads * hd)
+    if q.data.shape[0] != B * seq_len or k.data.shape != kv_shape \
+            or v.data.shape != kv_shape:
+        raise ValueError(f"attention shape mismatch: q {q.data.shape}, "
+                         f"k {k.data.shape}, v {v.data.shape}, mask {mask.shape}")
+    group = heads // kv_heads
+    scale = 1.0 / np.sqrt(hd)
+    cos, sin = _rope_table(seq_len, hd, theta)
+    cos = cos[:, None, :]  # broadcast over the head axis of [B, T, h, hd]
+    sin = sin[:, None, :]
+
+    def rotate(a, n_heads, s):  # [B*T, n_heads*hd] -> [B, T, n_heads, hd]
+        return _rope_rotate(a.reshape(B, seq_len, n_heads, hd), cos, s)
+
+    def merge_q(a):  # [B, kv, group*T, hd] -> [B*T, heads*hd]
+        return (a.reshape(B, kv_heads, group, seq_len, hd)
+                .transpose(0, 3, 1, 2, 4).reshape(B * seq_len, heads * hd))
+
+    def merge_kv(a):  # [B, kv, T, hd] -> [B*T, kv*hd]
+        return a.transpose(0, 2, 1, 3).reshape(B * seq_len, kv_heads * hd)
+
+    # The query heads of one kv group sit side by side, so each (row, group)
+    # is one [T, hd] x [hd, group*T] product and KV is never copied per head.
+    # Scores keep keys on axis 2, where numpy reduces fastest: [B, kv, Tk,
+    # group*Tq], the transpose of the usual layout.
+    qt = ((rotate(q.data, heads, sin) * scale)
+          .reshape(B, seq_len, kv_heads, group, hd)
+          .transpose(0, 2, 4, 3, 1).reshape(B, kv_heads, hd, group * seq_len))
+    kr = rotate(k.data, kv_heads, sin).transpose(0, 2, 1, 3)
+    vh = v.data.reshape(B, seq_len, kv_heads, hd).transpose(0, 2, 1, 3)
+    s = ((kr @ qt).reshape(B, kv_heads, seq_len, group, seq_len)
+         + mask.transpose(0, 2, 1)[:, None, :, None, :])
+    s -= s.max(axis=2, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=2, keepdims=True)
+    wt = s.reshape(B, kv_heads, seq_len, group * seq_len)
+    out = Tensor(merge_q(wt.transpose(0, 1, 3, 2) @ vh))
+
+    def bw(g):
+        go = (g.reshape(B, seq_len, kv_heads, group, hd)
+              .transpose(0, 2, 3, 1, 4).reshape(B, kv_heads, group * seq_len, hd))
+        gw = vh @ go.transpose(0, 1, 3, 2)
+        gs = wt * (gw - (gw * wt).sum(axis=2, keepdims=True))
+        gq = merge_q(gs.transpose(0, 1, 3, 2) @ kr) * scale
+        gk = merge_kv(gs @ qt.transpose(0, 1, 3, 2))
+        gv = merge_kv(wt @ go)
+        return (rotate(gq, heads, -sin).reshape(gq.shape),
+                rotate(gk, kv_heads, -sin).reshape(gk.shape), gv)
+
+    return _record(out, (q, k, v), bw)
 
 
 def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
-                              ignore_index: int = -100) -> Tensor:
-    """Mean of -log softmax(logits)[target] over non-ignored positions."""
+                              ignore_index: int = -100,
+                              weights: Optional[Sequence[float]] = None) -> Tensor:
+    """Mean of -log softmax(logits)[target] over non-ignored positions, or,
+    given per-position weights, their weighted sum over those positions."""
     tgt = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or tgt.shape[0] != logits.data.shape[0]:
         raise ValueError("cross_entropy expects [n, V] logits and n targets")
@@ -320,14 +409,21 @@ def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     rows = np.nonzero(keep)[0]
-    out = Tensor(-logp[rows, tgt[rows]].mean())
+    if weights is None:
+        w = np.full(n_kept, 1.0 / n_kept)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != tgt.shape:
+            raise ValueError("cross_entropy expects one weight per target")
+        w = w[rows]
+    out = Tensor(-(w * logp[rows, tgt[rows]]).sum())
 
     def bw(g):
         p = np.exp(logp)
         grad = np.zeros_like(logits.data)
         grad[rows] = p[rows]
         grad[rows, tgt[rows]] -= 1.0
-        grad *= float(g) / n_kept
+        grad[rows] *= w[:, None] * float(g)
         return (grad,)
 
     return _record(out, (logits,), bw)

@@ -16,7 +16,8 @@ from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, CorpusSpec, gen_corpus,
 from bplm.finetune import (GridSearchSpec, accuracy, bio_spans,
                            ci95_half_width, entity_f1, evaluate, finetune_one,
                            ndcg_at_10, qa_f1, run_grid_search, select_best_lr)
-from bplm.model import AttentionMode, ModelConfig, forward, init_params
+from bplm.model import (AttentionMode, ModelConfig, attention_mask, forward,
+                        init_params)
 from bplm.objectives import (MaskingPlan, LmBatch, Objective, mlm_loss,
                              pretrain_loss, select_mask)
 from bplm.optim import (AdamWState, WsdSchedule, adamw_step,
@@ -89,6 +90,32 @@ class TestC1GradientCorrectness:
             err = grad_check(anchored(f), x, eps=1e-5)
             worst = max(worst, err)
             assert err < 1e-6, f"op {name}: {err:.2e}"
+
+        # the fused attention op through each of q, k and v, two query heads
+        # per kv group, 2 rows of 3 positions under four masks
+        pads = [[True, True, True], [True, True, False]]
+        full = [[True] * 3] * 2
+        masks = {
+            "causal": attention_mask(AttentionMode.CAUSAL, full),
+            "bidirectional": attention_mask(AttentionMode.BIDIRECTIONAL, full),
+            "ragged causal": attention_mask(AttentionMode.CAUSAL, pads),
+            "ragged bidirectional": attention_mask(
+                AttentionMode.BIDIRECTIONAL, pads),
+        }
+        qkv = [rng.normal(size=(6, 8)), rng.normal(size=(6, 4)),
+               rng.normal(size=(6, 4))]
+        probe = Tensor(rng.normal(size=(6, 8)))
+        for mask_name, mask in masks.items():
+            for i, which in enumerate("qkv"):
+                def f(x, i=i, mask=mask):
+                    args = [Tensor(a) for a in qkv]
+                    args[i] = x
+                    return T.sum_all(T.mul(
+                        T.gqa_attention(*args, mask, 4, 2, 100.0), probe))
+                x = Tensor(qkv[i].copy(), requires_grad=True)
+                err = grad_check(anchored(f), x, eps=1e-5)
+                worst = max(worst, err)
+                assert err < 1e-6, f"gqa_attention {which} {mask_name}: {err:.2e}"
 
         tokens = [3, 7, 5, 9, 4, 6]
         plan = select_mask(tokens, 0.4, np.random.default_rng(1), MASK_ID)

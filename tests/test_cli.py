@@ -171,7 +171,9 @@ class TestCpt:
         cfg = self.cpt_config(tmp_path)
         out = str(tmp_path / "cpt")
         assert main(["cpt", mid, "--config", cfg, "--out", out]) == 1
-        assert "decay" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "decay" in err and "--force" in err
+        assert not os.path.exists(out)
         assert main(["cpt", mid, "--config", cfg, "--out", out,
                      "--force"]) == 0
 

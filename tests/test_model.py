@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from bplm import tensor as T
-from bplm.model import (AttentionMode, ModelConfig, attention, forward,
-                        init_params, param_names)
+from bplm.model import (AttentionMode, ModelConfig, attention,
+                        attention_mask, forward, forward_batch, init_params,
+                        param_names)
+
+
+def bidirectional_mask(seq_len):
+    return attention_mask(AttentionMode.BIDIRECTIONAL, [[True] * seq_len])
 
 
 class TestModelConfig:
@@ -88,7 +93,7 @@ class TestAttention:
         row = np.random.default_rng(0).normal(size=tiny_cfg.embed_dim)
         hidden = T.Tensor(np.tile(row, (5, 1)))
         out = attention(hidden, tiny_params, 0, tiny_cfg,
-                        AttentionMode.BIDIRECTIONAL)
+                        bidirectional_mask(5))
         np.testing.assert_allclose(out.data, np.tile(out.data[0], (5, 1)),
                                    atol=1e-10)
 
@@ -99,7 +104,7 @@ class TestAttention:
         params["layer.0.attn.wo"] = T.Tensor(np.eye(tiny_cfg.embed_dim))
         hidden = T.Tensor(rng.normal(size=(6, tiny_cfg.embed_dim)))
         base = attention(hidden, params, 0, tiny_cfg,
-                         AttentionMode.BIDIRECTIONAL).data
+                         bidirectional_mask(6)).data
 
         hd = tiny_cfg.head_dim
         for name in ("wk", "wv"):
@@ -107,7 +112,7 @@ class TestAttention:
             arr[:, hd:] = 0.0  # kv group 1
             params[f"layer.0.attn.{name}"] = T.Tensor(arr)
         ablated = attention(hidden, params, 0, tiny_cfg,
-                            AttentionMode.BIDIRECTIONAL).data
+                            bidirectional_mask(6)).data
         heads01 = slice(0, 2 * hd)
         heads23 = slice(2 * hd, 4 * hd)
         np.testing.assert_allclose(ablated[:, heads01], base[:, heads01],
@@ -115,15 +120,73 @@ class TestAttention:
         assert not np.allclose(ablated[:, heads23], base[:, heads23])
 
     def test_all_padded_rejected(self, tiny_cfg, tiny_params):
-        hidden = T.Tensor(np.ones((3, tiny_cfg.embed_dim)))
         with pytest.raises(ValueError, match="padded"):
-            attention(hidden, tiny_params, 0, tiny_cfg,
-                      AttentionMode.BIDIRECTIONAL, [False, False, False])
+            forward(tiny_params, tiny_cfg, [3, 4, 5],
+                    AttentionMode.BIDIRECTIONAL, [False, False, False])
 
     def test_too_long_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError):
             forward(tiny_params, tiny_cfg, [3] * (tiny_cfg.max_seq_len + 1),
                     AttentionMode.CAUSAL)
+
+
+class TestAttentionMask:
+    def test_causal_and_pad(self):
+        m = attention_mask(AttentionMode.CAUSAL, [[True, True, False],
+                                                  [True, True, True]])
+        allowed = m == 0.0
+        np.testing.assert_array_equal(allowed[0], [[1, 0, 0], [1, 1, 0],
+                                                   [1, 1, 0]])
+        np.testing.assert_array_equal(allowed[1], np.tri(3, dtype=bool))
+        assert set(np.unique(m)) == {0.0, T.NEG_INF}
+
+    def test_bidirectional_masks_pad_keys_only(self):
+        m = attention_mask(AttentionMode.BIDIRECTIONAL, [[False, True, True]])
+        np.testing.assert_array_equal(m[0] == 0.0, [[0, 1, 1]] * 3)
+
+    def test_one_all_pad_row_rejected(self):
+        with pytest.raises(ValueError, match="padded"):
+            attention_mask(AttentionMode.CAUSAL, [[True, True],
+                                                  [False, False]])
+
+
+class TestForwardBatch:
+    ROWS = [[3, 4, 5, 6, 7], [8, 2, 9, 0, 0], [5, 5, 1, 10, 0]]
+    PADS = [[True] * 5, [True, True, True, False, False], [True] * 4 + [False]]
+
+    @pytest.mark.parametrize("mode", list(AttentionMode))
+    def test_rows_match_single_row_forward(self, tiny_cfg, tiny_params, mode):
+        hidden, logits = forward_batch(tiny_params, tiny_cfg, self.ROWS, mode,
+                                       self.PADS)
+        assert hidden.data.shape == (15, tiny_cfg.embed_dim)
+        for b, (row, pad) in enumerate(zip(self.ROWS, self.PADS)):
+            h, lg = forward(tiny_params, tiny_cfg, row, mode, pad)
+            rows = slice(5 * b, 5 * b + 5)
+            np.testing.assert_allclose(hidden.data[rows], h.data, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(logits.data[rows], lg.data, rtol=0,
+                                       atol=1e-12)
+
+    def test_pad_tokens_do_not_leak(self, tiny_cfg, tiny_params):
+        # masked weights are exactly 0, so changing what sits at pad
+        # positions leaves every real position bit-identical
+        _, a = forward_batch(tiny_params, tiny_cfg, self.ROWS,
+                             AttentionMode.BIDIRECTIONAL, self.PADS)
+        rows = [[3, 4, 5, 6, 7], [8, 2, 9, 7, 6], [5, 5, 1, 10, 9]]
+        _, b = forward_batch(tiny_params, tiny_cfg, rows,
+                             AttentionMode.BIDIRECTIONAL, self.PADS)
+        real = np.asarray(self.PADS).reshape(-1)
+        np.testing.assert_array_equal(a.data[real], b.data[real])
+
+    def test_ragged_rows_rejected(self, tiny_cfg, tiny_params):
+        with pytest.raises(ValueError, match="one length"):
+            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5], [3, 4]],
+                          AttentionMode.CAUSAL)
+
+    def test_pad_shape_mismatch_rejected(self, tiny_cfg, tiny_params):
+        with pytest.raises(ValueError, match="pad masks"):
+            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5]],
+                          AttentionMode.CAUSAL, [[True, True]])
 
 
 class TestForward:

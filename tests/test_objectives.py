@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bplm import tensor as T
-from bplm.model import AttentionMode, forward
+from bplm.data import PAD_ID, CorpusSpec, gen_corpus, pack_batches
+from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import (IGNORE_INDEX, LmBatch, MaskingPlan, Objective,
                              clm_loss, mlm_loss, pretrain_loss, select_mask)
 from bplm.tensor import Tape, Tensor, backward
@@ -159,3 +162,105 @@ class TestPretrainLoss:
         with pytest.raises(ValueError):
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
                           LmBatch([], []))
+
+    def test_clm_row_without_adjacent_real_pair_rejected(self, tiny_cfg,
+                                                         tiny_params):
+        with pytest.raises(ValueError, match="empty loss"):
+            pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
+                          LmBatch([[3, 4, 5], [3, 0, 5]],
+                                  [[True] * 3, [True, False, True]]))
+
+    def test_short_clm_row_rejected(self, tiny_cfg, tiny_params):
+        with pytest.raises(ValueError, match="2 non-pad"):
+            pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
+                          LmBatch([[3, 4], [3, 0]],
+                                  [[True, True], [True, False]]))
+
+    def test_empty_plan_rejected(self, tiny_cfg, tiny_params, rng):
+        rows = [[3, 4, 5], [6, 7, 8]]
+        plans = [select_mask(rows[0], 0.5, rng, 1),
+                 MaskingPlan(0.5, 1, [], [])]
+        with pytest.raises(ValueError, match="empty masking plan"):
+            pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
+                          LmBatch(rows, [[True] * 3] * 2, plans))
+
+    def test_token_out_of_range_rejected(self, tiny_cfg, tiny_params):
+        with pytest.raises(ValueError, match="token id"):
+            pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
+                          LmBatch([[3, 4], [3, 99]], [[True] * 2] * 2))
+
+    def test_desk_step_records_at_most_40_tape_nodes(self):
+        # the C7 configuration: one batched pass, not one pass per row/head
+        cfg = ModelConfig(layers=2, embed_dim=32, ffn_dim=64, heads=4,
+                          kv_heads=2, vocab_size=16, max_seq_len=64)
+        params = init_params(cfg, 0)
+        corpus = gen_corpus(CorpusSpec(num_symbols=6, target_tokens=2000,
+                                       min_len=16, max_len=48, seed=5))
+        batch = pack_batches(corpus.sequences, 4, 16, 48, PAD_ID, 0).batch(0)
+        rng = np.random.default_rng(0)
+        plans = [select_mask(r, 0.4, rng, 1, p)
+                 for r, p in zip(batch.rows, batch.pad_masks)]
+        for objective in Objective:
+            with Tape() as tape:
+                pretrain_loss(objective, params, cfg,
+                              LmBatch(batch.rows, batch.pad_masks, plans))
+            assert len(tape.nodes) <= 40, objective
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-4 rows of 2-8 real tokens, right-padded to the longest."""
+    lengths = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
+    width = max(lengths)
+    rows = [draw(st.lists(st.integers(2, 10), min_size=n, max_size=n))
+            + [0] * (width - n) for n in lengths]
+    pads = [[True] * n + [False] * (width - n) for n in lengths]
+    return rows, pads
+
+
+class TestBatchedMatchesPerRow:
+    """pretrain_loss (one batched forward) against the mean of per-row
+    forward + clm_loss / mlm_loss: the loss and every parameter gradient."""
+
+    @staticmethod
+    def per_row_loss(objective, params, cfg, batch):
+        losses = []
+        for i, (row, pad) in enumerate(zip(batch.rows, batch.pad_masks)):
+            if objective is Objective.CLM:
+                _, logits = forward(params, cfg, row, AttentionMode.CAUSAL, pad)
+                losses.append(clm_loss(logits, row, pad))
+            else:
+                plan = batch.plans[i]
+                _, logits = forward(params, cfg, plan.apply(row),
+                                    AttentionMode.BIDIRECTIONAL, pad)
+                losses.append(mlm_loss(logits, plan))
+        total = losses[0]
+        for loss in losses[1:]:
+            total = T.add(total, loss)
+        return T.scale(total, 1.0 / len(losses))
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=ragged_batches(), kv_heads=st.sampled_from([1, 2, 4]),
+           objective=st.sampled_from(list(Objective)),
+           seed=st.integers(0, 2 ** 16))
+    def test_loss_and_grads_match(self, batch, kv_heads, objective, seed):
+        cfg = ModelConfig(layers=2, embed_dim=16, ffn_dim=32, heads=4,
+                          kv_heads=kv_heads, vocab_size=11, max_seq_len=16)
+        params = init_params(cfg, seed)
+        rows, pads = batch
+        plans = [select_mask(r, 0.4, np.random.default_rng([seed, i]), 1, p)
+                 for i, (r, p) in enumerate(zip(rows, pads))]
+        lm = LmBatch(rows, pads, plans)
+        results = []
+        for loss_fn in (pretrain_loss, self.per_row_loss):
+            for p in params.values():
+                p.zero_grad()
+            with Tape() as tape:
+                loss = loss_fn(objective, params, cfg, lm)
+            backward(loss, tape)
+            results.append((loss.item(),
+                            {n: p.grad for n, p in params.items()}))
+        (batched, fused), (reference, per_row) = results
+        assert abs(batched - reference) <= 1e-12
+        for name in params:
+            assert np.abs(fused[name] - per_row[name]).max() <= 1e-12, name

@@ -11,6 +11,7 @@ from bplm.optim import WsdSchedule, wsd_lr
 from bplm.runner import (CheckpointError, TrainConfig, _mask_batch,
                          load_checkpoint, run_cpt, run_pfs, save_checkpoint,
                          write_trace)
+from bplm.tensor import Tensor
 
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
                   vocab_size=16, max_seq_len=32)
@@ -250,6 +251,62 @@ class TestCheckpointIo:
         path.write_bytes(body)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def save_altered(self, tmp_path, alter):
+        ckpt = self.make_ckpt()
+        alter(ckpt)
+        path = tmp_path / "altered.ckpt"
+        save_checkpoint(ckpt, path)
+        return path
+
+    def test_missing_param_rejected(self, tmp_path):
+        path = self.save_altered(
+            tmp_path, lambda c: c.params.pop("layer.0.ffn.w_down"))
+        with pytest.raises(CheckpointError, match="missing.*w_down"):
+            load_checkpoint(path)
+
+    def test_unknown_param_rejected(self, tmp_path):
+        def alter(c):
+            c.params["layer.7.attn.wq"] = c.params["layer.0.attn.wq"]
+        path = self.save_altered(tmp_path, alter)
+        with pytest.raises(CheckpointError, match="unknown.*layer.7"):
+            load_checkpoint(path)
+
+    def test_param_shape_rejected(self, tmp_path):
+        def alter(c):
+            c.params["embed"] = Tensor(c.params["embed"].data[:-1])
+        path = self.save_altered(tmp_path, alter)
+        with pytest.raises(CheckpointError, match="'embed' has shape"):
+            load_checkpoint(path)
+
+    def test_moment_for_unknown_param_rejected(self, tmp_path):
+        def alter(c):
+            c.opt_state.m["nope"] = c.opt_state.m["embed"]
+            c.opt_state.v["nope"] = c.opt_state.v["embed"]
+        path = self.save_altered(tmp_path, alter)
+        with pytest.raises(CheckpointError, match="unknown parameter 'nope'"):
+            load_checkpoint(path)
+
+    def test_moment_shape_rejected(self, tmp_path):
+        def alter(c):
+            c.opt_state.v["final_norm"] = c.opt_state.v["final_norm"][:-1]
+        path = self.save_altered(tmp_path, alter)
+        with pytest.raises(CheckpointError, match="v moment 'final_norm'"):
+            load_checkpoint(path)
+
+    def test_unpaired_moment_rejected(self, tmp_path, monkeypatch):
+        # save_checkpoint always writes (m, v) pairs; write v of embed under
+        # m's name so the file holds an m without its v
+        from bplm import runner
+        plain = runner._tensor_record
+
+        def renamed(name, arr):
+            return plain("opt.m.embed" if name == "opt.v.embed" else name, arr)
+        monkeypatch.setattr(runner, "_tensor_record", renamed)
+        save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="moments name different"):
+            load_checkpoint(tmp_path / "a.ckpt")
 
     def test_legacy_rng_state_key_loads(self, tmp_path, monkeypatch):
         # older files carry an always-empty "rng_state" entry in the header

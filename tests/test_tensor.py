@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplm import tensor as T
+from bplm.model import AttentionMode, attention_mask
 from bplm.tensor import Tape, Tensor, backward, grad_check
 
 
@@ -295,3 +296,105 @@ class TestRope:
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ValueError):
             T.rope_apply(Tensor(np.ones((2, 3))), [0, 1], 10.0)
+
+
+def per_head_attention(q, k, v, mask, heads, kv_heads, theta):
+    """The fused op's reference: one row and one head at a time, composed
+    from slice_cols, rope_apply, softmax and concat_cols."""
+    rows, seq_len = mask.shape[0], mask.shape[1]
+    hd = q.data.shape[1] // heads
+    group = heads // kv_heads
+    positions = list(range(seq_len))
+    outputs = []
+    for b in range(rows):
+        own = range(b * seq_len, (b + 1) * seq_len)
+        qb, kb, vb = (T.gather_rows(x, own) for x in (q, k, v))
+        head_outputs = []
+        for h in range(heads):
+            g = h // group
+            qh = T.rope_apply(T.slice_cols(qb, h * hd, (h + 1) * hd),
+                              positions, theta)
+            kh = T.rope_apply(T.slice_cols(kb, g * hd, (g + 1) * hd),
+                              positions, theta)
+            vh = T.slice_cols(vb, g * hd, (g + 1) * hd)
+            scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(hd))
+            weights = T.softmax(T.add_const(scores, mask[b]), axis=-1)
+            head_outputs.append(T.matmul(weights, vh))
+        outputs.append(T.transpose(T.concat_cols(head_outputs)))
+    return T.transpose(T.concat_cols(outputs))
+
+
+CAUSAL, BIDIRECTIONAL = AttentionMode.CAUSAL, AttentionMode.BIDIRECTIONAL
+GQA_MASKS = {
+    "causal": attention_mask(CAUSAL, [[True] * 4] * 2),
+    "bidirectional": attention_mask(BIDIRECTIONAL, [[True] * 4] * 2),
+    "ragged_causal": attention_mask(CAUSAL, [[True] * 4,
+                                             [True, True, False, False]]),
+    "ragged_bidirectional": attention_mask(
+        BIDIRECTIONAL, [[True, True, True, False], [True, False, False, False]]),
+}
+
+
+class TestGqaAttention:
+    @pytest.mark.parametrize("mask_name", sorted(GQA_MASKS))
+    @pytest.mark.parametrize("kv_heads", [1, 2, 4])
+    def test_matches_per_head_composition(self, mask_name, kv_heads, rng):
+        heads, hd = 4, 4
+        mask = GQA_MASKS[mask_name]
+        n = mask.shape[0] * mask.shape[1]
+        inputs = [t(rng.normal(size=(n, w * hd)), grad=True)
+                  for w in (heads, kv_heads, kv_heads)]
+        probe = Tensor(rng.normal(size=(n, heads * hd)))
+        results = []
+        for op in (T.gqa_attention, per_head_attention):
+            for x in inputs:
+                x.zero_grad()
+            with Tape() as tape:
+                out = op(*inputs, mask, heads, kv_heads, 100.0)
+                loss = T.sum_all(T.mul(out, probe))
+            backward(loss, tape)
+            results.append([out.data] + [x.grad for x in inputs])
+        for fused, reference in zip(*results):
+            assert np.abs(fused - reference).max() <= 1e-12
+
+    def test_masked_keys_get_exactly_zero_weight(self, rng):
+        mask = GQA_MASKS["ragged_bidirectional"]
+        q, k, v = (rng.normal(size=(8, 8)), rng.normal(size=(8, 4)),
+                   rng.normal(size=(8, 4)))
+        base = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0).data
+        pad = ~np.asarray([[True, True, True, False],
+                           [True, False, False, False]]).reshape(-1)
+        k[pad] = rng.normal(size=(pad.sum(), 4)) * 1e3
+        v[pad] = rng.normal(size=(pad.sum(), 4)) * 1e3
+        moved = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0).data
+        np.testing.assert_array_equal(base, moved)
+
+    def test_shape_mismatch_rejected(self):
+        mask = GQA_MASKS["causal"]
+        with pytest.raises(ValueError, match="shape"):
+            T.gqa_attention(t(np.ones((8, 8))), t(np.ones((8, 4))),
+                            t(np.ones((7, 4))), mask, 2, 1, 100.0)
+
+
+class TestWeightedCrossEntropy:
+    def test_weights_give_mean_of_row_means(self, rng):
+        logits = rng.normal(size=(5, 3))
+        targets = [0, 2, -100, 1, 1]
+        weights = [0.25, 0.25, 0.0, 0.5, 0.0]
+        value = T.cross_entropy_from_logits(t(logits), targets,
+                                            weights=weights).item()
+        first = T.cross_entropy_from_logits(t(logits[:2]), [0, 2]).item()
+        second = T.cross_entropy_from_logits(t(logits[3:4]), [1]).item()
+        assert abs(value - (first + second) / 2) < 1e-15
+
+    def test_weighted_gradient(self):
+        anchored = lambda x: T.add(T.cross_entropy_from_logits(  # noqa: E731
+            x, [0, 2, -100, 7], weights=[0.1, 0.7, 5.0, 0.2]), T.sum_all(x))
+        for seed in range(10):
+            x = t(np.random.default_rng(seed).normal(size=(4, 8)), grad=True)
+            assert grad_check(anchored, x, eps=1e-5) < 1e-6, f"seed {seed}"
+
+    def test_weight_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="weight"):
+            T.cross_entropy_from_logits(t(np.zeros((2, 3))), [0, 1],
+                                        weights=[1.0])
