@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import (CorpusSpec, MASK_ID, PAD_ID, gen_corpus, load_task_dataset,
                    pack_batches)
-from .finetune import (GridSearchSpec, STUDY_LEARNING_RATES, ci95_half_width,
-                       run_grid_search, write_report, zero_shot_eval)
+from .finetune import (GridSearchSpec, ci95_half_width, run_grid_search,
+                       write_report)
 from .model import ModelConfig
 from .objectives import Objective, STUDY_MASK_RATIOS
 from .optim import WsdSchedule

@@ -1,5 +1,5 @@
-"""Deterministic byte-level vocabulary, synthetic corpora with known entropy
-rates, variable-length batch packing, and synthetic fine-tuning datasets.
+"""Reserved token ids, synthetic corpora with known entropy rates,
+variable-length batch packing, and synthetic fine-tuning datasets.
 
 Corpora come from generators whose exact conditional entropy is computable,
 so trained-model losses can be checked against an information-theoretic
@@ -9,10 +9,8 @@ floor instead of opaque reference numbers.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,42 +20,6 @@ PAD_ID = 0
 MASK_ID = 1
 UNK_ID = 2
 NUM_RESERVED = 3
-
-CORPUS_MAGIC = b"BPCR"
-
-
-@dataclass(frozen=True)
-class Vocab:
-    """Fixed-size symbol table over single characters plus reserved ids."""
-    size: int = 256
-    alphabet: str = "abcdefghijklmnopqrstuvwxyz "
-
-    def __post_init__(self):
-        if self.size < NUM_RESERVED + len(self.alphabet):
-            raise ValueError("vocab too small for alphabet plus reserved ids")
-
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def mask_id(self) -> int:
-        return MASK_ID
-
-    def encode(self, text: str) -> List[int]:
-        return [NUM_RESERVED + self.alphabet.index(c)
-                if c in self.alphabet else UNK_ID for c in text]
-
-    def decode(self, ids: Sequence[int]) -> str:
-        out = []
-        for i in ids:
-            if NUM_RESERVED <= i < NUM_RESERVED + len(self.alphabet):
-                out.append(self.alphabet[i - NUM_RESERVED])
-            elif i == PAD_ID:
-                continue
-            else:
-                out.append("?")
-        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -88,9 +50,6 @@ class Corpus:
     entropy_rate: float  # nats per token, exact for the generating chain
     num_symbols: int
     transition: Optional[np.ndarray] = None  # [states x symbols], markov only
-
-    def token_ids(self) -> set:
-        return {t for seq in self.sequences for t in seq}
 
 
 def _stationary(P: np.ndarray) -> np.ndarray:
@@ -180,30 +139,6 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     return Corpus(sequences, entropy, spec.num_symbols, table)
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """Cache file: magic, entropy rate, then length-prefixed u32 sequences."""
-    with open(path, "wb") as f:
-        f.write(CORPUS_MAGIC)
-        f.write(struct.pack("<dII", corpus.entropy_rate, corpus.num_symbols,
-                            len(corpus.sequences)))
-        for seq in corpus.sequences:
-            f.write(struct.pack("<I", len(seq)))
-            f.write(np.asarray(seq, dtype="<u4").tobytes())
-
-
-def load_corpus(path) -> Corpus:
-    with open(path, "rb") as f:
-        if f.read(4) != CORPUS_MAGIC:
-            raise ValueError("not a corpus cache file")
-        entropy, num_symbols, n = struct.unpack("<dII", f.read(16))
-        sequences = []
-        for _ in range(n):
-            (length,) = struct.unpack("<I", f.read(4))
-            seq = np.frombuffer(f.read(4 * length), dtype="<u4")
-            sequences.append([int(t) for t in seq])
-    return Corpus(sequences, entropy, num_symbols)
-
-
 class BatchStream:
     """Deterministic, randomly-accessible stream of LmBatch values.
 
@@ -234,12 +169,6 @@ class BatchStream:
             rows.append(seq + [self.pad_id] * (width - len(seq)))
             pads.append(pad)
         return LmBatch(rows, pads)
-
-    def __iter__(self) -> Iterator[LmBatch]:
-        step = 0
-        while True:
-            yield self.batch(step)
-            step += 1
 
 
 pack_batches = BatchStream  # alias: the benchmark and tests call this name
@@ -387,6 +316,7 @@ _REQUIRED_FIELDS = {
     "QA": ("tokens", "span"),
     "IR": ("query", "positive", "negatives"),
 }
+_NONEMPTY_FIELDS = ("tokens", "tags", "query", "positive")
 
 
 def save_jsonl(examples: Sequence[TaskExample], path) -> None:
@@ -399,35 +329,42 @@ def save_jsonl(examples: Sequence[TaskExample], path) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def load_jsonl(path, task: str) -> List[TaskExample]:
-    """Load and validate one TaskExample per line; errors carry line numbers."""
+def _read_jsonl(path, task: str):
+    """(place, TaskExample) for each non-blank line, checked on its own;
+    place names the file and the line for error messages."""
     if task not in _REQUIRED_FIELDS:
         raise ValueError(f"unknown task {task!r}")
-    out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"line {lineno}: invalid JSON: {e}") from e
+                raise ValueError(f"{where}: invalid JSON: {e}") from e
             if rec.get("task") != task:
-                raise ValueError(f"line {lineno}: task mismatch "
+                raise ValueError(f"{where}: task mismatch "
                                  f"(got {rec.get('task')!r}, want {task!r})")
-            for name in _REQUIRED_FIELDS[task]:
-                if name not in rec:
-                    raise ValueError(f"line {lineno}: missing field {name!r}")
             ex = TaskExample(task=task)
             for name in _REQUIRED_FIELDS[task]:
+                if name not in rec:
+                    raise ValueError(f"{where}: missing field {name!r}")
                 value = rec[name]
+                if name in _NONEMPTY_FIELDS and not value:
+                    raise ValueError(f"{where}: empty {name!r}")
                 if name == "span" and value is not None:
                     value = tuple(value)
                 setattr(ex, name, value)
-            _validate_example(ex, lineno)
-            out.append(ex)
-    return out
+            _validate_example(ex, where)
+            yield where, ex
+
+
+def load_jsonl(path, task: str) -> List[TaskExample]:
+    """Load and validate one TaskExample per line; errors name the file and
+    the line."""
+    return [ex for _, ex in _read_jsonl(path, task)]
 
 
 def save_task_dataset(ds: TaskDataset, directory) -> None:
@@ -443,24 +380,32 @@ def save_task_dataset(ds: TaskDataset, directory) -> None:
 
 
 def load_task_dataset(directory) -> TaskDataset:
+    """Load a dataset directory; besides load_jsonl's checks, SC labels must
+    lie in [0, num_classes) and TC tags in the tagset."""
     import os
     with open(os.path.join(directory, "dataset.json")) as f:
         meta = json.load(f)
-    splits = {split: load_jsonl(os.path.join(directory, f"{split}.jsonl"),
-                                meta["task"])
-              for split in ("train", "validation", "test")}
-    return TaskDataset(task=meta["task"], train=splits["train"],
-                       validation=splits["validation"], test=splits["test"],
-                       num_classes=meta.get("num_classes", 0),
-                       tagset=tuple(meta.get("tagset", ())))
+    ds = TaskDataset(task=meta["task"], train=[], validation=[], test=[],
+                     num_classes=meta.get("num_classes", 0),
+                     tagset=tuple(meta.get("tagset", ())))
+    for split, examples in ds.splits().items():
+        path = os.path.join(directory, f"{split}.jsonl")
+        for where, ex in _read_jsonl(path, ds.task):
+            if ex.task == "SC" and not (isinstance(ex.label, int)
+                                        and 0 <= ex.label < ds.num_classes):
+                raise ValueError(f"{where}: label {ex.label} outside "
+                                 f"[0, {ds.num_classes})")
+            if ex.task == "TC" and not set(ex.tags) <= set(ds.tagset):
+                unknown = sorted(set(ex.tags) - set(ds.tagset))
+                raise ValueError(f"{where}: tags {unknown} not in the tagset")
+            examples.append(ex)
+    return ds
 
 
-def _validate_example(ex: TaskExample, lineno: int) -> None:
+def _validate_example(ex: TaskExample, where: str) -> None:
     if ex.task == "TC" and len(ex.tags) != len(ex.tokens):
-        raise ValueError(f"line {lineno}: tags length != tokens length")
+        raise ValueError(f"{where}: tags length != tokens length")
     if ex.task == "QA" and ex.span is not None:
         s, e = ex.span
         if not (0 <= s <= e < len(ex.tokens)):
-            raise ValueError(f"line {lineno}: span {ex.span} out of bounds")
-    if ex.task == "IR" and ex.positive is None:
-        raise ValueError(f"line {lineno}: IR example lacks a positive document")
+            raise ValueError(f"{where}: span {ex.span} out of bounds")

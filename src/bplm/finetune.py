@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .data import TaskDataset, TaskExample
-from .model import AttentionMode, ModelConfig, Parameters, forward
+from .data import PAD_ID, TaskDataset, TaskExample
+# forward is not called here; benchmark/probes.py wraps bplm.finetune.forward
+from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
+                    forward_batch)
+from .objectives import IGNORE_INDEX
 from .optim import AdamWState, adamw_step, clip_global_norm, finetune_lr
 from .runner import Checkpoint
 from .tensor import Tape, Tensor, backward
@@ -128,15 +131,27 @@ def ndcg_at_10(ranked_ids: Sequence, relevance: Dict, k: int = 10
 
 
 # ---------------------------------------------------------------------------
-# encoding and task losses
+# encoding and task heads
 # ---------------------------------------------------------------------------
 
-def encode(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
-           pad_mask: Optional[Sequence[bool]] = None) -> Tensor:
-    """Hidden states in Bidirectional mode (the fine-tuning contract)."""
-    hidden, _ = forward(params, cfg, tokens, AttentionMode.BIDIRECTIONAL,
-                        pad_mask)
-    return hidden
+EVAL_CHUNK = 16  # examples per encode in evaluate/ir_eval; bounds peak memory
+
+
+def encode(params: Parameters, cfg: ModelConfig,
+           seqs: Sequence[Sequence[int]]) -> Tuple[Tensor, np.ndarray]:
+    """Hidden states in Bidirectional mode (the fine-tuning contract) of B
+    sequences padded at the end with PAD_ID to the longest, W, as one
+    batched forward. Returns the hidden states [B*W, d], sequence b at rows
+    b*W .. b*W+W-1, and the [B, W] real-token mask."""
+    if not seqs:
+        raise ValueError("empty batch")
+    lengths = np.array([len(s) for s in seqs])
+    width = int(lengths.max())
+    real = np.arange(width)[None, :] < lengths[:, None]
+    rows = [list(s) + [PAD_ID] * (width - len(s)) for s in seqs]
+    hidden, _ = forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL,
+                              real)
+    return hidden, real
 
 
 def init_head(task: str, cfg: ModelConfig, dataset: TaskDataset,
@@ -158,67 +173,68 @@ def init_head(task: str, cfg: ModelConfig, dataset: TaskDataset,
     raise ValueError(f"unknown task {task!r}")
 
 
+def _scores(task: str, head: Dict[str, Tensor], params: Parameters,
+            cfg: ModelConfig, batch: Sequence[TaskExample]) -> Tensor:
+    """The task head's scores for a batch of B examples, from one encode
+    (two for IR), as task_loss and evaluate both read them:
+    - SC: class logits [B, classes];
+    - TC: tag logits [B*W, tags], one row per position, pads included;
+    - QA: position logits [2B, W], the B start rows then the B end rows,
+      NEG_INF at pads;
+    - IR: cosine similarities [B, D] of each query to every document: the
+      B positives in batch order, then each example's negatives in turn.
+    """
+    if task == "IR":
+        docs = ([ex.positive for ex in batch]
+                + [neg for ex in batch for neg in ex.negatives or ()])
+        q = T.mean_pool(*encode(params, cfg, [ex.query for ex in batch]))
+        d = T.mean_pool(*encode(params, cfg, docs))
+        return T.matmul(T.l2_normalize_rows(q),
+                        T.transpose(T.l2_normalize_rows(d)))
+    if task not in ("SC", "TC", "QA"):
+        raise ValueError(f"unknown task {task!r}")
+    hidden, real = encode(params, cfg, [ex.tokens for ex in batch])
+    if task == "SC":
+        return T.matmul(T.mean_pool(hidden, real), head["w"])
+    scores = T.matmul(hidden, head["w"])
+    if task == "TC":
+        return scores
+    rows, width = real.shape
+    return T.add_const(T.reshape(T.transpose(scores), 2 * rows, width),
+                       np.where(np.tile(real, (2, 1)), 0.0, T.NEG_INF))
+
+
 def task_loss(task: str, head: Dict[str, Tensor], params: Parameters,
               cfg: ModelConfig, batch: Sequence[TaskExample],
               dataset: TaskDataset,
               temperature: float = 0.05) -> Tensor:
+    """Mean over the batch of each example's loss: cross-entropy of the SC
+    label, of each TC tag (the example's mean over its tokens), of the QA
+    start and end positions (their mean; no-answer targets position 0), or
+    InfoNCE of each IR query against every document in the batch."""
     if not batch:
         raise ValueError("empty batch")
     if any(ex.task != task for ex in batch):
         raise ValueError("batch task mismatch")
-
+    scores = _scores(task, head, params, cfg, batch)
     if task == "SC":
-        pooled = [T.mean_pool(encode(params, cfg, ex.tokens),
-                              [True] * len(ex.tokens)) for ex in batch]
-        logits = T.matmul(T.stack_rows(pooled), head["w"])
-        return T.cross_entropy_from_logits(logits, [ex.label for ex in batch])
-
+        return T.cross_entropy_from_logits(scores, [ex.label for ex in batch])
     if task == "TC":
-        tag_to_id = {t: i for i, t in enumerate(dataset.tagset)}
-        losses = []
-        for ex in batch:
-            logits = T.matmul(encode(params, cfg, ex.tokens), head["w"])
-            targets = [tag_to_id[t] for t in ex.tags]
-            losses.append(T.cross_entropy_from_logits(logits, targets))
-        return _mean(losses)
-
+        tag_ids = {t: i for i, t in enumerate(dataset.tagset)}
+        targets = np.full((len(batch), scores.data.shape[0] // len(batch)),
+                          IGNORE_INDEX, dtype=np.int64)
+        for row, ex in zip(targets, batch):
+            row[:len(ex.tags)] = [tag_ids[t] for t in ex.tags]
+        kept = targets != IGNORE_INDEX
+        weights = kept / (kept.sum(axis=1, keepdims=True) * len(batch))
+        return T.cross_entropy_from_logits(scores, targets.reshape(-1),
+                                           IGNORE_INDEX, weights.reshape(-1))
     if task == "QA":
-        losses = []
-        for ex in batch:
-            scores = T.matmul(encode(params, cfg, ex.tokens), head["w"])
-            start_logits = T.transpose(T.slice_cols(scores, 0, 1))
-            end_logits = T.transpose(T.slice_cols(scores, 1, 2))
-            s, e = ex.span if ex.span is not None else (0, 0)
-            loss = T.add(T.cross_entropy_from_logits(start_logits, [s]),
-                         T.cross_entropy_from_logits(end_logits, [e]))
-            losses.append(T.scale(loss, 0.5))
-        return _mean(losses)
-
-    if task == "IR":
-        queries, docs = [], []
-        for ex in batch:
-            queries.append(T.mean_pool(encode(params, cfg, ex.query),
-                                       [True] * len(ex.query)))
-        for ex in batch:  # positives first: query i targets candidate i
-            docs.append(T.mean_pool(encode(params, cfg, ex.positive),
-                                    [True] * len(ex.positive)))
-        for ex in batch:
-            for neg in ex.negatives or []:
-                docs.append(T.mean_pool(encode(params, cfg, neg),
-                                        [True] * len(neg)))
-        q = T.l2_normalize_rows(T.stack_rows(queries))
-        d = T.l2_normalize_rows(T.stack_rows(docs))
-        sims = T.scale(T.matmul(q, T.transpose(d)), 1.0 / temperature)
-        return T.cross_entropy_from_logits(sims, list(range(len(batch))))
-
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _mean(losses: List[Tensor]) -> Tensor:
-    total = losses[0]
-    for loss in losses[1:]:
-        total = T.add(total, loss)
-    return T.scale(total, 1.0 / len(losses))
+        spans = [ex.span or (0, 0) for ex in batch]
+        return T.cross_entropy_from_logits(
+            scores, [s for s, _ in spans] + [e for _, e in spans])
+    return T.cross_entropy_from_logits(T.scale(scores, 1.0 / temperature),
+                                       list(range(len(batch))))
 
 
 # ---------------------------------------------------------------------------
@@ -237,47 +253,48 @@ def _predict_span(start_scores: np.ndarray, end_scores: np.ndarray
     return s, e
 
 
+def _span_tokens(tokens: List[int], span: Optional[Tuple[int, int]]
+                 ) -> List[int]:
+    return tokens[span[0]: span[1] + 1] if span is not None else []
+
+
+def _chunk_scores(task: str, head: Dict[str, Tensor], params: Parameters,
+                  cfg: ModelConfig, examples: Sequence[TaskExample]):
+    """(chunk, scores array) for consecutive chunks of at most EVAL_CHUNK
+    examples."""
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        chunk = examples[lo: lo + EVAL_CHUNK]
+        yield chunk, _scores(task, head, params, cfg, chunk).data
+
+
 def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
              cfg: ModelConfig, examples: Sequence[TaskExample],
              dataset: TaskDataset) -> float:
     if not examples:
         raise ValueError("empty split")
-
-    if task == "SC":
-        preds, golds = [], []
-        for ex in examples:
-            pooled = T.mean_pool(encode(params, cfg, ex.tokens),
-                                 [True] * len(ex.tokens))
-            logits = T.matmul(T.stack_rows([pooled]), head["w"])
-            preds.append(int(logits.data.argmax()))
-            golds.append(ex.label)
-        return accuracy(preds, golds)
-
-    if task == "TC":
-        pred_seqs, gold_seqs = [], []
-        for ex in examples:
-            logits = T.matmul(encode(params, cfg, ex.tokens), head["w"])
-            ids = logits.data.argmax(axis=1)
-            pred_seqs.append([dataset.tagset[i] for i in ids])
-            gold_seqs.append(ex.tags)
-        return entity_f1(pred_seqs, gold_seqs)
-
-    if task == "QA":
-        scores = []
-        for ex in examples:
-            s = T.matmul(encode(params, cfg, ex.tokens), head["w"]).data
-            span = _predict_span(s[:, 0], s[:, 1])
-            pred_tokens = ex.tokens[span[0]: span[1] + 1] if span else []
-            gold_tokens = (ex.tokens[ex.span[0]: ex.span[1] + 1]
-                           if ex.span is not None else [])
-            scores.append(qa_f1(pred_tokens, gold_tokens))
-        return float(np.mean(scores))
-
     if task == "IR":
         value, _skipped = ir_eval(params, cfg, examples)
         return value
 
-    raise ValueError(f"unknown task {task!r}")
+    preds = []
+    for chunk, scores in _chunk_scores(task, head, params, cfg, examples):
+        n = len(chunk)
+        if task == "SC":
+            preds += [int(i) for i in scores.argmax(axis=1)]
+        elif task == "TC":
+            ids = scores.argmax(axis=1).reshape(n, -1)
+            preds += [[dataset.tagset[i] for i in row[:len(ex.tokens)]]
+                      for row, ex in zip(ids, chunk)]
+        else:
+            preds += [_predict_span(scores[b], scores[n + b])
+                      for b in range(n)]
+    if task == "SC":
+        return accuracy(preds, [ex.label for ex in examples])
+    if task == "TC":
+        return entity_f1(preds, [ex.tags for ex in examples])
+    return float(np.mean([qa_f1(_span_tokens(ex.tokens, span),
+                                _span_tokens(ex.tokens, ex.span))
+                          for span, ex in zip(preds, examples)]))
 
 
 def ir_eval(params: Parameters, cfg: ModelConfig,
@@ -286,22 +303,18 @@ def ir_eval(params: Parameters, cfg: ModelConfig,
     documents only. Returns (mean, number of skipped queries)."""
     scores = []
     skipped = 0
-    for ex in examples:
-        q = T.mean_pool(encode(params, cfg, ex.query),
-                        [True] * len(ex.query)).data
-        docs = [ex.positive] + list(ex.negatives or [])
-        rels = {0: 1}
-        sims = []
-        for i, doc in enumerate(docs):
-            d = T.mean_pool(encode(params, cfg, doc), [True] * len(doc)).data
-            sims.append(float(q @ d / (np.linalg.norm(q) * np.linalg.norm(d)
-                                       + 1e-12)))
-        ranked = sorted(range(len(docs)), key=lambda i: -sims[i])
-        score = ndcg_at_10(ranked, rels)
-        if score is None:
-            skipped += 1
-        else:
-            scores.append(score)
+    for chunk, sims in _chunk_scores("IR", {}, params, cfg, examples):
+        at = len(chunk)  # the chunk's negatives follow its positives
+        for b, ex in enumerate(chunk):
+            n_neg = len(ex.negatives or ())
+            row = [sims[b, b]] + list(sims[b, at: at + n_neg])
+            at += n_neg
+            ranked = sorted(range(len(row)), key=lambda i: -row[i])
+            score = ndcg_at_10(ranked, {0: 1})
+            if score is None:
+                skipped += 1
+            else:
+                scores.append(score)
     if not scores:
         raise ValueError("no query had a relevant document")
     return float(np.mean(scores)), skipped

@@ -47,7 +47,6 @@ class TrainConfig:
     adam_eps: float = 1e-5
     checkpoint_cadence: int = 0       # steps between saves; 0 disables
     checkpoint_dir: Optional[str] = None
-    carry_moments_across_switch: bool = True
 
     def __post_init__(self):
         if any(steps < 0 for _, steps in self.objective_plan):
@@ -128,13 +127,9 @@ def _train_loop(params: Parameters, opt_state: AdamWState, cfg: TrainConfig,
                 mask_id: int, trace: List[dict],
                 history: List[dict]) -> Checkpoint:
     total = cfg.schedule.total_steps
-    switch = cfg.switch_step()
     for step in range(start_step, total):
         t0 = time.perf_counter()
         phase, objective = cfg.objective_at(step)
-        if switch is not None and step == switch and not cfg.carry_moments_across_switch:
-            opt_state.m.clear()
-            opt_state.v.clear()
         batch = stream.batch(step)
         if objective is Objective.MLM:
             batch = _mask_batch(batch, cfg.mask_ratio, mask_id, cfg.seed, step)

@@ -164,6 +164,12 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g.T.copy(),))
 
 
+def reshape(a: Tensor, *shape: int) -> Tensor:
+    """The same values in row-major order under a new shape."""
+    out = Tensor(a.data.reshape(shape))
+    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
+
+
 def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     out = Tensor(a.data[:, lo:hi].copy())
 
@@ -429,20 +435,24 @@ def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
     return _record(out, (logits,), bw)
 
 
-def mean_pool(hidden: Tensor, keep_mask: Sequence[bool]) -> Tensor:
-    """Mean of the kept rows of a [T, d] tensor."""
+def mean_pool(hidden: Tensor, keep_mask) -> Tensor:
+    """Per-row mean of the kept positions: hidden is B rows of W positions
+    laid out row after row, [B*W, d], keep_mask is [B, W] (True where
+    kept), and the result is [B, d]."""
     mask = np.asarray(keep_mask, dtype=bool)
-    if mask.shape[0] != hidden.data.shape[0]:
-        raise ValueError("keep_mask length mismatch")
-    k = int(mask.sum())
-    if k == 0:
+    if mask.ndim != 2 or mask.size != hidden.data.shape[0]:
+        raise ValueError("keep_mask must be [B, W] with B*W = rows of hidden")
+    counts = mask.sum(axis=1)[:, None]
+    if not counts.all():
         raise ValueError("mean_pool: no positions kept")
-    out = Tensor(hidden.data[mask].mean(axis=0))
+    rows, width = mask.shape
+    keep = mask[:, :, None]
+    kept = np.where(keep, hidden.data.reshape(rows, width, -1), 0.0)
+    out = Tensor(kept.sum(axis=1) / counts)
 
     def bw(g):
-        grad = np.zeros_like(hidden.data)
-        grad[mask] = g / k
-        return (grad,)
+        grad = np.where(keep, (g / counts)[:, None, :], 0.0)
+        return (grad.reshape(hidden.data.shape),)
 
     return _record(out, (hidden,), bw)
 

@@ -66,8 +66,8 @@ class TestC1GradientCorrectness:
             "concat_cols": lambda x: T.sum_all(
                 T.mul(T.concat_cols([x, x]), T.concat_cols([x, x]))),
             "stack_rows": lambda x: T.sum_all(T.mul(
-                T.stack_rows([T.mean_pool(x, [True] * 4)] * 2),
-                T.stack_rows([T.mean_pool(x, [True] * 4)] * 2))),
+                T.stack_rows([T.mean_pool(x, [[True] * 4])] * 2),
+                T.stack_rows([T.mean_pool(x, [[True] * 4])] * 2))),
             "gather_rows": lambda x: T.sum_all(
                 T.mul(T.gather_rows(x, [0, 2, 2]), T.gather_rows(x, [0, 2, 2]))),
             "softmax": lambda x: T.sum_all(T.mul(T.softmax(x), other)),
@@ -79,8 +79,13 @@ class TestC1GradientCorrectness:
             "cross_entropy": lambda x: T.cross_entropy_from_logits(
                 x, [0, 3, 1, 2]),
             "mean_pool": lambda x: T.sum_all(T.mul(
-                T.stack_rows([T.mean_pool(x, [True, True, False, True])]),
-                T.stack_rows([T.mean_pool(x, [True, True, False, True])]))),
+                T.stack_rows([T.mean_pool(x, [[True, True, False, True]])]),
+                T.stack_rows([T.mean_pool(x, [[True, True, False, True]])]))),
+            "mean_pool ragged rows": lambda x: T.sum_all(T.mul(
+                T.mean_pool(x, [[True, False], [True, True]]),
+                T.mean_pool(x, [[True, False], [True, True]]))),
+            "reshape": lambda x: T.sum_all(
+                T.mul(T.reshape(x, 2, 8), T.reshape(other, 2, 8))),
             "l2_normalize": lambda x: T.sum_all(
                 T.mul(T.l2_normalize_rows(x), other)),
         }

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, Corpus, CorpusSpec,
-                       TaskExample, Vocab, gen_corpus, gen_task_data,
-                       load_corpus, load_jsonl, load_task_dataset,
-                       pack_batches, save_corpus, save_jsonl,
+                       TaskExample, gen_corpus, gen_task_data, load_jsonl,
+                       load_task_dataset, pack_batches, save_jsonl,
                        save_task_dataset)
 
 
@@ -20,26 +19,6 @@ def power_iteration_stationary(P, iters=10_000):
             return nxt
         pi = nxt
     return pi
-
-
-class TestVocab:
-    def test_roundtrip(self):
-        v = Vocab()
-        assert v.decode(v.encode("hello world")) == "hello world"
-
-    def test_unknown_char(self):
-        v = Vocab()
-        assert v.encode("a!")[1] == 2  # UNK
-        assert v.decode(v.encode("a!")) == "a?"
-
-    def test_reserved_ids_unused(self):
-        v = Vocab()
-        ids = v.encode("abc xyz")
-        assert all(i >= NUM_RESERVED or i == 2 for i in ids)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            Vocab(size=10)
 
 
 class TestGenCorpus:
@@ -93,7 +72,7 @@ class TestGenCorpus:
 
     def test_symbol_range(self):
         corpus = gen_corpus(CorpusSpec(num_symbols=6, target_tokens=1000))
-        ids = corpus.token_ids()
+        ids = {t for seq in corpus.sequences for t in seq}
         assert min(ids) >= NUM_RESERVED
         assert max(ids) < NUM_RESERVED + 6
 
@@ -142,23 +121,6 @@ class TestGenCorpus:
             CorpusSpec(min_len=1)
 
 
-class TestCorpusCache:
-    def test_roundtrip(self, tmp_path):
-        corpus = gen_corpus(CorpusSpec(target_tokens=500))
-        path = tmp_path / "c.bin"
-        save_corpus(corpus, path)
-        loaded = load_corpus(path)
-        assert loaded.sequences == corpus.sequences
-        assert loaded.entropy_rate == corpus.entropy_rate
-        assert loaded.num_symbols == corpus.num_symbols
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="corpus"):
-            load_corpus(path)
-
-
 class TestBatchStream:
     def make(self, **kw):
         corpus = gen_corpus(CorpusSpec(target_tokens=2000, min_len=4,
@@ -200,11 +162,6 @@ class TestBatchStream:
         with pytest.raises(ValueError):
             pack_batches([[5]], batch_rows=1, min_len=4, max_len=8,
                          pad_id=PAD_ID, seed=0)
-
-    def test_iteration_matches_random_access(self):
-        stream = self.make()
-        for step, batch in zip(range(5), stream):
-            assert batch.rows == stream.batch(step).rows
 
     def test_coverage_histogram(self):
         # over many steps every pool sequence should get sampled
@@ -357,3 +314,49 @@ class TestJsonl:
         assert loaded.tagset == ds.tagset
         assert len(loaded.train) == len(ds.train)
         assert loaded.validation[0].tags == ds.validation[0].tags
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"task": "SC", "tokens": [8]}\n')
+        with pytest.raises(ValueError, match="bad.jsonl: line 1"):
+            load_jsonl(path, "SC")
+
+    @pytest.mark.parametrize("task,record,field", [
+        ("SC", {"tokens": [], "label": 0}, "tokens"),
+        ("TC", {"tokens": [8], "tags": None}, "tags"),
+        ("IR", {"query": [], "positive": [8], "negatives": []}, "query"),
+        ("IR", {"query": [8], "positive": [], "negatives": []}, "positive"),
+    ])
+    def test_empty_sequence_rejected(self, tmp_path, task, record, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(dict(record, task=task)) + "\n")
+        with pytest.raises(ValueError, match=f"line 1: empty '{field}'"):
+            load_jsonl(path, task)
+
+
+class TestTaskDatasetLabels:
+    """load_task_dataset checks labels against the dataset's metadata and
+    names the file and line of the first bad one."""
+
+    def replace_line(self, directory, task, split, index, record):
+        save_task_dataset(gen_task_data(task, 40, 0), directory)
+        path = directory / f"{split}.jsonl"
+        lines = path.read_text().splitlines()
+        lines[index] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_tc_tag_outside_tagset(self, tmp_path):
+        self.replace_line(tmp_path, "TC", "train", 2,
+                          {"task": "TC", "tokens": [8, 9],
+                           "tags": ["O", "X-FOO"]})
+        with pytest.raises(ValueError,
+                           match=r"train.jsonl: line 3: tags \['X-FOO'\]"):
+            load_task_dataset(tmp_path)
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_sc_label_outside_classes(self, tmp_path, label):
+        self.replace_line(tmp_path, "SC", "validation", 1,
+                          {"task": "SC", "tokens": [8, 9], "label": label})
+        with pytest.raises(ValueError, match=(
+                rf"validation.jsonl: line 2: label {label} outside \[0, 3\)")):
+            load_task_dataset(tmp_path)

@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bplm.data import PAD_ID, CorpusSpec, gen_corpus, gen_task_data, pack_batches
-from bplm.finetune import (GridSearchSpec, accuracy, bio_spans, ci95_half_width,
-                           encode, entity_f1, evaluate, finetune_one,
-                           init_head, ndcg_at_10, qa_f1, run_grid_search,
-                           select_best_lr, task_loss, write_report,
-                           zero_shot_eval)
-from bplm.model import ModelConfig, init_params
+from bplm import tensor as T
+from bplm.data import (PAD_ID, TC_TAGSET, CorpusSpec, TaskDataset, TaskExample,
+                       gen_corpus, gen_task_data, pack_batches)
+from bplm.finetune import (EVAL_CHUNK, GridSearchSpec, accuracy, bio_spans,
+                           ci95_half_width, encode, entity_f1, evaluate,
+                           finetune_one, init_head, ndcg_at_10, qa_f1,
+                           run_grid_search, select_best_lr, task_loss,
+                           write_report, zero_shot_eval)
+from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import Objective
 from bplm.optim import WsdSchedule
 from bplm.runner import TrainConfig, run_pfs
-from bplm.tensor import Tensor
+from bplm.tensor import Tape, Tensor, backward
 
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
                   vocab_size=64, max_seq_len=32)
@@ -222,9 +225,198 @@ class TestEncode:
     def test_bidirectional_always(self):
         # position 0's representation depends on later tokens
         params = init_params(CFG, 0)
-        a = encode(params, CFG, [8, 9, 10]).data
-        b = encode(params, CFG, [8, 9, 11]).data
+        a = encode(params, CFG, [[8, 9, 10]])[0].data
+        b = encode(params, CFG, [[8, 9, 11]])[0].data
         assert not np.allclose(a[0], b[0])
+
+    def test_pads_at_the_end(self):
+        params = init_params(CFG, 0)
+        hidden, real = encode(params, CFG, [[8, 9], [10, 11, 12, 13], [14]])
+        assert hidden.data.shape == (12, CFG.embed_dim)
+        np.testing.assert_array_equal(real, [[1, 1, 0, 0], [1, 1, 1, 1],
+                                             [1, 0, 0, 0]])
+        # each sequence's real rows equal its own unpadded forward
+        for b, seq in enumerate([[8, 9], [10, 11, 12, 13], [14]]):
+            alone, _ = forward(params, CFG, seq, AttentionMode.BIDIRECTIONAL)
+            np.testing.assert_allclose(
+                hidden.data[4 * b: 4 * b + len(seq)], alone.data,
+                rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            encode(init_params(CFG, 0), CFG, [])
+
+
+@st.composite
+def ragged_examples(draw):
+    """A task and 1..20 examples with ragged lengths (one to eight tokens)."""
+    task = draw(st.sampled_from(["SC", "TC", "QA", "IR"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    length = st.integers(1, 8)
+
+    def tokens(n):
+        return [int(t) for t in rng.integers(3, CFG.vocab_size, size=n)]
+
+    examples = []
+    for _ in range(draw(st.integers(1, 20))):
+        if task == "SC":
+            examples.append(TaskExample("SC", tokens=tokens(draw(length)),
+                                        label=int(rng.integers(0, 3))))
+        elif task == "TC":
+            n = draw(length)
+            examples.append(TaskExample("TC", tokens=tokens(n), tags=[
+                TC_TAGSET[i] for i in rng.integers(0, len(TC_TAGSET), n)]))
+        elif task == "QA":
+            n = draw(length)
+            span = None
+            if draw(st.booleans()):
+                start = int(rng.integers(0, n))
+                span = (start, int(rng.integers(start, n)))
+            examples.append(TaskExample("QA", tokens=tokens(n), span=span))
+        else:
+            negatives = [tokens(draw(length))
+                         for _ in range(draw(st.integers(0, 2)))]
+            examples.append(TaskExample(
+                "IR", query=tokens(draw(length)),
+                positive=tokens(draw(length)), negatives=negatives))
+    return task, examples
+
+
+class TestBatchedMatchesPerExample:
+    """task_loss and evaluate (one batched encode per batch or chunk)
+    against one model.forward per sequence, as fine-tuning ran before."""
+
+    DATASET = TaskDataset("", [], [], [], num_classes=3, tagset=TC_TAGSET)
+
+    @staticmethod
+    def hidden(params, cfg, tokens):
+        return forward(params, cfg, tokens, AttentionMode.BIDIRECTIONAL)[0]
+
+    @classmethod
+    def pooled(cls, params, cfg, tokens):
+        return T.mean_pool(cls.hidden(params, cfg, tokens), [[True] * len(tokens)])
+
+    @staticmethod
+    def mean(losses):
+        total = losses[0]
+        for loss in losses[1:]:
+            total = T.add(total, loss)
+        return T.scale(total, 1.0 / len(losses))
+
+    @classmethod
+    def reference_loss(cls, task, head, params, cfg, batch, dataset,
+                       temperature=0.05):
+        if task == "IR":
+            docs = ([ex.positive for ex in batch]
+                    + [neg for ex in batch for neg in ex.negatives])
+
+            def stack(seqs):
+                rows = T.stack_rows([cls.pooled(params, cfg, s) for s in seqs])
+                return T.l2_normalize_rows(
+                    T.reshape(rows, len(seqs), cfg.embed_dim))
+            sims = T.matmul(stack([ex.query for ex in batch]),
+                            T.transpose(stack(docs)))
+            return T.cross_entropy_from_logits(
+                T.scale(sims, 1.0 / temperature), list(range(len(batch))))
+        losses = []
+        for ex in batch:
+            if task == "SC":
+                logits = T.matmul(cls.pooled(params, cfg, ex.tokens), head["w"])
+                losses.append(T.cross_entropy_from_logits(logits, [ex.label]))
+                continue
+            scores = T.matmul(cls.hidden(params, cfg, ex.tokens), head["w"])
+            if task == "TC":
+                losses.append(T.cross_entropy_from_logits(
+                    scores, [dataset.tagset.index(t) for t in ex.tags]))
+            else:
+                s, e = ex.span or (0, 0)
+                losses.append(T.scale(T.add(
+                    T.cross_entropy_from_logits(
+                        T.transpose(T.slice_cols(scores, 0, 1)), [s]),
+                    T.cross_entropy_from_logits(
+                        T.transpose(T.slice_cols(scores, 1, 2)), [e])), 0.5))
+        return cls.mean(losses)
+
+    @classmethod
+    def reference_evaluate(cls, task, head, params, cfg, examples, dataset):
+        if task == "SC":
+            return accuracy([int(T.matmul(cls.pooled(params, cfg, ex.tokens),
+                                          head["w"]).data.argmax())
+                             for ex in examples], [ex.label for ex in examples])
+        if task == "TC":
+            preds = [[dataset.tagset[i] for i in T.matmul(
+                cls.hidden(params, cfg, ex.tokens), head["w"]).data.argmax(1)]
+                for ex in examples]
+            return entity_f1(preds, [ex.tags for ex in examples])
+        scores = []
+        for ex in examples:
+            if task == "QA":
+                sc = T.matmul(cls.hidden(params, cfg, ex.tokens),
+                              head["w"]).data
+                s, e = int(sc[:, 0].argmax()), int(sc[:, 1].argmax())
+                pred = [] if s == 0 or e == 0 else ex.tokens[s: max(s, e) + 1]
+                gold = ex.tokens[ex.span[0]: ex.span[1] + 1] if ex.span else []
+                scores.append(qa_f1(pred, gold))
+                continue
+            q = cls.pooled(params, cfg, ex.query).data[0]
+            sims = []
+            for doc in [ex.positive] + ex.negatives:
+                d = cls.pooled(params, cfg, doc).data[0]
+                sims.append(float(q @ d / (np.linalg.norm(q) * np.linalg.norm(d)
+                                           + 1e-12)))
+            ranked = sorted(range(len(sims)), key=lambda i: -sims[i])
+            scores.append(ndcg_at_10(ranked, {0: 1}))
+        return float(np.mean(scores))
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=ragged_examples(), kv_heads=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2 ** 16))
+    def test_loss_grads_and_scores_match(self, drawn, kv_heads, seed):
+        task, examples = drawn
+        cfg = ModelConfig(layers=2, embed_dim=16, ffn_dim=32, heads=4,
+                          kv_heads=kv_heads, vocab_size=CFG.vocab_size,
+                          max_seq_len=16)
+        params = init_params(cfg, seed)
+        head = init_head(task, cfg, self.DATASET, seed)
+        trainable = dict(params, **{f"head.{k}": v for k, v in head.items()})
+        results = []
+        for loss_fn in (task_loss, self.reference_loss):
+            for p in trainable.values():
+                p.zero_grad()
+            with Tape() as tape:
+                loss = loss_fn(task, head, params, cfg, examples, self.DATASET)
+            backward(loss, tape)
+            results.append((loss.item(),
+                            {n: p.grad for n, p in trainable.items()}))
+        (batched, grads), (reference, per_example) = results
+        assert abs(batched - reference) <= 1e-12
+        for name in trainable:
+            if per_example[name] is None:  # the LM head: no fine-tune loss
+                assert grads[name] is None, name
+                continue
+            assert np.abs(grads[name] - per_example[name]).max() <= 1e-12, name
+        assert evaluate(task, head, params, cfg, examples, self.DATASET) \
+            == self.reference_evaluate(task, head, params, cfg, examples,
+                                       self.DATASET)
+
+    def test_evaluate_encodes_in_chunks(self, monkeypatch):
+        import bplm.finetune as ft
+        sizes = []
+
+        def counting_encode(params, cfg, seqs):
+            sizes.append(len(seqs))
+            return encode(params, cfg, seqs)
+        monkeypatch.setattr(ft, "encode", counting_encode)
+        params = init_params(CFG, 0)
+        sc = gen_task_data("SC", 60, 0)
+        evaluate("SC", init_head("SC", CFG, sc, 0), params, CFG,
+                 sc.train[:2 * EVAL_CHUNK + 3], sc)
+        assert sizes == [EVAL_CHUNK, EVAL_CHUNK, 3]
+        sizes.clear()
+        ir = gen_task_data("IR", 60, 0)
+        evaluate("IR", {}, params, CFG, ir.train[:EVAL_CHUNK + 1], ir)
+        # per chunk one encode of the queries, one of every document
+        assert sizes == [EVAL_CHUNK, 4 * EVAL_CHUNK, 1, 4]
 
 
 class TestInitHead:
@@ -334,6 +526,16 @@ class TestFinetuneEndToEnd:
         assert len(rows) == 2  # one validation + one test row
         assert rows[0]["task"] == "SC" and rows[0]["metric"] == "accuracy"
         assert {r["split"] for r in rows} == {"validation", "test"}
+
+    def test_process_pool_matches_serial(self):
+        base = pretrained_base()
+        ds = gen_task_data("IR", 30, 0)
+        spec = GridSearchSpec(learning_rates=(1e-4, 1e-3), seeds=(0, 1),
+                              max_steps=3, batch_size=8)
+        serial = run_grid_search(base, ds, spec, jobs=1)
+        pooled = run_grid_search(base, ds, spec, jobs=2)
+        assert len(serial.rows) == 4
+        assert pooled.rows == serial.rows
 
     def test_empty_split_rejected(self):
         base = pretrained_base()

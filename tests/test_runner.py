@@ -161,18 +161,6 @@ class TestBiphasic:
         with pytest.raises(ValueError):
             train_cfg(plan, total=10, warmup=2, decay=2)
 
-    def test_moment_reset_changes_outcome(self):
-        plan = [(Objective.CLM, 4), (Objective.MLM, 4)]
-        carried = run_pfs(train_cfg(plan, total=8,
-                                    carry_moments_across_switch=True),
-                          make_stream(), CFG)
-        reset = run_pfs(train_cfg(plan, total=8,
-                                  carry_moments_across_switch=False),
-                        make_stream(), CFG)
-        assert any(not np.array_equal(carried.params[n].data,
-                                      reset.params[n].data)
-                   for n in carried.params)
-
 
 class TestResume:
     def test_resume_equivalence(self, tmp_path):

@@ -135,24 +135,59 @@ class TestCrossEntropy:
 
 class TestMeanPool:
     def test_singleton(self):
-        out = T.mean_pool(t([[1.0, 2.0], [9.0, 9.0]]), [True, False])
-        np.testing.assert_array_equal(out.data, [1.0, 2.0])
+        out = T.mean_pool(t([[1.0, 2.0], [9.0, 9.0]]), [[True, False]])
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_arithmetic(self):
-        out = T.mean_pool(t([[1.0, 0.0], [0.0, 1.0]]), [True, True])
-        np.testing.assert_array_equal(out.data, [0.5, 0.5])
+        out = T.mean_pool(t([[1.0, 0.0], [0.0, 1.0]]), [[True, True]])
+        np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
     def test_padding_excluded(self, rng):
         rows = rng.normal(size=(3, 4))
-        a = T.mean_pool(t(rows), [True, True, False]).data
+        a = T.mean_pool(t(rows), [[True, True, False]]).data
         rows2 = rows.copy()
         rows2[2] = 1e6
-        b = T.mean_pool(t(rows2), [True, True, False]).data
+        b = T.mean_pool(t(rows2), [[True, True, False]]).data
         np.testing.assert_array_equal(a, b)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            T.mean_pool(t(np.ones((2, 2))), [False, False])
+            T.mean_pool(t(np.ones((2, 2))), [[False, False]])
+
+    def test_rows_pool_independently(self, rng):
+        # two rows of width 3 with 2 and 3 kept positions: each output row
+        # is the mean of its own row's kept positions, exactly as pooled alone
+        hidden = rng.normal(size=(6, 4))
+        keep = [[True, True, False], [True, True, True]]
+        out = T.mean_pool(t(hidden), keep).data
+        assert out.shape == (2, 4)
+        np.testing.assert_array_equal(
+            out[0], T.mean_pool(t(hidden[:3]), [keep[0]]).data[0])
+        np.testing.assert_array_equal(
+            out[1], T.mean_pool(t(hidden[3:]), [keep[1]]).data[0])
+        np.testing.assert_allclose(out[0], hidden[:2].mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(out[1], hidden[3:].mean(axis=0), rtol=1e-15)
+
+    def test_any_empty_row_is_error(self):
+        with pytest.raises(ValueError, match="no positions kept"):
+            T.mean_pool(t(np.ones((4, 2))), [[True, True], [False, False]])
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ValueError, match="B, W"):
+            T.mean_pool(t(np.ones((4, 2))), [True, True, True, True])
+        with pytest.raises(ValueError, match="B, W"):
+            T.mean_pool(t(np.ones((4, 2))), [[True, True, True]])
+
+
+class TestReshape:
+    def test_values_and_gradient_keep_row_major_order(self):
+        x = t(np.arange(6.0).reshape(3, 2), grad=True)
+        with Tape() as tape:
+            y = T.reshape(x, 2, 3)
+            loss = T.sum_all(T.mul(y, t(np.arange(6.0).reshape(2, 3))))
+        backward(loss, tape)
+        np.testing.assert_array_equal(y.data, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2))
 
 
 class TestBackward:
@@ -230,8 +265,11 @@ class TestGradCheck:
         "cross_entropy": (lambda x: T.cross_entropy_from_logits(
             x, [0, 2, -100, 7], ignore_index=-100), (4, 8)),
         "mean_pool": (lambda x: T.sum_all(
-            T.mul(T.mean_pool(x, [True, False, True, True]),
-                  Tensor(np.arange(8.0)))), (4, 8)),
+            T.mul(T.mean_pool(x, [[True, False], [True, True]]),
+                  Tensor(np.arange(16.0).reshape(2, 8)))), (4, 8)),
+        "reshape": (lambda x: T.sum_all(
+            T.mul(T.reshape(x, 8, 4),
+                  Tensor(np.arange(32.0).reshape(8, 4)))), (4, 8)),
         "rope": (lambda x: T.sum_all(
             T.mul(T.rope_apply(x, [0, 3, 7, 11], 100.0),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
