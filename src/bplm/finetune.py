@@ -142,15 +142,16 @@ def encode(params: Parameters, cfg: ModelConfig,
     """Hidden states in Bidirectional mode (the fine-tuning contract) of B
     sequences padded at the end with PAD_ID to the longest, W, as one
     batched forward. Returns the hidden states [B*W, d], sequence b at rows
-    b*W .. b*W+W-1, and the [B, W] real-token mask."""
+    b*W .. b*W+W-1 and zero at pads, and the [B, W] real-token mask."""
     if not seqs:
         raise ValueError("empty batch")
     lengths = np.array([len(s) for s in seqs])
     width = int(lengths.max())
     real = np.arange(width)[None, :] < lengths[:, None]
     rows = [list(s) + [PAD_ID] * (width - len(s)) for s in seqs]
-    hidden, _ = forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL,
-                              real)
+    hidden = forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL, real)
+    if not real.all():
+        hidden = T.scatter_rows(hidden, np.flatnonzero(real), real.size)
     return hidden, real
 
 
@@ -273,8 +274,7 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
     if not examples:
         raise ValueError("empty split")
     if task == "IR":
-        value, _skipped = ir_eval(params, cfg, examples)
-        return value
+        return ir_eval(params, cfg, examples)
 
     preds = []
     for chunk, scores in _chunk_scores(task, head, params, cfg, examples):
@@ -298,11 +298,12 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
 
 
 def ir_eval(params: Parameters, cfg: ModelConfig,
-            examples: Sequence[TaskExample]) -> Tuple[float, int]:
+            examples: Sequence[TaskExample]) -> float:
     """Mean NDCG@10 over queries; candidate pool is the example's labeled
-    documents only. Returns (mean, number of skipped queries)."""
+    documents only, of which the positive is the one relevant document."""
+    if not examples:
+        raise ValueError("empty split")
     scores = []
-    skipped = 0
     for chunk, sims in _chunk_scores("IR", {}, params, cfg, examples):
         at = len(chunk)  # the chunk's negatives follow its positives
         for b, ex in enumerate(chunk):
@@ -310,14 +311,8 @@ def ir_eval(params: Parameters, cfg: ModelConfig,
             row = [sims[b, b]] + list(sims[b, at: at + n_neg])
             at += n_neg
             ranked = sorted(range(len(row)), key=lambda i: -row[i])
-            score = ndcg_at_10(ranked, {0: 1})
-            if score is None:
-                skipped += 1
-            else:
-                scores.append(score)
-    if not scores:
-        raise ValueError("no query had a relevant document")
-    return float(np.mean(scores)), skipped
+            scores.append(ndcg_at_10(ranked, {0: 1}))
+    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +416,7 @@ def _cell_worker(args) -> dict:
 
 def zero_shot_eval(params: Parameters, cfg: ModelConfig,
                    dataset: TaskDataset,
-                   split: str = "test") -> Tuple[float, int]:
+                   split: str = "test") -> float:
     """NDCG@10 on an IR dataset with no further training (transfer eval)."""
     if dataset.task != "IR":
         raise ValueError("zero_shot_eval expects an IR dataset")

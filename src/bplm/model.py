@@ -119,16 +119,17 @@ def attention_mask(mode: AttentionMode, pad_masks) -> np.ndarray:
 
 
 def attention(hidden: Tensor, params: Parameters, layer: int, cfg: ModelConfig,
-              mask: np.ndarray) -> Tensor:
-    """Grouped-query attention over a [B*T, d] block input (already
-    normalized by the caller) under an additive [B, T, T] attention_mask.
+              mask: np.ndarray, real: Optional[np.ndarray] = None) -> Tensor:
+    """Grouped-query attention over a block input (already normalized by the
+    caller) under an additive [B, T, T] attention_mask: [B*T, d], or [N, d]
+    holding the N real positions listed by real (see T.gqa_attention).
     Query head i uses key/value group floor(i / (heads / kv_heads))."""
     p = f"layer.{layer}.attn"
     q = T.matmul(hidden, params[f"{p}.wq"])
     k = T.matmul(hidden, params[f"{p}.wk"])
     v = T.matmul(hidden, params[f"{p}.wv"])
     heads = T.gqa_attention(q, k, v, mask, cfg.heads, cfg.kv_heads,
-                            cfg.rope_theta)
+                            cfg.rope_theta, real)
     return T.matmul(heads, params[f"{p}.wo"])
 
 
@@ -142,11 +143,12 @@ def _ffn(hidden: Tensor, params: Parameters, layer: int) -> Tensor:
 def forward_batch(params: Parameters, cfg: ModelConfig,
                   rows: Sequence[Sequence[int]], mode: AttentionMode,
                   pad_masks: Optional[Sequence[Sequence[bool]]] = None
-                  ) -> Tuple[Tensor, Tensor]:
-    """Run the model on B rows of one length T as a single [B*T, d] residual
-    stream, returning (final hidden states [B*T, d], logits [B*T, V]) with
-    row b at positions b*T .. b*T+T-1. pad_masks (True where real) mask pad
-    keys; None means no padding."""
+                  ) -> Tensor:
+    """Run the model on B rows of one length T, returning the final hidden
+    states of the N real tokens, [N, d], in row-major order (row b's real
+    tokens in position order, then row b+1's). pad_masks (True where real)
+    mark the pads; None means no padding. Only attention sees the [B*T]
+    grid; every other op runs on the N real tokens alone."""
     if not rows:
         raise ValueError("empty batch")
     seq_len = len(rows[0])
@@ -158,27 +160,37 @@ def forward_batch(params: Parameters, cfg: ModelConfig,
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError("token id out of range")
     if pad_masks is None:
-        pad_masks = np.ones((len(rows), seq_len), dtype=bool)
-    elif np.shape(pad_masks) != (len(rows), seq_len):
-        raise ValueError("pad masks must match the rows' shape")
-    mask = attention_mask(mode, pad_masks)
+        pad = np.ones((len(rows), seq_len), dtype=bool)
+    else:
+        pad = np.asarray(pad_masks, dtype=bool)
+        if pad.shape != (len(rows), seq_len):
+            raise ValueError("pad masks must match the rows' shape")
+    mask = attention_mask(mode, pad)
+    real = None if pad.all() else np.flatnonzero(pad)
 
-    x = T.gather_rows(params["embed"], tokens)
+    x = T.gather_rows(params["embed"], tokens if real is None else tokens[real])
     for i in range(cfg.layers):
         normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], cfg.rmsnorm_eps)
-        x = T.add(x, attention(normed, params, i, cfg, mask))
+        x = T.add(x, attention(normed, params, i, cfg, mask, real))
         normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], cfg.rmsnorm_eps)
         x = T.add(x, _ffn(normed, params, i))
-    hidden = T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
-    head = params["embed"] if cfg.tie_embeddings else params["head"]
-    logits = T.matmul(hidden, T.transpose(head) if cfg.tie_embeddings else head)
-    return hidden, logits
+    return T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
+
+
+def lm_head(params: Parameters, cfg: ModelConfig, hidden: Tensor) -> Tensor:
+    """Logits [n, V] for n final hidden states [n, d]."""
+    if cfg.tie_embeddings:
+        return T.matmul(hidden, T.transpose(params["embed"]))
+    return T.matmul(hidden, params["head"])
 
 
 def forward(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
             mode: AttentionMode,
             pad_mask: Optional[Sequence[bool]] = None) -> Tuple[Tensor, Tensor]:
     """Run the model on one row, returning (final hidden states [T, d],
-    logits [T, V])."""
-    return forward_batch(params, cfg, [list(tokens)], mode,
-                         None if pad_mask is None else [list(pad_mask)])
+    logits [T, V]); both are zero at pad positions."""
+    pad = None if pad_mask is None else [list(pad_mask)]
+    hidden = forward_batch(params, cfg, [list(tokens)], mode, pad)
+    if pad is not None and not all(pad[0]):
+        hidden = T.scatter_rows(hidden, np.flatnonzero(pad), len(tokens))
+    return hidden, lm_head(params, cfg, hidden)

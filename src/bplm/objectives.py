@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 # forward is not called here; benchmark/probes.py wraps bplm.objectives.forward
 from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
-                    forward_batch)
+                    forward_batch, lm_head)
 from .tensor import Tensor
 
 IGNORE_INDEX = -100
@@ -122,8 +122,9 @@ def clm_loss(logits: Tensor, tokens: Sequence[int],
 def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
                   batch: LmBatch) -> Tensor:
     """Per-row losses averaged over the batch: the mean over rows of
-    clm_loss / mlm_loss, computed as one batched forward and one
-    cross-entropy weighted 1 / (rows * predicted positions in the row)."""
+    clm_loss / mlm_loss, computed as one batched forward, the LM head on the
+    positions that have a target only, and one cross-entropy weighted
+    1 / (rows * predicted positions in the row)."""
     if not batch.rows:
         raise ValueError("empty batch")
     if objective is Objective.CLM:
@@ -145,6 +146,12 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
         if not kept.any():
             raise ValueError("empty loss: all positions ignored")
         weights.append(kept / (kept.sum() * len(targets)))
-    _, logits = forward_batch(params, cfg, inputs, mode, batch.pad_masks)
-    return T.cross_entropy_from_logits(logits, np.concatenate(targets),
-                                       IGNORE_INDEX, np.concatenate(weights))
+    hidden = forward_batch(params, cfg, inputs, mode, batch.pad_masks)
+    # pads never carry a target, so the targets of the hidden rows (the
+    # real tokens) hold every one of them
+    real = np.asarray(batch.pad_masks, dtype=bool).reshape(-1)
+    targets = np.concatenate(targets)[real]
+    rows = np.flatnonzero(targets != IGNORE_INDEX)
+    logits = lm_head(params, cfg, T.gather_rows(hidden, rows))
+    return T.cross_entropy_from_logits(logits, targets[rows], IGNORE_INDEX,
+                                       np.concatenate(weights)[real][rows])

@@ -83,13 +83,15 @@ class AdamWState:
 
 def clip_global_norm(grads: Dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients by max_norm/g when the global L2 norm g exceeds
-    max_norm. Returns the factor applied."""
+    max_norm. Returns the factor applied; a non-finite g raises."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     # accumulate in sorted-name order so the result is independent of dict
     # insertion order (keeps resumed runs bit-exact)
     total = math.sqrt(sum(float((grads[k] ** 2).sum())
                           for k in sorted(grads)))
+    if not math.isfinite(total):
+        raise ValueError(f"non-finite gradient norm {total}")
     if total <= max_norm:
         return 1.0
     factor = max_norm / total

@@ -139,10 +139,15 @@ def _train_loop(params: Parameters, opt_state: AdamWState, cfg: TrainConfig,
             p.zero_grad()
         with Tape() as tape:
             loss = pretrain_loss(objective, params, model_cfg, batch)
+        if not math.isfinite(loss.item()):
+            raise ValueError(f"non-finite loss {loss.item()} at step {step}")
         backward(loss, tape)
         grads = {name: p.grad for name, p in params.items()
                  if p.grad is not None}
-        clip_global_norm(grads, cfg.clip_norm)
+        try:
+            clip_global_norm(grads, cfg.clip_norm)
+        except ValueError as err:
+            raise ValueError(f"{err} at step {step}") from None
         adamw_step(params, grads, opt_state, lr)
 
         trace.append({
@@ -269,12 +274,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         tensors.append((f"opt.v.{name}", ckpt.opt_state.v[name]))
 
     cfg_block = _config_block(ckpt)
-    body = CHECKPOINT_MAGIC
-    body += struct.pack("<I", ckpt.version)
-    body += struct.pack("<I", len(cfg_block)) + cfg_block
-    body += struct.pack("<I", len(tensors))
-    for name, arr in tensors:
-        body += _tensor_record(name, arr)
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", ckpt.version),
+                     struct.pack("<I", len(cfg_block)), cfg_block,
+                     struct.pack("<I", len(tensors))]
+                    + [_tensor_record(name, arr) for name, arr in tensors])
     body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
     tmp = str(path) + ".tmp"

@@ -220,6 +220,21 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _record(out, (table,), bw)
 
 
+def scatter_rows(x: Tensor, ids: Sequence[int], n_rows: int) -> Tensor:
+    """The inverse of gather_rows: an [n_rows, d] matrix holding row i of x
+    at row ids[i] and zeros elsewhere. ids must be distinct."""
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.shape != (x.data.shape[0],):
+        raise ValueError("scatter_rows expects one row index per row of x")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise ValueError("row index out of range")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("scatter_rows: repeated row index")
+    data = np.zeros((n_rows,) + x.data.shape[1:])
+    data[idx] = x.data
+    return _record(Tensor(data), (x,), lambda g: (g[idx],))
+
+
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
     return _record(out, (a,), lambda g: (np.full_like(a.data, float(g)),))
@@ -325,15 +340,19 @@ def rope_apply(x: Tensor, positions: Sequence[int], theta: float) -> Tensor:
 
 
 def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                  heads: int, kv_heads: int, theta: float) -> Tensor:
+                  heads: int, kv_heads: int, theta: float,
+                  real: Optional[Sequence[int]] = None) -> Tensor:
     """Grouped-query scaled dot-product attention with RoPE, for B rows of
     T positions laid out row after row.
 
-    q is [B*T, heads*hd], k and v are [B*T, kv_heads*hd], and mask is the
-    additive [B, T, T] mask (0 where a query may attend a key, NEG_INF
-    elsewhere). Queries and keys are rotated by their position 0..T-1
-    within the row; query head h reads key/value group h // (heads /
-    kv_heads). Returns the head outputs side by side, [B*T, heads*hd].
+    mask is the additive [B, T, T] mask (0 where a query may attend a key,
+    NEG_INF elsewhere). real lists, in increasing order, the positions of
+    the [B*T] grid that q, k and v hold, one row each; it must include
+    every key the mask lets a query attend. None means they fill the grid.
+    q is [N, heads*hd] and k and v are [N, kv_heads*hd] for the N positions.
+    Queries and keys are rotated by their position 0..T-1 within the row;
+    query head h reads key/value group h // (heads / kv_heads). Returns the
+    head outputs side by side, [N, heads*hd].
     """
     B, seq_len = mask.shape[0], mask.shape[-1]
     if mask.shape != (B, seq_len, seq_len):
@@ -344,11 +363,30 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     hd = q.data.shape[1] // heads
     if hd % 2 != 0:
         raise ValueError("rope requires an even head dimension")
-    kv_shape = (B * seq_len, kv_heads * hd)
-    if q.data.shape[0] != B * seq_len or k.data.shape != kv_shape \
+    grid = B * seq_len
+    if real is not None:
+        real = np.asarray(real, dtype=np.int64)
+        if real.ndim != 1 or (real.size and (real[0] < 0 or real[-1] >= grid
+                                             or (real[1:] <= real[:-1]).any())):
+            raise ValueError("real positions must increase within the grid")
+    n = grid if real is None else real.size
+    kv_shape = (n, kv_heads * hd)
+    if q.data.shape[0] != n or k.data.shape != kv_shape \
             or v.data.shape != kv_shape:
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, "
-                         f"k {k.data.shape}, v {v.data.shape}, mask {mask.shape}")
+                         f"k {k.data.shape}, v {v.data.shape}, mask {mask.shape}"
+                         f", {n} positions")
+
+    def spread(a):  # [N, w] -> [B*T, w], zero rows at pad positions
+        if real is None:
+            return a
+        full = np.zeros((grid, a.shape[1]))
+        full[real] = a
+        return full
+
+    def pack(a):  # [B*T, w] -> [N, w]
+        return a if real is None else a[real]
+
     group = heads // kv_heads
     scale = 1.0 / np.sqrt(hd)
     cos, sin = _rope_table(seq_len, hd, theta)
@@ -369,29 +407,29 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     # is one [T, hd] x [hd, group*T] product and KV is never copied per head.
     # Scores keep keys on axis 2, where numpy reduces fastest: [B, kv, Tk,
     # group*Tq], the transpose of the usual layout.
-    qt = ((rotate(q.data, heads, sin) * scale)
+    qt = ((rotate(spread(q.data), heads, sin) * scale)
           .reshape(B, seq_len, kv_heads, group, hd)
           .transpose(0, 2, 4, 3, 1).reshape(B, kv_heads, hd, group * seq_len))
-    kr = rotate(k.data, kv_heads, sin).transpose(0, 2, 1, 3)
-    vh = v.data.reshape(B, seq_len, kv_heads, hd).transpose(0, 2, 1, 3)
+    kr = rotate(spread(k.data), kv_heads, sin).transpose(0, 2, 1, 3)
+    vh = spread(v.data).reshape(B, seq_len, kv_heads, hd).transpose(0, 2, 1, 3)
     s = ((kr @ qt).reshape(B, kv_heads, seq_len, group, seq_len)
          + mask.transpose(0, 2, 1)[:, None, :, None, :])
     s -= s.max(axis=2, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=2, keepdims=True)
     wt = s.reshape(B, kv_heads, seq_len, group * seq_len)
-    out = Tensor(merge_q(wt.transpose(0, 1, 3, 2) @ vh))
+    out = Tensor(pack(merge_q(wt.transpose(0, 1, 3, 2) @ vh)))
 
     def bw(g):
-        go = (g.reshape(B, seq_len, kv_heads, group, hd)
+        go = (spread(g).reshape(B, seq_len, kv_heads, group, hd)
               .transpose(0, 2, 3, 1, 4).reshape(B, kv_heads, group * seq_len, hd))
         gw = vh @ go.transpose(0, 1, 3, 2)
         gs = wt * (gw - (gw * wt).sum(axis=2, keepdims=True))
         gq = merge_q(gs.transpose(0, 1, 3, 2) @ kr) * scale
         gk = merge_kv(gs @ qt.transpose(0, 1, 3, 2))
         gv = merge_kv(wt @ go)
-        return (rotate(gq, heads, -sin).reshape(gq.shape),
-                rotate(gk, kv_heads, -sin).reshape(gk.shape), gv)
+        return (pack(rotate(gq, heads, -sin).reshape(gq.shape)),
+                pack(rotate(gk, kv_heads, -sin).reshape(gk.shape)), pack(gv))
 
     return _record(out, (q, k, v), bw)
 

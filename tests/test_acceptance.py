@@ -70,6 +70,9 @@ class TestC1GradientCorrectness:
                 T.stack_rows([T.mean_pool(x, [[True] * 4])] * 2))),
             "gather_rows": lambda x: T.sum_all(
                 T.mul(T.gather_rows(x, [0, 2, 2]), T.gather_rows(x, [0, 2, 2]))),
+            "scatter_rows": lambda x: T.sum_all(
+                T.mul(T.scatter_rows(x, [5, 0, 2, 3], 6),
+                      T.scatter_rows(x, [5, 0, 2, 3], 6))),
             "softmax": lambda x: T.sum_all(T.mul(T.softmax(x), other)),
             "rms_norm": lambda x: T.sum_all(
                 T.mul(T.rms_norm(x, Tensor(np.ones(4)), 1e-5), other)),
@@ -121,6 +124,23 @@ class TestC1GradientCorrectness:
                 err = grad_check(anchored(f), x, eps=1e-5)
                 worst = max(worst, err)
                 assert err < 1e-6, f"gqa_attention {which} {mask_name}: {err:.2e}"
+
+        # the packed path: q, k and v of the 5 real positions only
+        real = np.flatnonzero(pads)
+        packed_probe = Tensor(probe.data[real])
+        for mode in AttentionMode:
+            mask = attention_mask(mode, pads)
+            for i, which in enumerate("qkv"):
+                def f(x, i=i, mask=mask):
+                    args = [Tensor(a[real]) for a in qkv]
+                    args[i] = x
+                    return T.sum_all(T.mul(T.gqa_attention(
+                        *args, mask, 4, 2, 100.0, real), packed_probe))
+                x = Tensor(qkv[i][real], requires_grad=True)
+                err = grad_check(anchored(f), x, eps=1e-5)
+                worst = max(worst, err)
+                assert err < 1e-6, \
+                    f"packed gqa_attention {which} {mode.value}: {err:.2e}"
 
         tokens = [3, 7, 5, 9, 4, 6]
         plan = select_mask(tokens, 0.4, np.random.default_rng(1), MASK_ID)

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 
 import pytest
 
@@ -116,6 +117,17 @@ class TestPretrain:
         assert "outside the study set" in capsys.readouterr().err
         assert main(["pretrain", "--config", cfg, "--out", out,
                      "--allow-nonstudy"]) == 0
+
+    def test_diverging_run_fails_naming_the_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\nobjective = clm\ntotal_steps = 20\n"
+                             "warmup_steps = 2\ndecay_steps = 2\n"
+                             "peak_lr = 1e6\n")
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite .* at step \d+\n", err), err
+        assert not os.path.exists(os.path.join(out, "final.ckpt"))
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA

@@ -550,5 +550,5 @@ class TestFinetuneEndToEnd:
         with pytest.raises(ValueError, match="IR"):
             zero_shot_eval(base.params, CFG, sc)
         ir = gen_task_data("IR", 30, 0)
-        value, skipped = zero_shot_eval(base.params, CFG, ir)
-        assert 0.0 <= value <= 1.0 and skipped == 0
+        value = zero_shot_eval(base.params, CFG, ir)
+        assert isinstance(value, float) and 0.0 <= value <= 1.0

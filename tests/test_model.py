@@ -4,7 +4,7 @@ import pytest
 from bplm import tensor as T
 from bplm.model import (AttentionMode, ModelConfig, attention,
                         attention_mask, forward, forward_batch, init_params,
-                        param_names)
+                        lm_head, param_names)
 
 
 def bidirectional_mask(seq_len):
@@ -156,27 +156,41 @@ class TestForwardBatch:
 
     @pytest.mark.parametrize("mode", list(AttentionMode))
     def test_rows_match_single_row_forward(self, tiny_cfg, tiny_params, mode):
-        hidden, logits = forward_batch(tiny_params, tiny_cfg, self.ROWS, mode,
-                                       self.PADS)
-        assert hidden.data.shape == (15, tiny_cfg.embed_dim)
-        for b, (row, pad) in enumerate(zip(self.ROWS, self.PADS)):
-            h, lg = forward(tiny_params, tiny_cfg, row, mode, pad)
-            rows = slice(5 * b, 5 * b + 5)
-            np.testing.assert_allclose(hidden.data[rows], h.data, rtol=0,
-                                       atol=1e-12)
-            np.testing.assert_allclose(logits.data[rows], lg.data, rtol=0,
-                                       atol=1e-12)
+        hidden = forward_batch(tiny_params, tiny_cfg, self.ROWS, mode,
+                               self.PADS)
+        # the real tokens only, row after row
+        assert hidden.data.shape == (12, tiny_cfg.embed_dim)
+        at = 0
+        for row, pad in zip(self.ROWS, self.PADS):
+            h, logits = forward(tiny_params, tiny_cfg, row, mode, pad)
+            n = sum(pad)
+            np.testing.assert_allclose(hidden.data[at:at + n], h.data[:n],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(h.data[n:], 0.0)
+            np.testing.assert_array_equal(logits.data[n:], 0.0)
+            at += n
 
     def test_pad_tokens_do_not_leak(self, tiny_cfg, tiny_params):
         # masked weights are exactly 0, so changing what sits at pad
         # positions leaves every real position bit-identical
-        _, a = forward_batch(tiny_params, tiny_cfg, self.ROWS,
-                             AttentionMode.BIDIRECTIONAL, self.PADS)
+        a = forward_batch(tiny_params, tiny_cfg, self.ROWS,
+                          AttentionMode.BIDIRECTIONAL, self.PADS)
         rows = [[3, 4, 5, 6, 7], [8, 2, 9, 7, 6], [5, 5, 1, 10, 9]]
-        _, b = forward_batch(tiny_params, tiny_cfg, rows,
-                             AttentionMode.BIDIRECTIONAL, self.PADS)
-        real = np.asarray(self.PADS).reshape(-1)
-        np.testing.assert_array_equal(a.data[real], b.data[real])
+        b = forward_batch(tiny_params, tiny_cfg, rows,
+                          AttentionMode.BIDIRECTIONAL, self.PADS)
+        np.testing.assert_array_equal(a.data, b.data)
+
+    def test_unpadded_batch_keeps_every_position(self, tiny_cfg, tiny_params):
+        hidden = forward_batch(tiny_params, tiny_cfg, self.ROWS,
+                               AttentionMode.CAUSAL)
+        assert hidden.data.shape == (15, tiny_cfg.embed_dim)
+        h, logits = forward(tiny_params, tiny_cfg, self.ROWS[1],
+                            AttentionMode.CAUSAL)
+        np.testing.assert_allclose(hidden.data[5:10], h.data, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            logits.data, lm_head(tiny_params, tiny_cfg, h).data, rtol=0,
+            atol=0)
 
     def test_ragged_rows_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError, match="one length"):

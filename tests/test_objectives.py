@@ -206,6 +206,39 @@ class TestPretrainLoss:
                               LmBatch(batch.rows, batch.pad_masks, plans))
             assert len(tape.nodes) <= 40, objective
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_per_token_work_runs_on_real_tokens_only(self, tiny_cfg,
+                                                     tiny_params, objective):
+        # every RMSNorm and FFN node holds the N real tokens, and the LM
+        # head holds only the positions that have a target
+        rows = [[3, 4, 5, 6, 7, 8], [9, 2, 3, 0, 0, 0], [4, 4, 5, 6, 0, 0]]
+        pads = [[True] * 6, [True] * 3 + [False] * 3, [True] * 4 + [False] * 2]
+        plans = [select_mask(r, 0.4, np.random.default_rng(i), 1, p)
+                 for i, (r, p) in enumerate(zip(rows, pads))]
+        with Tape() as tape:
+            pretrain_loss(objective, tiny_params, tiny_cfg,
+                          LmBatch(rows, pads, plans))
+        if objective is Objective.CLM:
+            targets = sum(n - 1 for n in map(sum, pads))
+        else:
+            targets = sum(len(p.masked_positions) for p in plans)
+        ffn = {tiny_params[f"layer.{i}.ffn.{w}"] for i in range(2)
+               for w in ("w_gate", "w_up", "w_down")}
+        kinds = {"rms_norm": 0, "swiglu": 0, "ffn": 0, "head": 0}
+        for node in tape.nodes:
+            op = node.backward_fn.__qualname__.split(".")[0]
+            rows_out = node.output.data.shape[:1]
+            if op in ("rms_norm", "swiglu"):
+                kinds[op] += 1
+                assert rows_out == (13,), op
+            elif any(x in ffn for x in node.inputs):
+                kinds["ffn"] += 1
+                assert rows_out == (13,)
+            elif any(x is tiny_params["head"] for x in node.inputs):
+                kinds["head"] += 1
+                assert rows_out == (targets,) and targets < 13
+        assert kinds == {"rms_norm": 5, "swiglu": 2, "ffn": 6, "head": 1}
+
 
 @st.composite
 def ragged_batches(draw):

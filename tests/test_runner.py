@@ -1,14 +1,15 @@
 import csv
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
 from bplm.data import MASK_ID, PAD_ID, CorpusSpec, gen_corpus, pack_batches
-from bplm.model import ModelConfig
+from bplm.model import ModelConfig, param_shapes
 from bplm.objectives import Objective
-from bplm.optim import WsdSchedule, wsd_lr
-from bplm.runner import (CheckpointError, TrainConfig, _mask_batch,
+from bplm.optim import AdamWState, WsdSchedule, wsd_lr
+from bplm.runner import (Checkpoint, CheckpointError, TrainConfig, _mask_batch,
                          load_checkpoint, run_cpt, run_pfs, save_checkpoint,
                          write_trace)
 from bplm.tensor import Tensor
@@ -96,6 +97,24 @@ class TestRunPfs:
         trace = []
         run_pfs(cfg, stream, CFG, trace=trace)
         assert trace[-1]["loss"] < trace[0]["loss"] / 2
+
+    def test_non_finite_step_stops_the_run(self, tmp_path):
+        # peak lr 1e6 diverges; the run stops at the first non-finite loss
+        # or gradient, before that step's update, and saves nothing later
+        cfg = TrainConfig([(Objective.CLM, 20)], WsdSchedule(1e6, 2, 20, 2),
+                          checkpoint_cadence=5, checkpoint_dir=str(tmp_path))
+        trace = []
+        with pytest.raises(ValueError, match="non-finite") as info:
+            run_pfs(cfg, make_stream(), CFG, trace=trace)
+        failed = len(trace)  # steps 0 .. failed-1 completed
+        assert 5 <= failed < 20
+        assert str(info.value).endswith(f"at step {failed}")
+        assert sorted(os.listdir(tmp_path)) == [
+            f"step_{done:08d}.ckpt" for done in range(5, failed + 1, 5)]
+        mid = load_checkpoint(tmp_path / "step_00000005.ckpt")
+        with pytest.raises(ValueError, match=f"at step {failed}$"):
+            run_pfs(cfg, make_stream(), CFG, resume_from=mid)
+        assert all(np.isfinite(p.data).all() for p in mid.params.values())
 
 
 class TestMaskBatch:
@@ -316,6 +335,23 @@ class TestCheckpointIo:
         assert loaded.step == ckpt.step
         save_checkpoint(loaded, tmp_path / "new.ckpt")
         assert b"rng_state" not in (tmp_path / "new.ckpt").read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        # a fixed tiny checkpoint; the digest moves only if the layout does
+        cfg = ModelConfig(layers=1, embed_dim=4, ffn_dim=8, heads=2,
+                          kv_heads=1, vocab_size=5, max_seq_len=8)
+        params = {name: Tensor(np.linspace(-1.0, 1.0, int(np.prod(shape)))
+                               .reshape(shape))
+                  for name, shape in param_shapes(cfg).items()}
+        opt = AdamWState(step_count=3)
+        for name, p in params.items():
+            opt.m[name] = 0.5 * p.data
+            opt.v[name] = p.data ** 2
+        ckpt = Checkpoint(cfg, params, opt, WsdSchedule(1e-3, 1, 4, 1), 3,
+                          [{"objective": "clm", "steps": 4}], 7, 0.4)
+        save_checkpoint(ckpt, tmp_path / "a.ckpt")
+        assert hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest() \
+            == "3a1a570afd2e8148d0d5f25ba6bff11a6009af256b322ca2bf46e95739916bab"
 
     def test_no_tmp_file_left(self, tmp_path):
         save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")

@@ -179,6 +179,21 @@ class TestMeanPool:
             T.mean_pool(t(np.ones((4, 2))), [[True, True, True]])
 
 
+class TestScatterRows:
+    def test_inverts_gather_rows(self, rng):
+        x = rng.normal(size=(3, 4))
+        out = T.scatter_rows(t(x), [4, 0, 2], 5).data
+        np.testing.assert_array_equal(out[[4, 0, 2]], x)
+        np.testing.assert_array_equal(out[[1, 3]], 0.0)
+        np.testing.assert_array_equal(
+            T.gather_rows(t(out), [4, 0, 2]).data, x)
+
+    @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 5], [0, 1, 1]])
+    def test_bad_ids_rejected(self, ids):
+        with pytest.raises(ValueError):
+            T.scatter_rows(t(np.ones((3, 2))), ids, 5)
+
+
 class TestReshape:
     def test_values_and_gradient_keep_row_major_order(self):
         x = t(np.arange(6.0).reshape(3, 2), grad=True)
@@ -280,6 +295,9 @@ class TestGradCheck:
             T.matmul(T.transpose(T.concat_cols(
                 [T.slice_cols(x, 0, 3), T.slice_cols(x, 3, 8)])),
                 Tensor(np.linspace(-1, 1, 4 * 2).reshape(4, 2)))), (4, 8)),
+        "scatter_rows": (lambda x: T.sum_all(
+            T.mul(T.scatter_rows(x, [5, 0, 2, 3], 6),
+                  Tensor(np.arange(48.0).reshape(6, 8)))), (4, 8)),
         "gather_rows": (lambda x: T.sum_all(
             T.mul(T.gather_rows(x, [0, 2, 2, 3]),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
@@ -394,6 +412,55 @@ class TestGqaAttention:
             results.append([out.data] + [x.grad for x in inputs])
         for fused, reference in zip(*results):
             assert np.abs(fused - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("pads", [
+        [[True] * 4, [True, True, False, False]],
+        [[True, True, True, False], [True, False, False, False]],
+        [[True, False, False, False], [True, True, True, True]]])
+    @pytest.mark.parametrize("mode", [CAUSAL, BIDIRECTIONAL])
+    @pytest.mark.parametrize("kv_heads", [1, 2, 4])
+    def test_packed_rows_match_padded_op(self, pads, mode, kv_heads, rng):
+        # q, k and v of the real positions only, with their index in the
+        # grid, give the padded op's real rows and q/k/v gradients
+        heads, hd = 4, 4
+        mask = attention_mask(mode, pads)
+        real = np.flatnonzero(pads)
+        full = [rng.normal(size=(8, w * hd)) for w in (heads, kv_heads, kv_heads)]
+        probe = rng.normal(size=(8, heads * hd))
+        probe[~np.asarray(pads).reshape(-1)] = 0.0  # pad outputs unread
+
+        def run(args, index):
+            inputs = [t(a, grad=True) for a in args]
+            with Tape() as tape:
+                out = T.gqa_attention(*inputs, mask, heads, kv_heads, 100.0,
+                                      index)
+                rows = slice(None) if index is None else index
+                loss = T.sum_all(T.mul(out, Tensor(probe[rows])))
+            backward(loss, tape)
+            return [out.data] + [x.grad for x in inputs]
+
+        padded = run(full, None)
+        packed = run([a[real] for a in full], real)
+        for a, b in zip(padded, packed):
+            assert np.abs(a[real] - b).max() <= 1e-12
+
+    def test_packed_without_pad_equals_unpacked(self, rng):
+        mask = GQA_MASKS["causal"]
+        q, k, v = (rng.normal(size=(8, 8)), rng.normal(size=(8, 4)),
+                   rng.normal(size=(8, 4)))
+        a = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0).data
+        b = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0,
+                            np.arange(8)).data
+        np.testing.assert_array_equal(a, b)
+
+    def test_bad_real_index_rejected(self):
+        mask = GQA_MASKS["ragged_causal"]
+        q, kv = t(np.ones((6, 8))), t(np.ones((6, 4)))
+        for real in ([0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 5, 4], [0, 1, 2, 3, 4, 8]):
+            with pytest.raises(ValueError, match="real positions"):
+                T.gqa_attention(q, kv, kv, mask, 2, 1, 100.0, real)
+        with pytest.raises(ValueError, match="shape"):
+            T.gqa_attention(q, kv, kv, mask, 2, 1, 100.0, [0, 1, 2, 3, 4])
 
     def test_masked_keys_get_exactly_zero_weight(self, rng):
         mask = GQA_MASKS["ragged_bidirectional"]
