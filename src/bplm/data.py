@@ -9,8 +9,9 @@ floor instead of opaque reference numbers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,17 @@ class CorpusSpec:
             raise ValueError("max_len < min_len")
         if self.generator not in ("markov_k", "repeated_pattern"):
             raise ValueError(f"unknown generator {self.generator!r}")
+        if self.target_tokens < 1:
+            raise ValueError("target_tokens must be >= 1")
+        if self.order < 0:
+            raise ValueError("order must be >= 0")
+        if self.num_symbols < 1:
+            raise ValueError("num_symbols must be >= 1")
+        if not self.peakedness >= 0:
+            raise ValueError("peakedness must be >= 0")
+        if self.generator == "repeated_pattern" and not all(
+                0 <= p < self.num_symbols for p in self.pattern or (0, 1)):
+            raise ValueError("pattern entries must lie in [0, num_symbols)")
 
 
 @dataclass
@@ -72,71 +84,87 @@ def _markov_table(spec: CorpusSpec, rng: np.random.Generator) -> np.ndarray:
     return P
 
 
+def _lengths(spec: CorpusSpec,
+             lengths_rng: np.random.Generator) -> Iterator[int]:
+    """Sequence lengths, one draw each, until target_tokens is reached."""
+    total = 0
+    while total < spec.target_tokens:
+        length = int(lengths_rng.integers(spec.min_len, spec.max_len + 1))
+        yield length
+        total += length
+
+
+def _cdf(p: np.ndarray) -> List[float]:
+    """The CDF Generator.choice(a, p=p) builds before its searchsorted."""
+    c = np.cumsum(p)
+    c /= c[-1]
+    return c.tolist()
+
+
 def gen_corpus(spec: CorpusSpec) -> Corpus:
     """Generate token sequences plus the exact entropy rate of the source.
 
     Symbols occupy ids NUM_RESERVED .. NUM_RESERVED+num_symbols-1 so that
-    pad/mask ids never collide with corpus tokens.
+    pad/mask ids never collide with corpus tokens. The output is the one a
+    per-token rng.choice(n, p=P[state]) walk gives: each choice maps one
+    random() double through searchsorted(cdf, side="right"), so the doubles
+    are drawn in one call and searched with bisect_right.
     """
     rng = np.random.default_rng(spec.seed)
     lengths_rng = np.random.default_rng(spec.seed + 1)
 
-    table = None
     if spec.generator == "repeated_pattern":
         pattern = list(spec.pattern) or [0, 1]
-        entropy = 0.0
-
-        def sample_seq(length: int) -> List[int]:
+        sequences = []
+        for length in _lengths(spec, lengths_rng):
+            # the phase is drawn right after its length, on the same stream
             phase = int(lengths_rng.integers(0, len(pattern)))
-            return [NUM_RESERVED + pattern[(phase + i) % len(pattern)]
-                    for i in range(length)]
+            sequences.append([NUM_RESERVED + pattern[(phase + i) % len(pattern)]
+                              for i in range(length)])
+        return Corpus(sequences, 0.0, spec.num_symbols)
+
+    n = spec.num_symbols
+    k = spec.order
+    n_states = n ** k
+    if spec.transition is not None:
+        P = np.asarray(spec.transition, dtype=np.float64)
+        # the row-sum tolerance Generator.choice applied to each row
+        atol = np.sqrt(np.finfo(np.float64).eps)
+        if P.shape != (n_states, n) \
+                or not (np.abs(P.sum(axis=1) - 1.0) <= atol).all():
+            raise ValueError("transition table must be row-stochastic "
+                             "with one row per order-k state")
+        if (P < 0).any():
+            raise ValueError("transition table has negative entries")
     else:
-        if spec.transition is not None:
-            P = np.asarray(spec.transition, dtype=np.float64)
-            if P.shape != (spec.num_symbols ** spec.order, spec.num_symbols) \
-                    or not np.allclose(P.sum(axis=1), 1.0):
-                raise ValueError("transition table must be row-stochastic "
-                                 "with one row per order-k state")
-        else:
-            P = _markov_table(spec, rng)
-        table = P
-        n = spec.num_symbols
-        n_states = n ** spec.order
-        # state-to-state chain for the stationary distribution
-        Q = np.zeros((n_states, n_states))
-        for s in range(n_states):
-            for sym in range(n):
-                Q[s, (s * n + sym) % n_states] += P[s, sym]
-        pi = _stationary(Q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(P > 0, np.log(P), 0.0)
-        entropy = float(-(pi[:, None] * P * logs).sum())
+        P = _markov_table(spec, rng)
+    # state-to-state chain for the stationary distribution
+    Q = np.zeros((n_states, n_states))
+    for s in range(n_states):
+        for sym in range(n):
+            Q[s, (s * n + sym) % n_states] += P[s, sym]
+    pi = _stationary(Q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(P > 0, np.log(P), 0.0)
+    entropy = float(-(pi[:, None] * P * logs).sum())
 
-        def unpack(state: int) -> List[int]:
-            syms = []
-            for _ in range(spec.order):
-                syms.append(state % n)
-                state //= n
-            return syms[::-1]
-
-        def sample_seq(length: int) -> List[int]:
-            # start from a stationary state so the sequence has no transient
-            state = int(rng.choice(n_states, p=pi))
-            seq = unpack(state)
-            while len(seq) < length:
-                sym = int(rng.choice(n, p=P[state]))
-                seq.append(sym)
-                state = (state * n + sym) % n_states
-            return [NUM_RESERVED + s for s in seq[:length]]
-
+    lengths = list(_lengths(spec, lengths_rng))
+    # one double for the start state, one per emitted symbol
+    u = iter(rng.random(sum(1 + max(0, length - k)
+                            for length in lengths)).tolist())
+    start, rows = _cdf(pi), [_cdf(row) for row in P]
     sequences = []
-    total = 0
-    while total < spec.target_tokens:
-        length = int(lengths_rng.integers(spec.min_len, spec.max_len + 1))
-        seq = sample_seq(length)
-        sequences.append(seq)
-        total += length
-    return Corpus(sequences, entropy, spec.num_symbols, table)
+    for length in lengths:
+        # start from a stationary state so the sequence has no transient;
+        # its k symbols come oldest first
+        state = bisect_right(start, next(u))
+        seq = [state // n ** (k - 1 - j) % n for j in range(k)]
+        for _ in range(length - k):
+            sym = bisect_right(rows[state], next(u))
+            seq.append(sym)
+            state = (state * n + sym) % n_states
+        sequences.append([NUM_RESERVED + s for s in seq[:length]])
+    return Corpus(sequences, entropy, n, P)
 
 
 class BatchStream:

@@ -214,7 +214,11 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 
     def bw(g):
         full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
+        flat = idx.ravel()
+        if (flat[1:] > flat[:-1]).all():  # strictly increasing, so distinct
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         return (full,)
 
     return _record(out, (table,), bw)

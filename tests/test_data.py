@@ -1,13 +1,16 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, Corpus, CorpusSpec,
-                       TaskExample, gen_corpus, gen_task_data, load_jsonl,
-                       load_task_dataset, pack_batches, save_jsonl,
-                       save_task_dataset)
+                       TaskExample, _markov_table, _stationary, gen_corpus,
+                       gen_task_data, load_jsonl, load_task_dataset,
+                       pack_batches, save_jsonl, save_task_dataset)
 
 
 def power_iteration_stationary(P, iters=10_000):
@@ -19,6 +22,94 @@ def power_iteration_stationary(P, iters=10_000):
             return nxt
         pi = nxt
     return pi
+
+
+def reference_gen_corpus(spec: CorpusSpec) -> Corpus:
+    """The per-token sampler gen_corpus replaces: one rng.choice per symbol,
+    each length drawn just before its sequence. gen_corpus must give the
+    same corpus."""
+    rng = np.random.default_rng(spec.seed)
+    lengths_rng = np.random.default_rng(spec.seed + 1)
+
+    table = None
+    if spec.generator == "repeated_pattern":
+        pattern = list(spec.pattern) or [0, 1]
+        entropy = 0.0
+
+        def sample_seq(length):
+            phase = int(lengths_rng.integers(0, len(pattern)))
+            return [NUM_RESERVED + pattern[(phase + i) % len(pattern)]
+                    for i in range(length)]
+    else:
+        if spec.transition is not None:
+            P = np.asarray(spec.transition, dtype=np.float64)
+        else:
+            P = _markov_table(spec, rng)
+        table = P
+        n = spec.num_symbols
+        n_states = n ** spec.order
+        Q = np.zeros((n_states, n_states))
+        for s in range(n_states):
+            for sym in range(n):
+                Q[s, (s * n + sym) % n_states] += P[s, sym]
+        pi = _stationary(Q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(P > 0, np.log(P), 0.0)
+        entropy = float(-(pi[:, None] * P * logs).sum())
+
+        def unpack(state):
+            syms = []
+            for _ in range(spec.order):
+                syms.append(state % n)
+                state //= n
+            return syms[::-1]
+
+        def sample_seq(length):
+            state = int(rng.choice(n_states, p=pi))
+            seq = unpack(state)
+            while len(seq) < length:
+                sym = int(rng.choice(n, p=P[state]))
+                seq.append(sym)
+                state = (state * n + sym) % n_states
+            return [NUM_RESERVED + s for s in seq[:length]]
+
+    sequences = []
+    total = 0
+    while total < spec.target_tokens:
+        length = int(lengths_rng.integers(spec.min_len, spec.max_len + 1))
+        sequences.append(sample_seq(length))
+        total += length
+    return Corpus(sequences, entropy, spec.num_symbols, table)
+
+
+@st.composite
+def corpus_specs(draw):
+    """Small specs over both generators; some Markov ones carry an explicit
+    table with zero entries."""
+    generator = draw(st.sampled_from(["markov_k", "repeated_pattern"]))
+    order = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 6))
+    lo = draw(st.integers(2, 40))
+    hi = draw(st.integers(lo, 40))
+    kw = dict(generator=generator, order=order, num_symbols=n,
+              seed=draw(st.integers(0, 2**16)), min_len=lo, max_len=hi,
+              target_tokens=draw(st.integers(1, 300)),
+              peakedness=draw(st.floats(0.0, 16.0)))
+    if generator == "repeated_pattern":
+        kw["pattern"] = tuple(draw(st.lists(st.integers(0, n - 1),
+                                            min_size=1, max_size=5)))
+    elif draw(st.booleans()):
+        table_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        P = table_rng.dirichlet(np.ones(n), size=n ** order)
+        P[table_rng.random(P.shape) < draw(st.floats(0.0, 0.7))] = 0.0
+        P[np.arange(n ** order), table_rng.integers(0, n, n ** order)] += 0.5
+        P /= P.sum(axis=1, keepdims=True)
+        kw["transition"] = tuple(tuple(row) for row in P)
+    return CorpusSpec(**kw)
+
+
+def sequences_sha256(corpus: Corpus) -> str:
+    return hashlib.sha256(json.dumps(corpus.sequences).encode()).hexdigest()
 
 
 class TestGenCorpus:
@@ -119,6 +210,91 @@ class TestGenCorpus:
     def test_min_len_floor(self):
         with pytest.raises(ValueError):
             CorpusSpec(min_len=1)
+
+
+class TestGenCorpusMatchesReference:
+    @given(spec=corpus_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_same_corpus_as_per_token_sampler(self, spec):
+        got, want = gen_corpus(spec), reference_gen_corpus(spec)
+        assert got.sequences == want.sequences
+        assert got.entropy_rate == want.entropy_rate
+        assert got.num_symbols == want.num_symbols
+        if want.transition is None:
+            assert got.transition is None
+        else:
+            np.testing.assert_array_equal(got.transition, want.transition)
+
+    # SHA-256 of the sequences, taken from the per-token sampler
+    PINNED = {
+        "c7-order1": (dict(num_symbols=6, seed=5, target_tokens=60_000,
+                           min_len=16, max_len=48),
+                      "c1b885935a8555630f39273e56fbbde2"
+                      "ca5b4fca8d25541024e341ea29d031a9"),
+        "clm-cpt-order2": (dict(order=2, num_symbols=6, seed=5,
+                                target_tokens=20_000, min_len=8, max_len=64),
+                           "44d768d14c9746a1f146caec5fea7f2e"
+                           "e8c34079c212559a858e888a974667d5"),
+        "c10-40-symbols": (dict(num_symbols=40, seed=0, target_tokens=60_000,
+                                min_len=16, max_len=48),
+                           "ebe8691604326b53c2a302329381a487"
+                           "d04846a08ab6bdb0b11e84e833d222da"),
+        "order3-short-rows": (dict(order=3, num_symbols=4, seed=7,
+                                   target_tokens=5_000, min_len=2,
+                                   max_len=10),
+                              "3361243d6c8a5ba0a14987b487ccdac6"
+                              "23d7b173248d10fbcd03fd9fe6db8e14"),
+        "repeated-pattern": (dict(generator="repeated_pattern",
+                                  pattern=(0, 1, 2), num_symbols=3,
+                                  target_tokens=30_000, min_len=16,
+                                  max_len=48),
+                             "a7f0740cb241b8e7fca7e609129926c3"
+                             "158d98dab7f882a29eb36d145b7fed0a"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_corpus_bytes(self, name):
+        kw, digest = self.PINNED[name]
+        assert sequences_sha256(gen_corpus(CorpusSpec(**kw))) == digest
+
+
+class TestCorpusSpecValidation:
+    @pytest.mark.parametrize("kw,field", [
+        (dict(generator="repeated_pattern", pattern=(0, 9), num_symbols=3),
+         "pattern"),
+        (dict(generator="repeated_pattern", pattern=(0, -5), num_symbols=3),
+         "pattern"),
+        (dict(generator="repeated_pattern", num_symbols=1), "pattern"),
+        (dict(target_tokens=0), "target_tokens"),
+        (dict(target_tokens=-5), "target_tokens"),
+        (dict(order=-1), "order"),
+        (dict(num_symbols=0), "num_symbols"),
+        (dict(peakedness=-0.5), "peakedness"),
+        (dict(peakedness=float("nan")), "peakedness"),
+    ], ids=["pattern-above-range", "pattern-negative", "default-pattern",
+            "target-zero", "target-negative", "order-negative",
+            "no-symbols", "peakedness-negative", "peakedness-nan"])
+    def test_bad_spec_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            CorpusSpec(**kw)
+
+    def test_order_zero_is_iid(self):
+        corpus = gen_corpus(CorpusSpec(order=0, num_symbols=4,
+                                       target_tokens=500))
+        assert corpus.transition.shape == (1, 4)
+        assert {t for seq in corpus.sequences for t in seq} <= set(
+            range(NUM_RESERVED, NUM_RESERVED + 4))
+
+    def test_negative_transition_entry_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            gen_corpus(CorpusSpec(num_symbols=2,
+                                  transition=((1.5, -0.5), (0.3, 0.7))))
+
+    def test_row_sum_tolerance_of_choice(self):
+        # Generator.choice refused rows off by more than sqrt(eps)
+        with pytest.raises(ValueError, match="row-stochastic"):
+            gen_corpus(CorpusSpec(num_symbols=2,
+                                  transition=((0.5, 0.5 + 1e-6), (0.3, 0.7))))
 
 
 class TestBatchStream:

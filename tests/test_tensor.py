@@ -194,6 +194,20 @@ class TestScatterRows:
             T.scatter_rows(t(np.ones((3, 2))), ids, 5)
 
 
+class TestGatherRowsBackward:
+    @pytest.mark.parametrize("ids", [[1, 4, 5, 9], [4, 1, 4, 9, 9], [3],
+                                     [5, 2], []])
+    def test_gradient_equals_add_at(self, rng, ids):
+        table = t(rng.normal(size=(10, 3)), grad=True)
+        g = rng.normal(size=(len(ids), 3))
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.gather_rows(table, ids), t(g)))
+        backward(loss, tape)
+        want = np.zeros((10, 3))
+        np.add.at(want, np.asarray(ids, dtype=np.int64), g)
+        assert np.array_equal(table.grad, want)
+
+
 class TestReshape:
     def test_values_and_gradient_keep_row_major_order(self):
         x = t(np.arange(6.0).reshape(3, 2), grad=True)
@@ -301,6 +315,9 @@ class TestGradCheck:
         "gather_rows": (lambda x: T.sum_all(
             T.mul(T.gather_rows(x, [0, 2, 2, 3]),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
+        "gather_rows_distinct": (lambda x: T.sum_all(
+            T.mul(T.gather_rows(x, [0, 1, 3]),
+                  Tensor(np.arange(24.0).reshape(3, 8)))), (4, 8)),
         "mul_add_scale": (lambda x: T.sum_all(
             T.scale(T.add(T.mul(x, x), x), 0.5)), (4, 8)),
     }
