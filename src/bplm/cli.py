@@ -23,8 +23,8 @@ from .finetune import (GridSearchSpec, ci95_half_width, run_grid_search,
 from .model import ModelConfig
 from .objectives import Objective, STUDY_MASK_RATIOS
 from .optim import WsdSchedule
-from .runner import (TrainConfig, cpt_schedule, load_checkpoint, run_cpt,
-                     run_pfs, save_checkpoint, write_trace)
+from .runner import (TrainConfig, load_checkpoint, run_cpt, run_pfs,
+                     save_checkpoint, write_trace)
 
 PRESETS = {
     "pfs-clm": {"train": {"objective": "clm"}},
@@ -104,12 +104,18 @@ def _model_config(cfg) -> ModelConfig:
     )
 
 
-def _train_config(cfg, allow_nonstudy: bool) -> TrainConfig:
+def _train_setup(cfg, args, model_cfg: ModelConfig, cpt: bool = False):
+    """The run's TrainConfig, corpus and batch stream, for pretrain and cpt
+    alike. --seed is written into cfg, so config.ini records the seed the
+    run used. CPT always masks, at its [cpt] ratio; run_cpt reads only the
+    peak lr from the [train] plan and schedule."""
     t = cfg["train"]
+    if args.seed is not None:
+        t["seed"] = str(args.seed)
     total = t.getint("total_steps")
     objective = t.get("objective")
-    mask_ratio = t.getfloat("mask_ratio")
-    if objective in ("mlm", "biphasic") and not allow_nonstudy:
+    mask_ratio = cfg["cpt" if cpt else "train"].getfloat("mask_ratio")
+    if (cpt or objective in ("mlm", "biphasic")) and not args.allow_nonstudy:
         if not any(abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
             raise CliError(
                 f"masking ratio {mask_ratio} outside the study set "
@@ -127,16 +133,12 @@ def _train_config(cfg, allow_nonstudy: bool) -> TrainConfig:
                            warmup_steps=t.getint("warmup_steps"),
                            total_steps=total,
                            decay_steps=t.getint("decay_steps"))
-    return TrainConfig(
+    train_cfg = TrainConfig(
         objective_plan=plan, schedule=schedule, mask_ratio=mask_ratio,
-        batch_rows=t.getint("batch_rows"), seed=t.getint("seed"),
-        clip_norm=t.getfloat("clip_norm"),
+        seed=t.getint("seed"), clip_norm=t.getfloat("clip_norm"),
         weight_decay=t.getfloat("weight_decay"),
         checkpoint_cadence=t.getint("checkpoint_cadence"),
     )
-
-
-def _corpus_stream(cfg, train_cfg: TrainConfig, model_cfg: ModelConfig):
     d = cfg["data"]
     spec = CorpusSpec(
         generator=d.get("generator"), order=d.getint("order"),
@@ -145,10 +147,9 @@ def _corpus_stream(cfg, train_cfg: TrainConfig, model_cfg: ModelConfig):
         max_len=min(d.getint("max_len"), model_cfg.max_seq_len),
     )
     corpus = gen_corpus(spec)
-    stream = pack_batches(corpus.sequences, train_cfg.batch_rows,
-                          spec.min_len, spec.max_len, PAD_ID,
-                          train_cfg.seed)
-    return corpus, stream
+    stream = pack_batches(corpus.sequences, t.getint("batch_rows"),
+                          spec.min_len, spec.max_len, PAD_ID, train_cfg.seed)
+    return train_cfg, corpus, stream
 
 
 def _out_dir(args, default_name: str) -> str:
@@ -165,14 +166,11 @@ def _write_expanded(cfg, out_dir: str) -> None:
 
 def cmd_pretrain(args) -> int:
     cfg = expand_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = str(args.seed)
     model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg, args.allow_nonstudy)
+    train_cfg, corpus, stream = _train_setup(cfg, args, model_cfg)
     out = _out_dir(args, cfg.get("experiment", "preset", fallback="pretrain"))
     os.makedirs(out, exist_ok=True)  # cadence checkpoints land here
     train_cfg.checkpoint_dir = out
-    corpus, stream = _corpus_stream(cfg, train_cfg, model_cfg)
 
     trace: list = []
     final = run_pfs(train_cfg, stream, model_cfg, MASK_ID, trace=trace)
@@ -190,21 +188,9 @@ def cmd_pretrain(args) -> int:
 def cmd_cpt(args) -> int:
     cfg = expand_config(args.config)
     base = load_checkpoint(args.base)
-    c = cfg["cpt"]
-    cpt_steps = c.getint("steps")
-    mask_ratio = c.getfloat("mask_ratio")
-    if not args.allow_nonstudy and not any(
-            abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
-        raise CliError(f"masking ratio {mask_ratio} outside the study set; "
-                       "pass --allow-nonstudy to override")
+    cpt_steps = cfg["cpt"].getint("steps")
+    train_cfg, _, stream = _train_setup(cfg, args, base.model_config, cpt=True)
     out = _out_dir(args, "cpt")
-    seed = args.seed if args.seed is not None else cfg["train"].getint("seed")
-    schedule = cpt_schedule(cfg["train"].getfloat("peak_lr"), cpt_steps)
-    train_cfg = TrainConfig(objective_plan=[(Objective.MLM, cpt_steps)],
-                            schedule=schedule, mask_ratio=mask_ratio,
-                            batch_rows=cfg["train"].getint("batch_rows"),
-                            seed=seed)
-    _, stream = _corpus_stream(cfg, train_cfg, base.model_config)
     trace: list = []
     final = run_cpt(base, cpt_steps, train_cfg, stream, MASK_ID,
                     force=args.force, trace=trace)

@@ -1,10 +1,12 @@
 """Pretraining regimes and bit-exact checkpoint persistence.
 
-Two entry points mirror the studied setups: run_pfs (from random init under
-the config's objective plan: one objective, or biphasic CLM switching to MLM
-before the decay window with the schedule uninterrupted), and run_cpt (MLM
-resumed on a fully decayed checkpoint with fresh optimizer state and a short
-rescaled schedule).
+run_pfs is the one training loop. It runs the config's objective plan (one
+objective, or biphasic CLM switching to MLM before the decay window with the
+schedule uninterrupted) from a start state: random init, or a start
+checkpoint that gives params, moments, step and objective history. That
+covers resuming a cadence checkpoint, and CPT: run_cpt checks its decayed
+base and starts run_pfs from the base's params with fresh moments under MLM
+and a short rescaled schedule. Training never changes its start checkpoint.
 """
 
 from __future__ import annotations
@@ -38,13 +40,9 @@ class TrainConfig:
     objective_plan: List[Tuple[Objective, int]]
     schedule: WsdSchedule
     mask_ratio: float = 0.4
-    batch_rows: int = 4
     seed: int = 0
     clip_norm: float = 1.0
     weight_decay: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    adam_eps: float = 1e-5
     checkpoint_cadence: int = 0       # steps between saves; 0 disables
     checkpoint_dir: Optional[str] = None
 
@@ -91,17 +89,11 @@ class Checkpoint:
     objective_history: List[dict] = field(default_factory=list)
     seed: int = 0
     mask_ratio: float = 0.4
-    version: int = CHECKPOINT_VERSION
 
     @property
     def decayed(self) -> bool:
         """True once the run has completed its learning-rate decay."""
         return self.step >= self.schedule.total_steps
-
-
-def _make_opt_state(cfg: TrainConfig) -> AdamWState:
-    return AdamWState(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
 
 
 def _mask_batch(batch: LmBatch, ratio: float, mask_id: int, seed: int,
@@ -122,12 +114,52 @@ def _masked_fraction(batch: LmBatch) -> float:
     return masked / real if real else 0.0
 
 
-def _train_loop(params: Parameters, opt_state: AdamWState, cfg: TrainConfig,
-                model_cfg: ModelConfig, stream: BatchStream, start_step: int,
-                mask_id: int, trace: List[dict],
-                history: List[dict]) -> Checkpoint:
+def _check_start(start: Checkpoint, cfg: TrainConfig,
+                 model_cfg: ModelConfig) -> None:
+    """A start checkpoint must come from a run under the same config."""
+    for name, have, want in (
+            ("model_config", start.model_config, model_cfg),
+            ("schedule", start.schedule, cfg.schedule),
+            ("seed", start.seed, cfg.seed),
+            ("mask_ratio", start.mask_ratio, cfg.mask_ratio),
+            ("weight_decay", start.opt_state.weight_decay, cfg.weight_decay)):
+        if have != want:
+            raise ValueError(f"start checkpoint {name} {have!r} does not "
+                             f"match the run's {want!r}")
+
+
+def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
+            mask_id: int = 1,
+            resume_from: Optional[Checkpoint] = None,
+            trace: Optional[List[dict]] = None) -> Checkpoint:
+    """Train under cfg's objective plan from a start state. With resume_from
+    None: params from cfg.seed, fresh moments, step 0 and the plan's history.
+    Otherwise the checkpoint's params, moments, step and history; it must
+    match cfg and model_cfg, and it is left unchanged. A biphasic plan trains
+    CLM at stable lr, then MLM; the schedule runs on uninterrupted and decays
+    only in phase 2."""
+    if resume_from is None:
+        params = init_params(model_cfg, cfg.seed)
+        opt_state = AdamWState(weight_decay=cfg.weight_decay)
+        start = 0
+        history = [{"objective": obj.value, "steps": steps}
+                   for obj, steps in cfg.objective_plan if steps > 0]
+    else:
+        _check_start(resume_from, cfg, model_cfg)
+        # adamw_step replaces .data, so fresh wrappers keep the start's
+        # params; it updates moments in place, so those are copied
+        params = {name: Tensor(p.data, requires_grad=True)
+                  for name, p in resume_from.params.items()}
+        opt_state = replace(
+            resume_from.opt_state,
+            m={k: a.copy() for k, a in resume_from.opt_state.m.items()},
+            v={k: a.copy() for k, a in resume_from.opt_state.v.items()})
+        start = resume_from.step
+        history = list(resume_from.objective_history)
+    if trace is None:
+        trace = []
     total = cfg.schedule.total_steps
-    for step in range(start_step, total):
+    for step in range(start, total):
         t0 = time.perf_counter()
         phase, objective = cfg.objective_at(step)
         batch = stream.batch(step)
@@ -157,40 +189,14 @@ def _train_loop(params: Parameters, opt_state: AdamWState, cfg: TrainConfig,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
         })
         done = step + 1
-        ckpt = Checkpoint(model_cfg, params, opt_state, cfg.schedule, done,
-                          history, cfg.seed, cfg.mask_ratio)
         if cfg.checkpoint_cadence and cfg.checkpoint_dir \
                 and done % cfg.checkpoint_cadence == 0 and done < total:
             path = os.path.join(cfg.checkpoint_dir, f"step_{done:08d}.ckpt")
-            save_checkpoint(ckpt, path)
+            save_checkpoint(Checkpoint(model_cfg, params, opt_state,
+                                       cfg.schedule, done, history, cfg.seed,
+                                       cfg.mask_ratio), path)
     return Checkpoint(model_cfg, params, opt_state, cfg.schedule, total,
                       history, cfg.seed, cfg.mask_ratio)
-
-
-def _plan_history(cfg: TrainConfig) -> List[dict]:
-    return [{"objective": obj.value, "steps": steps}
-            for obj, steps in cfg.objective_plan if steps > 0]
-
-
-def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
-            mask_id: int = 1,
-            resume_from: Optional[Checkpoint] = None,
-            trace: Optional[List[dict]] = None) -> Checkpoint:
-    """Pretrain from scratch under cfg's objective plan (or resume a cadence
-    checkpoint of such a run). A biphasic plan trains CLM at stable lr, then
-    MLM; the schedule runs on uninterrupted and decays only in phase 2."""
-    if resume_from is not None:
-        params = resume_from.params
-        opt_state = resume_from.opt_state
-        start = resume_from.step
-    else:
-        params = init_params(model_cfg, cfg.seed)
-        opt_state = _make_opt_state(cfg)
-        start = 0
-    if trace is None:
-        trace = []
-    return _train_loop(params, opt_state, cfg, model_cfg, stream, start,
-                       mask_id, trace, _plan_history(cfg))
 
 
 def cpt_schedule(peak_lr: float, steps: int) -> WsdSchedule:
@@ -205,7 +211,8 @@ def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
             stream: BatchStream, mask_id: int = 1, force: bool = False,
             trace: Optional[List[dict]] = None) -> Checkpoint:
     """Continue a decayed checkpoint with MLM under cpt_schedule at cfg's
-    peak lr; optimizer moments restart.
+    peak lr; optimizer moments restart. Of cfg's plan and schedule only the
+    peak lr is read.
     """
     if not base.decayed and not force:
         raise ValueError("CPT base checkpoint has not undergone lr decay; "
@@ -214,13 +221,13 @@ def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
         return base
     cpt_cfg = replace(cfg, objective_plan=[(Objective.MLM, cpt_steps)],
                       schedule=cpt_schedule(cfg.schedule.peak_lr, cpt_steps))
-    if trace is None:
-        trace = []
     history = list(base.objective_history) + [
         {"objective": Objective.MLM.value, "steps": cpt_steps, "cpt": True}]
-    final = _train_loop(base.params, _make_opt_state(cpt_cfg), cpt_cfg,
-                        base.model_config, stream, 0, mask_id, trace, history)
-    return final
+    start = Checkpoint(base.model_config, base.params,
+                       AdamWState(weight_decay=cfg.weight_decay),
+                       cpt_cfg.schedule, 0, history, cfg.seed, cfg.mask_ratio)
+    return run_pfs(cpt_cfg, stream, base.model_config, mask_id,
+                   resume_from=start, trace=trace)
 
 
 def write_trace(trace: Sequence[dict], path) -> None:
@@ -274,7 +281,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         tensors.append((f"opt.v.{name}", ckpt.opt_state.v[name]))
 
     cfg_block = _config_block(ckpt)
-    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", ckpt.version),
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
                      struct.pack("<I", len(cfg_block)), cfg_block,
                      struct.pack("<I", len(tensors))]
                     + [_tensor_record(name, arr) for name, arr in tensors])
@@ -377,4 +384,4 @@ def load_checkpoint(path) -> Checkpoint:
     _check_tensors(model_cfg, params, opt)
     return Checkpoint(model_cfg, params, opt, WsdSchedule.from_dict(cfg["schedule"]),
                       cfg["step"], cfg["objective_history"], cfg["seed"],
-                      cfg["mask_ratio"], version)
+                      cfg["mask_ratio"])

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 import re
@@ -176,6 +177,33 @@ class TestCpt:
         assert main(["cpt", os.path.join(pre, "final.ckpt"),
                      "--config", cfg, "--out", out]) == 0
         assert len(read_csv(os.path.join(out, "metrics.csv"))) == steps
+
+    def test_train_clip_norm_and_weight_decay_apply(self, tmp_path):
+        base = os.path.join(self.pretrain(tmp_path), "final.ckpt")
+        finals = {}
+        for name, train in (("default", ""), ("clip", "clip_norm = 1e-6\n"),
+                            ("wd", "weight_decay = 0.0\n")):
+            cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                               + "[cpt]\nsteps = 4\n[train]\n" + train,
+                               f"{name}.ini")
+            out = str(tmp_path / name)
+            assert main(["cpt", base, "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, "final.ckpt"), "rb") as f:
+                finals[name] = f.read()
+        assert load_checkpoint(os.path.join(tmp_path, "wd", "final.ckpt")) \
+            .opt_state.weight_decay == 0.0
+        assert finals["clip"] != finals["default"] != finals["wd"]
+
+    def test_seed_override_recorded(self, tmp_path):
+        pre = self.pretrain(tmp_path)
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", os.path.join(pre, "final.ckpt"), "--config",
+                     self.cpt_config(tmp_path), "--out", out,
+                     "--seed", "7"]) == 0
+        assert load_checkpoint(os.path.join(out, "final.ckpt")).seed == 7
+        recorded = configparser.ConfigParser()
+        recorded.read(os.path.join(out, "config.ini"))
+        assert recorded["train"]["seed"] == "7"
 
     def test_non_decayed_base_refused(self, tmp_path, capsys):
         pre = self.pretrain(tmp_path, total=6, cadence=3)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from bplm.model import ModelConfig, param_shapes
 from bplm.objectives import Objective
 from bplm.optim import AdamWState, WsdSchedule, wsd_lr
 from bplm.runner import (Checkpoint, CheckpointError, TrainConfig, _mask_batch,
-                         load_checkpoint, run_cpt, run_pfs, save_checkpoint,
-                         write_trace)
+                         cpt_schedule, load_checkpoint, run_cpt, run_pfs,
+                         save_checkpoint, write_trace)
 from bplm.tensor import Tensor
 
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
@@ -28,6 +29,11 @@ def make_stream(seed=0):
 def train_cfg(plan, total, warmup=2, decay=2, **kw):
     return TrainConfig(objective_plan=plan,
                        schedule=WsdSchedule(1e-3, warmup, total, decay), **kw)
+
+
+def ckpt_bytes(ckpt, path):
+    save_checkpoint(ckpt, path)
+    return path.read_bytes()
 
 
 def assert_params_equal(a, b):
@@ -196,6 +202,53 @@ class TestResume:
                                           resumed.opt_state.m[name])
             np.testing.assert_array_equal(full.opt_state.v[name],
                                           resumed.opt_state.v[name])
+
+    @pytest.mark.parametrize("k", [2, 6])  # the switch is at step 4
+    def test_biphasic_resume_saves_the_same_bytes(self, tmp_path, k):
+        cfg = train_cfg([(Objective.CLM, 4), (Objective.MLM, 6)], total=10,
+                        checkpoint_cadence=k, checkpoint_dir=str(tmp_path))
+        full = run_pfs(cfg, make_stream(), CFG)
+        mid_path = tmp_path / f"step_{k:08d}.ckpt"
+        mid_bytes = mid_path.read_bytes()
+        mid = load_checkpoint(mid_path)
+        # cadence and directory may differ from the interrupted run
+        resumed = run_pfs(replace(cfg, checkpoint_cadence=0), make_stream(),
+                          CFG, resume_from=mid)
+        assert ckpt_bytes(resumed, tmp_path / "resumed.ckpt") \
+            == ckpt_bytes(full, tmp_path / "full.ckpt")
+        assert ckpt_bytes(mid, tmp_path / "mid.ckpt") == mid_bytes
+
+    def test_cpt_resume_saves_the_same_bytes(self, tmp_path):
+        base = run_pfs(train_cfg([(Objective.CLM, 6)], total=6),
+                       make_stream(), CFG)
+        cfg = train_cfg([(Objective.CLM, 6)], total=6, checkpoint_cadence=4,
+                        checkpoint_dir=str(tmp_path))
+        full = run_cpt(base, 10, cfg, make_stream(1))
+        mid = load_checkpoint(tmp_path / "step_00000004.ckpt")
+        cpt_cfg = TrainConfig([(Objective.MLM, 10)], cpt_schedule(1e-3, 10))
+        resumed = run_pfs(cpt_cfg, make_stream(1), CFG, resume_from=mid)
+        assert resumed.objective_history == full.objective_history
+        assert ckpt_bytes(resumed, tmp_path / "resumed.ckpt") \
+            == ckpt_bytes(full, tmp_path / "full.ckpt")
+
+    @pytest.mark.parametrize("name, cfg_kw, model_kw", [
+        ("model_config", {}, {"rope_theta": 500.0}),
+        ("schedule", {"warmup": 3}, {}),
+        ("seed", {"seed": 1}, {}),
+        ("mask_ratio", {"mask_ratio": 0.3}, {}),
+        ("weight_decay", {"weight_decay": 0.0}, {}),
+    ])
+    def test_mismatched_start_refused(self, tmp_path, name, cfg_kw, model_kw):
+        run_pfs(train_cfg([(Objective.MLM, 10)], total=10,
+                          checkpoint_cadence=5, checkpoint_dir=str(tmp_path)),
+                make_stream(), CFG)
+        mid = load_checkpoint(tmp_path / "step_00000005.ckpt")
+        cfg = train_cfg([(Objective.MLM, 10)], total=10, **cfg_kw)
+        trace = []
+        with pytest.raises(ValueError, match=f"start checkpoint {name} "):
+            run_pfs(cfg, make_stream(), replace(CFG, **model_kw),
+                    resume_from=mid, trace=trace)
+        assert trace == []
 
 
 class TestCheckpointIo:
@@ -396,6 +449,20 @@ class TestCpt:
         assert final.objective_history[-1] == {"objective": "mlm",
                                                "steps": 10, "cpt": True}
         assert final.objective_history[0]["objective"] == "clm"
+
+    def test_base_left_unchanged(self, tmp_path):
+        # the paper's CPT sweeps run several lengths from one base
+        base = self.decayed_base()
+        base_bytes = ckpt_bytes(base, tmp_path / "base.ckpt")
+        cfg = train_cfg([(Objective.CLM, 6)], total=6)
+        first = run_cpt(base, 4, cfg, make_stream(1))
+        second = run_cpt(base, 8, cfg, make_stream(1))
+        assert ckpt_bytes(base, tmp_path / "again.ckpt") == base_bytes
+        for final, steps in ((first, 4), (second, 8)):
+            fresh = run_cpt(load_checkpoint(tmp_path / "base.ckpt"), steps,
+                            cfg, make_stream(1))
+            assert ckpt_bytes(final, tmp_path / "a.ckpt") \
+                == ckpt_bytes(fresh, tmp_path / "b.ckpt")
 
     def test_deterministic(self):
         def run():
