@@ -5,7 +5,7 @@ grid-search fine-tuning and evaluation harness."""
 
 from .model import AttentionMode, ModelConfig, init_params, forward, forward_batch
 from .objectives import LmBatch, MaskingPlan, Objective
-from .optim import AdamWState, WsdSchedule, finetune_lr, wsd_lr
+from .optim import AdamWState, WsdSchedule, rescaled_schedule, wsd_lr
 from .runner import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 from .tensor import Tape, Tensor, backward, grad_check
 
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionMode", "ModelConfig", "init_params", "forward", "forward_batch",
     "LmBatch", "MaskingPlan", "Objective",
-    "AdamWState", "WsdSchedule", "finetune_lr", "wsd_lr",
+    "AdamWState", "WsdSchedule", "rescaled_schedule", "wsd_lr",
     "Checkpoint", "TrainConfig", "load_checkpoint", "save_checkpoint",
     "Tape", "Tensor", "backward", "grad_check",
     "__version__",

@@ -22,9 +22,10 @@ from .finetune import (GridSearchSpec, ci95_half_width, run_grid_search,
                        write_report)
 from .model import ModelConfig
 from .objectives import Objective, STUDY_MASK_RATIOS
-from .optim import WsdSchedule
-from .runner import (TrainConfig, load_checkpoint, run_cpt, run_pfs,
-                     save_checkpoint, write_trace)
+from .optim import WsdSchedule, rescaled_schedule
+from .runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
+                     load_checkpoint, run_cpt, run_pfs, save_checkpoint,
+                     write_trace)
 
 PRESETS = {
     "pfs-clm": {"train": {"objective": "clm"}},
@@ -107,32 +108,40 @@ def _model_config(cfg) -> ModelConfig:
 def _train_setup(cfg, args, model_cfg: ModelConfig, cpt: bool = False):
     """The run's TrainConfig, corpus and batch stream, for pretrain and cpt
     alike. --seed is written into cfg, so config.ini records the seed the
-    run used. CPT always masks, at its [cpt] ratio; run_cpt reads only the
-    peak lr from the [train] plan and schedule."""
+    run used. CPT always masks, at its [cpt] ratio, and runs its own plan,
+    [cpt] steps of MLM, under the rescaled CPT schedule at [train] peak_lr;
+    the [train] plan and schedule are pretraining's only."""
     t = cfg["train"]
     if args.seed is not None:
         t["seed"] = str(args.seed)
-    total = t.getint("total_steps")
-    objective = t.get("objective")
+    objective = "mlm" if cpt else t.get("objective")
     mask_ratio = cfg["cpt" if cpt else "train"].getfloat("mask_ratio")
-    if (cpt or objective in ("mlm", "biphasic")) and not args.allow_nonstudy:
+    if objective in ("mlm", "biphasic") and not args.allow_nonstudy:
         if not any(abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
             raise CliError(
                 f"masking ratio {mask_ratio} outside the study set "
                 f"{STUDY_MASK_RATIOS}; pass --allow-nonstudy to override")
-    if objective == "clm":
-        plan = [(Objective.CLM, total)]
-    elif objective == "mlm":
-        plan = [(Objective.MLM, total)]
-    elif objective == "biphasic":
-        clm_steps = int(total * t.getfloat("clm_fraction"))
-        plan = [(Objective.CLM, clm_steps), (Objective.MLM, total - clm_steps)]
+    if cpt:
+        steps = cfg["cpt"].getint("steps")
+        plan = [(Objective.MLM, steps)]
+        schedule = rescaled_schedule(t.getfloat("peak_lr"), steps,
+                                     CPT_DECAY_SHARE)
     else:
-        raise CliError(f"unknown objective {objective!r}")
-    schedule = WsdSchedule(peak_lr=t.getfloat("peak_lr"),
-                           warmup_steps=t.getint("warmup_steps"),
-                           total_steps=total,
-                           decay_steps=t.getint("decay_steps"))
+        total = t.getint("total_steps")
+        if objective == "clm":
+            plan = [(Objective.CLM, total)]
+        elif objective == "mlm":
+            plan = [(Objective.MLM, total)]
+        elif objective == "biphasic":
+            clm_steps = int(total * t.getfloat("clm_fraction"))
+            plan = [(Objective.CLM, clm_steps),
+                    (Objective.MLM, total - clm_steps)]
+        else:
+            raise CliError(f"unknown objective {objective!r}")
+        schedule = WsdSchedule(peak_lr=t.getfloat("peak_lr"),
+                               warmup_steps=t.getint("warmup_steps"),
+                               total_steps=total,
+                               decay_steps=t.getint("decay_steps"))
     train_cfg = TrainConfig(
         objective_plan=plan, schedule=schedule, mask_ratio=mask_ratio,
         seed=t.getint("seed"), clip_norm=t.getfloat("clip_norm"),
@@ -188,8 +197,8 @@ def cmd_pretrain(args) -> int:
 def cmd_cpt(args) -> int:
     cfg = expand_config(args.config)
     base = load_checkpoint(args.base)
-    cpt_steps = cfg["cpt"].getint("steps")
     train_cfg, _, stream = _train_setup(cfg, args, base.model_config, cpt=True)
+    cpt_steps = train_cfg.schedule.total_steps
     out = _out_dir(args, "cpt")
     trace: list = []
     final = run_cpt(base, cpt_steps, train_cfg, stream, MASK_ID,
@@ -305,7 +314,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, OSError) as e:
+    except (CliError, CheckpointError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,16 @@ from .data import PAD_ID, TaskDataset, TaskExample
 # forward is not called here; benchmark/probes.py wraps bplm.finetune.forward
 from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
                     forward_batch)
-from .objectives import IGNORE_INDEX
-from .optim import AdamWState, adamw_step, clip_global_norm, finetune_lr
+from .optim import (AdamWState, adamw_step, clip_global_norm,
+                    rescaled_schedule, wsd_lr)
 from .runner import Checkpoint
-from .tensor import Tape, Tensor, backward
+from .tensor import IGNORE_INDEX, Tape, Tensor, backward
 
 STUDY_LEARNING_RATES = (1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4)
 
 REPORT_FIELDS = ("task", "dataset", "lr", "seed", "split", "metric", "value")
+
+INFONCE_TEMPERATURE = 0.05  # IR similarities are divided by this
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class GridSearchSpec:
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4)
     max_steps: int = 1000
     batch_size: int = 32
-    infonce_temperature: float = 0.05
 
 
 @dataclass
@@ -207,8 +208,7 @@ def _scores(task: str, head: Dict[str, Tensor], params: Parameters,
 
 def task_loss(task: str, head: Dict[str, Tensor], params: Parameters,
               cfg: ModelConfig, batch: Sequence[TaskExample],
-              dataset: TaskDataset,
-              temperature: float = 0.05) -> Tensor:
+              dataset: TaskDataset) -> Tensor:
     """Mean over the batch of each example's loss: cross-entropy of the SC
     label, of each TC tag (the example's mean over its tokens), of the QA
     start and end positions (their mean; no-answer targets position 0), or
@@ -229,13 +229,13 @@ def task_loss(task: str, head: Dict[str, Tensor], params: Parameters,
         kept = targets != IGNORE_INDEX
         weights = kept / (kept.sum(axis=1, keepdims=True) * len(batch))
         return T.cross_entropy_from_logits(scores, targets.reshape(-1),
-                                           IGNORE_INDEX, weights.reshape(-1))
+                                           weights.reshape(-1))
     if task == "QA":
         spans = [ex.span or (0, 0) for ex in batch]
         return T.cross_entropy_from_logits(
             scores, [s for s, _ in spans] + [e for _, e in spans])
-    return T.cross_entropy_from_logits(T.scale(scores, 1.0 / temperature),
-                                       list(range(len(batch))))
+    return T.cross_entropy_from_logits(
+        T.scale(scores, 1.0 / INFONCE_TEMPERATURE), list(range(len(batch))))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,8 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
     order = rng.permutation(len(dataset.train))
     steps_per_epoch = math.ceil(len(dataset.train) / spec.batch_size)
     total_steps = min(spec.max_steps, steps_per_epoch)
+    # 10% warmup, then linear decay to zero at total_steps
+    schedule = rescaled_schedule(lr, total_steps, 1.0)
     opt = AdamWState(weight_decay=0.1)
 
     for step in range(total_steps):
@@ -345,12 +347,11 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
         for p in trainable.values():
             p.zero_grad()
         with Tape() as tape:
-            loss = task_loss(dataset.task, head, params, cfg, batch, dataset,
-                             spec.infonce_temperature)
+            loss = task_loss(dataset.task, head, params, cfg, batch, dataset)
         backward(loss, tape)
         grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
         clip_global_norm(grads, 1.0)
-        adamw_step(trainable, grads, opt, finetune_lr(lr, total_steps, step))
+        adamw_step(trainable, grads, opt, wsd_lr(schedule, step))
     return params, head
 
 

@@ -30,8 +30,6 @@ class ModelConfig:
     max_seq_len: int = 128
     rope_theta: float = 10_000.0
     rmsnorm_eps: float = 1e-5
-    init_std: float = float(np.sqrt(0.2))
-    tie_embeddings: bool = False
 
     def __post_init__(self):
         if self.heads % self.kv_heads != 0:
@@ -50,20 +48,6 @@ class ModelConfig:
     @property
     def kv_dim(self) -> int:
         return self.kv_heads * self.head_dim
-
-    def to_dict(self) -> dict:
-        return {
-            "layers": self.layers, "embed_dim": self.embed_dim,
-            "ffn_dim": self.ffn_dim, "heads": self.heads,
-            "kv_heads": self.kv_heads, "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len, "rope_theta": self.rope_theta,
-            "rmsnorm_eps": self.rmsnorm_eps, "init_std": self.init_std,
-            "tie_embeddings": self.tie_embeddings,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
 
 
 Parameters = Dict[str, Tensor]
@@ -84,22 +68,19 @@ def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
             f"{p}.ffn.w_up": (d, f), f"{p}.ffn.w_down": (f, d),
         })
     shapes["final_norm"] = (d,)
-    if not cfg.tie_embeddings:
-        shapes["head"] = (d, cfg.vocab_size)
+    shapes["head"] = (d, cfg.vocab_size)
     return shapes
 
 
-def param_names(cfg: ModelConfig) -> list[str]:
-    """Canonical parameter name set for a config, in a fixed order."""
-    return list(param_shapes(cfg))
+INIT_STD = float(np.sqrt(0.2))
 
 
 def init_params(cfg: ModelConfig, seed: int) -> Parameters:
-    """Weights i.i.d. N(0, init_std^2), drawn in param_names order; RMSNorm
+    """Weights i.i.d. N(0, INIT_STD^2), drawn in param_shapes order; RMSNorm
     gains start at 1."""
     rng = np.random.default_rng(seed)
     return {name: Tensor(np.ones(shape) if len(shape) == 1
-                         else rng.normal(0.0, cfg.init_std, size=shape),
+                         else rng.normal(0.0, INIT_STD, size=shape),
                          requires_grad=True)
             for name, shape in param_shapes(cfg).items()}
 
@@ -177,10 +158,8 @@ def forward_batch(params: Parameters, cfg: ModelConfig,
     return T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
 
 
-def lm_head(params: Parameters, cfg: ModelConfig, hidden: Tensor) -> Tensor:
+def lm_head(params: Parameters, hidden: Tensor) -> Tensor:
     """Logits [n, V] for n final hidden states [n, d]."""
-    if cfg.tie_embeddings:
-        return T.matmul(hidden, T.transpose(params["embed"]))
     return T.matmul(hidden, params["head"])
 
 
@@ -193,4 +172,4 @@ def forward(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
     hidden = forward_batch(params, cfg, [list(tokens)], mode, pad)
     if pad is not None and not all(pad[0]):
         hidden = T.scatter_rows(hidden, np.flatnonzero(pad), len(tokens))
-    return hidden, lm_head(params, cfg, hidden)
+    return hidden, lm_head(params, hidden)

@@ -18,11 +18,11 @@ from . import tensor as T
 # forward is not called here; benchmark/probes.py wraps bplm.objectives.forward
 from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
                     forward_batch, lm_head)
-from .tensor import Tensor
-
-IGNORE_INDEX = -100
+from .tensor import IGNORE_INDEX, Tensor
 
 STUDY_MASK_RATIOS = (0.20, 0.30, 0.40, 0.50)
+
+MASK_ATTEMPTS = 100  # draws select_mask makes before giving up
 
 
 class Objective(enum.Enum):
@@ -61,11 +61,11 @@ class LmBatch:
 
 def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
                 mask_token_id: int,
-                pad_mask: Optional[Sequence[bool]] = None,
-                max_attempts: int = 100) -> MaskingPlan:
+                pad_mask: Optional[Sequence[bool]] = None) -> MaskingPlan:
     """Independently select each non-pad position with probability ratio.
 
-    Resamples (bounded) if nothing was selected, so every plan is non-empty.
+    Resamples (at most MASK_ATTEMPTS draws) if nothing was selected, so
+    every plan is non-empty.
     """
     if not 0 < ratio <= 1:
         raise ValueError("ratio must lie in (0, 1]")
@@ -75,13 +75,13 @@ def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
     eligible = np.nonzero(np.asarray(pad_mask, dtype=bool))[0]
     if eligible.size == 0:
         raise ValueError("no non-pad tokens to mask")
-    for _ in range(max_attempts):
+    for _ in range(MASK_ATTEMPTS):
         sel = eligible[rng.random(eligible.size) < ratio]
         if sel.size:
             positions = sorted(int(i) for i in sel)
             return MaskingPlan(ratio, mask_token_id, positions,
                                [tokens[i] for i in positions])
-    raise RuntimeError(f"no positions selected after {max_attempts} attempts")
+    raise RuntimeError(f"no positions selected after {MASK_ATTEMPTS} attempts")
 
 
 def _mlm_targets(plan: MaskingPlan, seq_len: int) -> np.ndarray:
@@ -109,14 +109,13 @@ def _clm_targets(tokens: Sequence[int],
 def mlm_loss(logits: Tensor, plan: MaskingPlan) -> Tensor:
     """Mean NLL of the original tokens at masked positions only."""
     return T.cross_entropy_from_logits(
-        logits, _mlm_targets(plan, logits.data.shape[0]), IGNORE_INDEX)
+        logits, _mlm_targets(plan, logits.data.shape[0]))
 
 
 def clm_loss(logits: Tensor, tokens: Sequence[int],
              pad_mask: Optional[Sequence[bool]] = None) -> Tensor:
     """Next-token shift: position t predicts token t+1; pad targets ignored."""
-    return T.cross_entropy_from_logits(logits, _clm_targets(tokens, pad_mask),
-                                       IGNORE_INDEX)
+    return T.cross_entropy_from_logits(logits, _clm_targets(tokens, pad_mask))
 
 
 def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
@@ -152,6 +151,6 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
     real = np.asarray(batch.pad_masks, dtype=bool).reshape(-1)
     targets = np.concatenate(targets)[real]
     rows = np.flatnonzero(targets != IGNORE_INDEX)
-    logits = lm_head(params, cfg, T.gather_rows(hidden, rows))
-    return T.cross_entropy_from_logits(logits, targets[rows], IGNORE_INDEX,
+    logits = lm_head(params, T.gather_rows(hidden, rows))
+    return T.cross_entropy_from_logits(logits, targets[rows],
                                        np.concatenate(weights)[real][rows])

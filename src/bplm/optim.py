@@ -1,5 +1,5 @@
 """AdamW with decoupled weight decay, global-norm clipping, and the
-warmup-stable-decay and fine-tuning learning-rate schedules."""
+warmup-stable-decay learning-rate schedule with its one rescaled builder."""
 
 from __future__ import annotations
 
@@ -29,14 +29,6 @@ class WsdSchedule:
     def decay_start(self) -> int:
         return self.total_steps - self.decay_steps
 
-    def to_dict(self) -> dict:
-        return {"peak_lr": self.peak_lr, "warmup_steps": self.warmup_steps,
-                "total_steps": self.total_steps, "decay_steps": self.decay_steps}
-
-    @staticmethod
-    def from_dict(d: dict) -> "WsdSchedule":
-        return WsdSchedule(**d)
-
 
 def wsd_lr(s: WsdSchedule, step: int) -> float:
     """Linear warmup to peak, constant plateau, linear decay to zero.
@@ -53,14 +45,16 @@ def wsd_lr(s: WsdSchedule, step: int) -> float:
     return s.peak_lr
 
 
-def finetune_lr(peak_lr: float, total_steps: int, step: int) -> float:
-    """10% linear warmup, then linear decay to zero at total_steps."""
-    if not 0 <= step < total_steps:
-        raise ValueError(f"step {step} outside [0, {total_steps})")
-    warmup = math.ceil(0.10 * total_steps)
-    if step < warmup:
-        return peak_lr * (step + 1) / warmup
-    return peak_lr * (total_steps - step) / (total_steps - warmup)
+def rescaled_schedule(peak_lr: float, steps: int,
+                      decay_share: float) -> WsdSchedule:
+    """A short run's schedule: 10% warmup, then decay over decay_share of
+    the steps, clamped to the steps left after warmup (so a 1-step run is
+    one warmup step at peak lr, and decay_share 1.0 decays from the end of
+    warmup to zero)."""
+    warmup = math.ceil(0.10 * steps)
+    return WsdSchedule(peak_lr=peak_lr, warmup_steps=warmup, total_steps=steps,
+                       decay_steps=min(math.ceil(decay_share * steps),
+                                       steps - warmup))
 
 
 @dataclass
@@ -69,7 +63,6 @@ class AdamWState:
     beta2: float = 0.95
     eps: float = 1e-5
     weight_decay: float = 0.1
-    decay_norm_gains: bool = False  # RMSNorm gains skip decay by default
     step_count: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -100,10 +93,6 @@ def clip_global_norm(grads: Dict[str, np.ndarray], max_norm: float) -> float:
     return factor
 
 
-def _decays(name: str, state: AdamWState) -> bool:
-    return state.decay_norm_gains or "norm" not in name
-
-
 def adamw_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
                state: AdamWState, lr: float) -> None:
     """One decoupled-weight-decay Adam update, in place."""
@@ -123,6 +112,7 @@ def adamw_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if _decays(name, state) and state.weight_decay:
+        # RMSNorm gains (the names holding "norm") never decay
+        if state.weight_decay and "norm" not in name:
             update = update + lr * state.weight_decay * p.data
         p.data = p.data - update

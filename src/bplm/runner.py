@@ -12,12 +12,13 @@ and a short rescaled schedule. Training never changes its start checkpoint.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,11 +26,14 @@ import numpy as np
 from .data import BatchStream
 from .model import ModelConfig, Parameters, init_params, param_shapes
 from .objectives import LmBatch, Objective, pretrain_loss, select_mask
-from .optim import AdamWState, WsdSchedule, adamw_step, clip_global_norm, wsd_lr
+from .optim import (AdamWState, WsdSchedule, adamw_step, clip_global_norm,
+                    rescaled_schedule, wsd_lr)
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"BPLM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+CPT_DECAY_SHARE = 0.05  # of the CPT steps, after a 10% warmup
 
 TRACE_FIELDS = ("step", "phase", "objective", "lr", "loss",
                 "masked_fraction", "wall_ms")
@@ -199,33 +203,27 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
                       history, cfg.seed, cfg.mask_ratio)
 
 
-def cpt_schedule(peak_lr: float, steps: int) -> WsdSchedule:
-    """CPT's rescaled schedule: 10% warmup, then 5% decay clamped to the
-    steps left after warmup, so a 1-step CPT is one warmup step at peak lr."""
-    warmup = math.ceil(0.10 * steps)
-    return WsdSchedule(peak_lr=peak_lr, warmup_steps=warmup, total_steps=steps,
-                       decay_steps=min(math.ceil(0.05 * steps), steps - warmup))
-
-
 def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
             stream: BatchStream, mask_id: int = 1, force: bool = False,
             trace: Optional[List[dict]] = None) -> Checkpoint:
-    """Continue a decayed checkpoint with MLM under cpt_schedule at cfg's
-    peak lr; optimizer moments restart. Of cfg's plan and schedule only the
-    peak lr is read.
+    """Continue a decayed checkpoint with MLM under the rescaled schedule
+    (CPT_DECAY_SHARE) at cfg's peak lr; optimizer moments restart. Of cfg's
+    plan and schedule only the peak lr is read.
     """
     if not base.decayed and not force:
         raise ValueError("CPT base checkpoint has not undergone lr decay; "
                          "pass --force (force=True) to continue it anyway")
     if cpt_steps == 0:
         return base
+    schedule = rescaled_schedule(cfg.schedule.peak_lr, cpt_steps,
+                                 CPT_DECAY_SHARE)
     cpt_cfg = replace(cfg, objective_plan=[(Objective.MLM, cpt_steps)],
-                      schedule=cpt_schedule(cfg.schedule.peak_lr, cpt_steps))
+                      schedule=schedule)
     history = list(base.objective_history) + [
         {"objective": Objective.MLM.value, "steps": cpt_steps, "cpt": True}]
     start = Checkpoint(base.model_config, base.params,
                        AdamWState(weight_decay=cfg.weight_decay),
-                       cpt_cfg.schedule, 0, history, cfg.seed, cfg.mask_ratio)
+                       schedule, 0, history, cfg.seed, cfg.mask_ratio)
     return run_pfs(cpt_cfg, stream, base.model_config, mask_id,
                    resume_from=start, trace=trace)
 
@@ -242,10 +240,9 @@ def write_trace(trace: Sequence[dict], path) -> None:
 # ---------------------------------------------------------------------------
 
 def _config_block(ckpt: Checkpoint) -> bytes:
-    import json
     cfg = {
-        "model_config": ckpt.model_config.to_dict(),
-        "schedule": ckpt.schedule.to_dict(),
+        "model_config": asdict(ckpt.model_config),
+        "schedule": asdict(ckpt.schedule),
         "step": ckpt.step,
         "objective_history": ckpt.objective_history,
         "seed": ckpt.seed,
@@ -254,7 +251,6 @@ def _config_block(ckpt: Checkpoint) -> bytes:
             "beta1": ckpt.opt_state.beta1, "beta2": ckpt.opt_state.beta2,
             "eps": ckpt.opt_state.eps,
             "weight_decay": ckpt.opt_state.weight_decay,
-            "decay_norm_gains": ckpt.opt_state.decay_norm_gains,
             "step_count": ckpt.opt_state.step_count,
         },
     }
@@ -342,8 +338,24 @@ def _check_tensors(model_cfg: ModelConfig, params: Parameters,
                     f"the parameter has {expected[name]}")
 
 
+def _parse_config_block(block: bytes) -> Checkpoint:
+    """The checkpoint a config block describes, with no params or moments
+    yet. A block that is not UTF-8 JSON, or that lacks a key, has an unknown
+    one or holds a value the config classes refuse, is a CheckpointError."""
+    try:
+        cfg = json.loads(block.decode("utf-8"))
+        return Checkpoint(ModelConfig(**cfg["model_config"]), {},
+                          AdamWState(**cfg["opt"]),
+                          WsdSchedule(**cfg["schedule"]), cfg["step"],
+                          cfg["objective_history"], cfg["seed"],
+                          cfg["mask_ratio"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise CheckpointError(
+            f"malformed config block: {type(err).__name__}: {err}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
-    import json
+    """Read a checkpoint; any malformed file raises CheckpointError."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 8 or raw[:4] != CHECKPOINT_MAGIC:
@@ -355,7 +367,7 @@ def load_checkpoint(path) -> Checkpoint:
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    cfg = json.loads(r.read(r.u32()).decode("utf-8"))
+    ckpt = _parse_config_block(r.read(r.u32()))
     n_tensors = r.u32()
     tensors = {}
     for _ in range(n_tensors):
@@ -369,19 +381,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"payload CRC mismatch for tensor {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
 
-    model_cfg = ModelConfig.from_dict(cfg["model_config"])
-    params: Parameters = {}
-    opt = AdamWState(**{k: v for k, v in cfg["opt"].items()})
+    opt = ckpt.opt_state
     for name, arr in tensors.items():
         if name.startswith("param."):
-            params[name[len("param."):]] = Tensor(arr, requires_grad=True)
+            ckpt.params[name[len("param."):]] = Tensor(arr, requires_grad=True)
         elif name.startswith("opt.m."):
             opt.m[name[len("opt.m."):]] = arr
         elif name.startswith("opt.v."):
             opt.v[name[len("opt.v."):]] = arr
         else:
             raise CheckpointError(f"unknown tensor record {name!r}")
-    _check_tensors(model_cfg, params, opt)
-    return Checkpoint(model_cfg, params, opt, WsdSchedule.from_dict(cfg["schedule"]),
-                      cfg["step"], cfg["objective_history"], cfg["seed"],
-                      cfg["mask_ratio"])
+    _check_tensors(ckpt.model_config, ckpt.params, opt)
+    return ckpt

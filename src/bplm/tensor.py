@@ -9,12 +9,13 @@ and checked against central finite differences (see grad_check).
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 NEG_INF = -1e30  # finite stand-in for -inf in masked attention logits
+IGNORE_INDEX = -100  # cross-entropy target of a position with no loss
+NORMALIZE_EPS = 1e-12  # keeps l2_normalize_rows finite on a zero row
 
 
 class Tensor:
@@ -439,14 +440,14 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
 
 
 def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
-                              ignore_index: int = -100,
                               weights: Optional[Sequence[float]] = None) -> Tensor:
-    """Mean of -log softmax(logits)[target] over non-ignored positions, or,
-    given per-position weights, their weighted sum over those positions."""
+    """Mean of -log softmax(logits)[target] over the positions whose target
+    is not IGNORE_INDEX, or, given per-position weights, their weighted sum
+    over those positions."""
     tgt = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or tgt.shape[0] != logits.data.shape[0]:
         raise ValueError("cross_entropy expects [n, V] logits and n targets")
-    keep = tgt != ignore_index
+    keep = tgt != IGNORE_INDEX
     n_kept = int(keep.sum())
     if n_kept == 0:
         raise ValueError("empty loss: all positions ignored")
@@ -499,9 +500,9 @@ def mean_pool(hidden: Tensor, keep_mask) -> Tensor:
     return _record(out, (hidden,), bw)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize_rows(x: Tensor) -> Tensor:
     """Rows scaled to unit L2 norm (cosine-similarity prep)."""
-    r = np.sqrt((x.data ** 2).sum(axis=-1, keepdims=True) + eps)
+    r = np.sqrt((x.data ** 2).sum(axis=-1, keepdims=True) + NORMALIZE_EPS)
     y = x.data / r
     out = Tensor(y)
 
@@ -544,8 +545,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())
-
-
-def silu(z: float) -> float:
-    """Scalar silu, handy for expected values in tests."""
-    return z / (1.0 + math.exp(-z))

@@ -7,7 +7,8 @@ import pytest
 
 from bplm.cli import CliError, expand_config, main
 from bplm.data import gen_task_data, save_task_dataset
-from bplm.runner import load_checkpoint
+from bplm.optim import rescaled_schedule
+from bplm.runner import CPT_DECAY_SHARE, load_checkpoint
 
 TINY_MODEL = """
 [model]
@@ -204,6 +205,29 @@ class TestCpt:
         recorded = configparser.ConfigParser()
         recorded.read(os.path.join(out, "config.ini"))
         assert recorded["train"]["seed"] == "7"
+
+    def test_train_plan_and_schedule_not_read(self, tmp_path):
+        # [train]'s plan and schedule are pretraining's, invalid as one here;
+        # CPT runs [cpt] steps under its own schedule at [train] peak_lr
+        pre = self.pretrain(tmp_path)
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\ntotal_steps = 2\nwarmup_steps = 10\n"
+                             "peak_lr = 1e-3\n[cpt]\nsteps = 4\n", "cpt.ini")
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", os.path.join(pre, "final.ckpt"),
+                     "--config", cfg, "--out", out]) == 0
+        assert len(read_csv(os.path.join(out, "metrics.csv"))) == 4
+        assert load_checkpoint(os.path.join(out, "final.ckpt")).schedule \
+            == rescaled_schedule(1e-3, 4, CPT_DECAY_SHARE)
+
+    def test_malformed_base_fails_without_traceback(self, tmp_path, capsys):
+        base = tmp_path / "bad.ckpt"
+        base.write_bytes(b"XXXX" + b"\x00" * 16)
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", str(base), "--config",
+                     self.cpt_config(tmp_path), "--out", out]) == 1
+        assert "error: bad magic" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_non_decayed_base_refused(self, tmp_path, capsys):
         pre = self.pretrain(tmp_path, total=6, cadence=3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplm.optim import (AdamWState, WsdSchedule, adamw_step, clip_global_norm,
-                        finetune_lr, wsd_lr)
+                        rescaled_schedule, wsd_lr)
 from bplm.tensor import Tensor
 
 PAPER_SCHEDULE = WsdSchedule(peak_lr=5e-4, warmup_steps=2000,
@@ -50,6 +50,12 @@ class TestWsdLr:
             WsdSchedule(5e-4, 60, 100, 50)
 
 
+def finetune_lr(peak_lr, total_steps, step):
+    """The fine-tuning lr: the rescaled schedule decaying over every step
+    after warmup."""
+    return wsd_lr(rescaled_schedule(peak_lr, total_steps, 1.0), step)
+
+
 class TestFinetuneLr:
     def test_end_of_warmup(self):
         assert finetune_lr(1e-4, 1000, 99) == 1e-4
@@ -65,6 +71,28 @@ class TestFinetuneLr:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             finetune_lr(1e-4, 1000, 1000)
+
+    @given(st.sampled_from((1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 0.3)),
+           st.integers(min_value=1, max_value=2000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_never_exceeds_peak(self, peak, total, data):
+        step = data.draw(st.integers(min_value=0, max_value=total - 1))
+        assert 0 < finetune_lr(peak, total, step) <= peak
+
+    def test_step_at_end_of_warmup_is_peak(self):
+        # unclamped, 1e-4 * 900 / 900 lands one ulp above the peak
+        assert 1e-4 * (1000 - 100) / 900 > 1e-4
+        assert finetune_lr(1e-4, 1000, 100) == 1e-4
+
+
+class TestRescaledSchedule:
+    @pytest.mark.parametrize("steps, share, warmup, decay", [
+        (1, 0.05, 1, 0), (1, 1.0, 1, 0), (10, 0.05, 1, 1), (20, 0.05, 2, 1),
+        (2000, 0.05, 200, 100), (6, 1.0, 1, 5), (1000, 1.0, 100, 900),
+        (0, 0.05, 0, 0)])
+    def test_shape(self, steps, share, warmup, decay):
+        assert rescaled_schedule(1e-3, steps, share) \
+            == WsdSchedule(1e-3, warmup, steps, decay)
 
 
 class TestClipGlobalNorm:

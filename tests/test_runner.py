@@ -1,7 +1,10 @@
 import csv
 import hashlib
+import json
 import os
-from dataclasses import replace
+import struct
+import zlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +12,11 @@ import pytest
 from bplm.data import MASK_ID, PAD_ID, CorpusSpec, gen_corpus, pack_batches
 from bplm.model import ModelConfig, param_shapes
 from bplm.objectives import Objective
-from bplm.optim import AdamWState, WsdSchedule, wsd_lr
-from bplm.runner import (Checkpoint, CheckpointError, TrainConfig, _mask_batch,
-                         cpt_schedule, load_checkpoint, run_cpt, run_pfs,
-                         save_checkpoint, write_trace)
+from bplm.optim import AdamWState, WsdSchedule, rescaled_schedule, wsd_lr
+from bplm.runner import (CHECKPOINT_VERSION, CPT_DECAY_SHARE, Checkpoint,
+                         CheckpointError, TrainConfig, _mask_batch,
+                         load_checkpoint, run_cpt, run_pfs, save_checkpoint,
+                         write_trace)
 from bplm.tensor import Tensor
 
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
@@ -34,6 +38,33 @@ def train_cfg(plan, total, warmup=2, decay=2, **kw):
 def ckpt_bytes(ckpt, path):
     save_checkpoint(ckpt, path)
     return path.read_bytes()
+
+
+def config_block(path):
+    """The config block of a saved file, parsed."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + size])
+
+
+def rewrite_config_block(path, edit, version=CHECKPOINT_VERSION):
+    """Replace a saved file's config block with edit(block) and its version
+    with version, recomputing the file CRC so only the edit is wrong."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<I", raw[8:12])
+    block = edit(raw[12:12 + size])
+    body = (raw[:4] + struct.pack("<II", version, len(block)) + block
+            + raw[12 + size:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def edit_json(change):
+    """A block edit that applies change to the parsed block in place."""
+    def edit(block):
+        cfg = json.loads(block)
+        change(cfg)
+        return json.dumps(cfg, sort_keys=True).encode("utf-8")
+    return edit
 
 
 def assert_params_equal(a, b):
@@ -225,7 +256,8 @@ class TestResume:
                         checkpoint_dir=str(tmp_path))
         full = run_cpt(base, 10, cfg, make_stream(1))
         mid = load_checkpoint(tmp_path / "step_00000004.ckpt")
-        cpt_cfg = TrainConfig([(Objective.MLM, 10)], cpt_schedule(1e-3, 10))
+        cpt_cfg = TrainConfig([(Objective.MLM, 10)],
+                              rescaled_schedule(1e-3, 10, CPT_DECAY_SHARE))
         resumed = run_pfs(cpt_cfg, make_stream(1), CFG, resume_from=mid)
         assert resumed.objective_history == full.objective_history
         assert ckpt_bytes(resumed, tmp_path / "resumed.ckpt") \
@@ -310,6 +342,48 @@ class TestCheckpointIo:
         path = tmp_path / "a.ckpt"
         path.write_bytes(body)
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_refused(self, tmp_path):
+        # version 1 blocks also held init_std, tie_embeddings and
+        # decay_norm_gains
+        def v1_keys(cfg):
+            cfg["model_config"].update(init_std=0.2 ** 0.5,
+                                       tie_embeddings=False)
+            cfg["opt"]["decay_norm_gains"] = False
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        rewrite_config_block(path, edit_json(v1_keys), version=1)
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_config_block_keys_are_the_fields(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        block = config_block(path)
+        assert set(block) == {"model_config", "schedule", "opt", "step",
+                              "objective_history", "seed", "mask_ratio"}
+        for key, cls, skip in (("model_config", ModelConfig, ()),
+                               ("schedule", WsdSchedule, ()),
+                               ("opt", AdamWState, ("m", "v"))):
+            assert set(block[key]) \
+                == {f.name for f in fields(cls)} - set(skip), key
+
+    @pytest.mark.parametrize("edit", [
+        edit_json(lambda c: c.pop("seed")),
+        edit_json(lambda c: c["model_config"].update(dropout=0.1)),
+        lambda block: block[:-1],
+        lambda block: b"\xff" + block,
+        edit_json(lambda c: c["schedule"].update(warmup_steps=100)),
+        edit_json(lambda c: c["model_config"].update(kv_heads=0)),
+    ], ids=["missing_seed", "unknown_model_key", "not_json", "not_utf8",
+            "warmup_exceeds_total", "zero_kv_heads"])
+    def test_malformed_config_block_refused(self, tmp_path, edit):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        rewrite_config_block(path, edit)
+        with pytest.raises(CheckpointError, match="malformed config block"):
             load_checkpoint(path)
 
     def save_altered(self, tmp_path, alter):
@@ -404,7 +478,7 @@ class TestCheckpointIo:
                           [{"objective": "clm", "steps": 4}], 7, 0.4)
         save_checkpoint(ckpt, tmp_path / "a.ckpt")
         assert hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest() \
-            == "3a1a570afd2e8148d0d5f25ba6bff11a6009af256b322ca2bf46e95739916bab"
+            == "f218365f50dd4494317e776e82159e7fedc6dc60fef704cdb533ca87a2671abd"
 
     def test_no_tmp_file_left(self, tmp_path):
         save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")

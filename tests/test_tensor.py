@@ -107,26 +107,25 @@ class TestCrossEntropy:
     def test_masked_mean(self):
         # one ignored row plus one uniform V=4 row -> mean over the kept row
         logits = t(np.vstack([np.full(4, 9.9), np.zeros(4)]))
-        out = T.cross_entropy_from_logits(logits, [-100, 1], ignore_index=-100)
+        out = T.cross_entropy_from_logits(logits, [-100, 1])
         assert abs(out.item() - math.log(4)) < 1e-15
 
     def test_all_ignored_is_error(self):
         with pytest.raises(ValueError, match="empty loss"):
-            T.cross_entropy_from_logits(t(np.zeros((2, 3))), [-100, -100],
-                                        ignore_index=-100)
+            T.cross_entropy_from_logits(t(np.zeros((2, 3))), [-100, -100])
 
     def test_ignored_values_are_irrelevant(self, rng):
         base = rng.normal(size=(3, 5))
         targets = [2, -100, 4]
         x1 = t(base.copy(), grad=True)
         with Tape() as tape:
-            l1 = T.cross_entropy_from_logits(x1, targets, ignore_index=-100)
+            l1 = T.cross_entropy_from_logits(x1, targets)
         backward(l1, tape)
         noisy = base.copy()
         noisy[1] = rng.normal(size=5) * 100
         x2 = t(noisy, grad=True)
         with Tape() as tape:
-            l2 = T.cross_entropy_from_logits(x2, targets, ignore_index=-100)
+            l2 = T.cross_entropy_from_logits(x2, targets)
         backward(l2, tape)
         assert l1.item() == l2.item()
         np.testing.assert_array_equal(x1.grad, x2.grad)
@@ -292,7 +291,7 @@ class TestGradCheck:
             T.swiglu(Tensor(np.linspace(-2, 2, 32).reshape(4, 8)), x)),
             (4, 8)),
         "cross_entropy": (lambda x: T.cross_entropy_from_logits(
-            x, [0, 2, -100, 7], ignore_index=-100), (4, 8)),
+            x, [0, 2, -100, 7]), (4, 8)),
         "mean_pool": (lambda x: T.sum_all(
             T.mul(T.mean_pool(x, [[True, False], [True, True]]),
                   Tensor(np.arange(16.0).reshape(2, 8)))), (4, 8)),
