@@ -15,12 +15,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .objectives import LmBatch, select_mask  # select_mask: re-export
+from .objectives import LmBatch, select_mask  # noqa: F401 (re-export)
 
 PAD_ID = 0
 MASK_ID = 1
 UNK_ID = 2
 NUM_RESERVED = 3
+MAX_MARKOV_STATES = 4096  # gen_corpus's dense state chain: 128 MiB
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,10 @@ class CorpusSpec:
             raise ValueError("num_symbols must be >= 1")
         if not self.peakedness >= 0:
             raise ValueError("peakedness must be >= 0")
+        if self.generator == "markov_k" \
+                and self.num_symbols ** self.order > MAX_MARKOV_STATES:
+            raise ValueError(f"num_symbols ** order = {self.num_symbols} ** "
+                             f"{self.order} exceeds {MAX_MARKOV_STATES} states")
         if self.generator == "repeated_pattern" and not all(
                 0 <= p < self.num_symbols for p in self.pattern or (0, 1)):
             raise ValueError("pattern entries must lie in [0, num_symbols)")

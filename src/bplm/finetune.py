@@ -150,10 +150,8 @@ def encode(params: Parameters, cfg: ModelConfig,
     width = int(lengths.max())
     real = np.arange(width)[None, :] < lengths[:, None]
     rows = [list(s) + [PAD_ID] * (width - len(s)) for s in seqs]
-    hidden = forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL, real)
-    if not real.all():
-        hidden = T.scatter_rows(hidden, np.flatnonzero(real), real.size)
-    return hidden, real
+    return forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL,
+                         real), real
 
 
 def init_head(task: str, cfg: ModelConfig, dataset: TaskDataset,

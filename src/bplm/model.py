@@ -85,32 +85,18 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
             for name, shape in param_shapes(cfg).items()}
 
 
-def attention_mask(mode: AttentionMode, pad_masks) -> np.ndarray:
-    """Additive [B, T, T] mask from [B, T] pad masks (True where real): 0
-    where a query may attend a key, NEG_INF elsewhere. Pad keys are masked
-    in every row; CAUSAL also masks keys after the query."""
-    pad = np.asarray(pad_masks, dtype=bool)
-    if not pad.any(axis=1).all():
-        raise ValueError("attention: all positions padded")
-    rows, seq_len = pad.shape
-    allowed = np.broadcast_to(pad[:, None, :], (rows, seq_len, seq_len))
-    if mode is AttentionMode.CAUSAL:
-        allowed = allowed & np.tri(seq_len, dtype=bool)
-    return np.where(allowed, 0.0, T.NEG_INF)
-
-
 def attention(hidden: Tensor, params: Parameters, layer: int, cfg: ModelConfig,
-              mask: np.ndarray, real: Optional[np.ndarray] = None) -> Tensor:
+              pad: np.ndarray, mode: AttentionMode) -> Tensor:
     """Grouped-query attention over a block input (already normalized by the
-    caller) under an additive [B, T, T] attention_mask: [B*T, d], or [N, d]
-    holding the N real positions listed by real (see T.gqa_attention).
-    Query head i uses key/value group floor(i / (heads / kv_heads))."""
+    caller): [N, d] for the N real positions of the [B, T] real-token mask
+    pad, row after row (see T.gqa_attention). Query head i uses key/value
+    group floor(i / (heads / kv_heads))."""
     p = f"layer.{layer}.attn"
     q = T.matmul(hidden, params[f"{p}.wq"])
     k = T.matmul(hidden, params[f"{p}.wk"])
     v = T.matmul(hidden, params[f"{p}.wv"])
-    heads = T.gqa_attention(q, k, v, mask, cfg.heads, cfg.kv_heads,
-                            cfg.rope_theta, real)
+    heads = T.gqa_attention(q, k, v, pad, mode is AttentionMode.CAUSAL,
+                            cfg.heads, cfg.kv_heads, cfg.rope_theta)
     return T.matmul(heads, params[f"{p}.wo"])
 
 
@@ -126,10 +112,9 @@ def forward_batch(params: Parameters, cfg: ModelConfig,
                   pad_masks: Optional[Sequence[Sequence[bool]]] = None
                   ) -> Tensor:
     """Run the model on B rows of one length T, returning the final hidden
-    states of the N real tokens, [N, d], in row-major order (row b's real
-    tokens in position order, then row b+1's). pad_masks (True where real)
-    mark the pads; None means no padding. Only attention sees the [B*T]
-    grid; every other op runs on the N real tokens alone."""
+    states [B*T, d], row after row and zero at pads. pad_masks (True where
+    real) mark the pads; None means no padding. Every op but attention runs
+    on the real tokens alone."""
     if not rows:
         raise ValueError("empty batch")
     seq_len = len(rows[0])
@@ -146,16 +131,15 @@ def forward_batch(params: Parameters, cfg: ModelConfig,
         pad = np.asarray(pad_masks, dtype=bool)
         if pad.shape != (len(rows), seq_len):
             raise ValueError("pad masks must match the rows' shape")
-    mask = attention_mask(mode, pad)
-    real = None if pad.all() else np.flatnonzero(pad)
 
-    x = T.gather_rows(params["embed"], tokens if real is None else tokens[real])
+    x = T.gather_rows(params["embed"], tokens[pad.reshape(-1)])
     for i in range(cfg.layers):
         normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], cfg.rmsnorm_eps)
-        x = T.add(x, attention(normed, params, i, cfg, mask, real))
+        x = T.add(x, attention(normed, params, i, cfg, pad, mode))
         normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], cfg.rmsnorm_eps)
         x = T.add(x, _ffn(normed, params, i))
-    return T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
+    x = T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
+    return x if pad.all() else T.scatter_rows(x, np.flatnonzero(pad), pad.size)
 
 
 def lm_head(params: Parameters, hidden: Tensor) -> Tensor:
@@ -164,12 +148,8 @@ def lm_head(params: Parameters, hidden: Tensor) -> Tensor:
 
 
 def forward(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
-            mode: AttentionMode,
-            pad_mask: Optional[Sequence[bool]] = None) -> Tuple[Tensor, Tensor]:
-    """Run the model on one row, returning (final hidden states [T, d],
-    logits [T, V]); both are zero at pad positions."""
-    pad = None if pad_mask is None else [list(pad_mask)]
-    hidden = forward_batch(params, cfg, [list(tokens)], mode, pad)
-    if pad is not None and not all(pad[0]):
-        hidden = T.scatter_rows(hidden, np.flatnonzero(pad), len(tokens))
+            mode: AttentionMode) -> Tuple[Tensor, Tensor]:
+    """Run the model on one unpadded row, returning (final hidden states
+    [T, d], logits [T, V])."""
+    hidden = forward_batch(params, cfg, [list(tokens)], mode)
     return hidden, lm_head(params, hidden)

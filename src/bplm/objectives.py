@@ -146,11 +146,8 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
             raise ValueError("empty loss: all positions ignored")
         weights.append(kept / (kept.sum() * len(targets)))
     hidden = forward_batch(params, cfg, inputs, mode, batch.pad_masks)
-    # pads never carry a target, so the targets of the hidden rows (the
-    # real tokens) hold every one of them
-    real = np.asarray(batch.pad_masks, dtype=bool).reshape(-1)
-    targets = np.concatenate(targets)[real]
+    targets = np.concatenate(targets)
     rows = np.flatnonzero(targets != IGNORE_INDEX)
     logits = lm_head(params, T.gather_rows(hidden, rows))
     return T.cross_entropy_from_logits(logits, targets[rows],
-                                       np.concatenate(weights)[real][rows])
+                                       np.concatenate(weights)[rows])

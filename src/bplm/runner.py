@@ -19,7 +19,7 @@ import struct
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -338,17 +338,32 @@ def _check_tensors(model_cfg: ModelConfig, params: Parameters,
                     f"the parameter has {expected[name]}")
 
 
+def _typed(cls, **values):
+    """cls(**values), once each int field given holds an int (not a bool)
+    and each float field an int or a float."""
+    for name, kind in get_type_hints(cls).items():
+        if kind in (int, float) and name in values:
+            value = values[name]
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise TypeError(f"{cls.__name__}.{name} must be "
+                                f"{kind.__name__}, not {value!r}")
+    return cls(**values)
+
+
 def _parse_config_block(block: bytes) -> Checkpoint:
     """The checkpoint a config block describes, with no params or moments
     yet. A block that is not UTF-8 JSON, or that lacks a key, has an unknown
-    one or holds a value the config classes refuse, is a CheckpointError."""
+    one, holds a value of the wrong type or one the config classes refuse,
+    is a CheckpointError."""
     try:
         cfg = json.loads(block.decode("utf-8"))
-        return Checkpoint(ModelConfig(**cfg["model_config"]), {},
-                          AdamWState(**cfg["opt"]),
-                          WsdSchedule(**cfg["schedule"]), cfg["step"],
-                          cfg["objective_history"], cfg["seed"],
-                          cfg["mask_ratio"])
+        return _typed(Checkpoint,
+                      model_config=_typed(ModelConfig, **cfg["model_config"]),
+                      params={}, opt_state=_typed(AdamWState, **cfg["opt"]),
+                      schedule=_typed(WsdSchedule, **cfg["schedule"]),
+                      step=cfg["step"],
+                      objective_history=cfg["objective_history"],
+                      seed=cfg["seed"], mask_ratio=cfg["mask_ratio"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise CheckpointError(
             f"malformed config block: {type(err).__name__}: {err}") from None
@@ -371,7 +386,8 @@ def load_checkpoint(path) -> Checkpoint:
     n_tensors = r.u32()
     tensors = {}
     for _ in range(n_tensors):
-        name = r.read(r.u32()).decode("utf-8")
+        # a name that is not UTF-8 keeps a U+FFFD, so matches no parameter
+        name = r.read(r.u32()).decode("utf-8", "replace")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}Q", r.read(8 * ndim))
         count = int(np.prod(shape)) if ndim else 1

@@ -344,48 +344,46 @@ def rope_apply(x: Tensor, positions: Sequence[int], theta: float) -> Tensor:
     return _record(out, (x,), lambda g: (_rope_rotate(g, cos, -sin),))
 
 
-def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                  heads: int, kv_heads: int, theta: float,
-                  real: Optional[Sequence[int]] = None) -> Tensor:
-    """Grouped-query scaled dot-product attention with RoPE, for B rows of
-    T positions laid out row after row.
+def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
+                  heads: int, kv_heads: int, theta: float) -> Tensor:
+    """Grouped-query scaled dot-product attention with RoPE over B rows of T
+    positions, given the [B, T] real-token mask pad (True where real).
 
-    mask is the additive [B, T, T] mask (0 where a query may attend a key,
-    NEG_INF elsewhere). real lists, in increasing order, the positions of
-    the [B*T] grid that q, k and v hold, one row each; it must include
-    every key the mask lets a query attend. None means they fill the grid.
-    q is [N, heads*hd] and k and v are [N, kv_heads*hd] for the N positions.
-    Queries and keys are rotated by their position 0..T-1 within the row;
-    query head h reads key/value group h // (heads / kv_heads). Returns the
-    head outputs side by side, [N, heads*hd].
+    q is [N, heads*hd] and k and v are [N, kv_heads*hd], one row for each
+    of the N real positions, row after row. A query attends the real keys
+    of its row, and with causal only those at or before it. Queries and
+    keys are rotated by their position 0..T-1 within the row; query head h
+    reads key/value group h // (heads / kv_heads). Returns the head outputs
+    side by side, [N, heads*hd].
     """
-    B, seq_len = mask.shape[0], mask.shape[-1]
-    if mask.shape != (B, seq_len, seq_len):
-        raise ValueError("attention mask must be [B, T, T]")
+    pad = np.asarray(pad, dtype=bool)
+    if not pad.any(axis=1).all():
+        raise ValueError("attention: all positions padded")
+    B, seq_len = pad.shape
     if heads % kv_heads != 0 or q.data.shape[1] % heads != 0:
         raise ValueError("heads must divide the query width and be a "
                          "multiple of kv_heads")
     hd = q.data.shape[1] // heads
     if hd % 2 != 0:
         raise ValueError("rope requires an even head dimension")
-    grid = B * seq_len
-    if real is not None:
-        real = np.asarray(real, dtype=np.int64)
-        if real.ndim != 1 or (real.size and (real[0] < 0 or real[-1] >= grid
-                                             or (real[1:] <= real[:-1]).any())):
-            raise ValueError("real positions must increase within the grid")
-    n = grid if real is None else real.size
+    n = int(pad.sum())
     kv_shape = (n, kv_heads * hd)
     if q.data.shape[0] != n or k.data.shape != kv_shape \
             or v.data.shape != kv_shape:
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, "
-                         f"k {k.data.shape}, v {v.data.shape}, mask {mask.shape}"
-                         f", {n} positions")
+                         f"k {k.data.shape}, v {v.data.shape}, "
+                         f"{n} real positions")
+    real = None if pad.all() else np.flatnonzero(pad)
+    # additive mask with keys on axis 1, as in the scores below: NEG_INF at
+    # pad keys and, with causal, at keys after the query
+    allowed = pad[:, :, None] & (np.tri(seq_len, dtype=bool).T
+                                 if causal else True)
+    mask = np.where(allowed, 0.0, NEG_INF)[:, None, :, None, :]
 
     def spread(a):  # [N, w] -> [B*T, w], zero rows at pad positions
         if real is None:
             return a
-        full = np.zeros((grid, a.shape[1]))
+        full = np.zeros((pad.size, a.shape[1]))
         full[real] = a
         return full
 
@@ -417,8 +415,7 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
           .transpose(0, 2, 4, 3, 1).reshape(B, kv_heads, hd, group * seq_len))
     kr = rotate(spread(k.data), kv_heads, sin).transpose(0, 2, 1, 3)
     vh = spread(v.data).reshape(B, seq_len, kv_heads, hd).transpose(0, 2, 1, 3)
-    s = ((kr @ qt).reshape(B, kv_heads, seq_len, group, seq_len)
-         + mask.transpose(0, 2, 1)[:, None, :, None, :])
+    s = (kr @ qt).reshape(B, kv_heads, seq_len, group, seq_len) + mask
     s -= s.max(axis=2, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=2, keepdims=True)

@@ -6,24 +6,21 @@ C10 is directional and non-gating: deviations are printed, never failed.
 
 import math
 import time
-from collections import Counter
 
 import numpy as np
 
 from bplm import tensor as T
 from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, CorpusSpec, gen_corpus,
                        gen_task_data, pack_batches)
-from bplm.finetune import (GridSearchSpec, accuracy, bio_spans,
-                           ci95_half_width, entity_f1, evaluate, finetune_one,
-                           ndcg_at_10, qa_f1, run_grid_search, select_best_lr)
-from bplm.model import (AttentionMode, ModelConfig, attention_mask, forward,
-                        init_params)
+from bplm.finetune import (GridSearchSpec, accuracy, ci95_half_width,
+                           entity_f1, evaluate, finetune_one, ndcg_at_10,
+                           qa_f1, run_grid_search)
+from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import (MaskingPlan, LmBatch, Objective, mlm_loss,
                              pretrain_loss, select_mask)
 from bplm.optim import (AdamWState, WsdSchedule, adamw_step,
                         clip_global_norm, wsd_lr)
-from bplm.runner import (Checkpoint, TrainConfig, load_checkpoint, run_cpt,
-                         run_pfs, save_checkpoint)
+from bplm.runner import Checkpoint, TrainConfig, load_checkpoint, run_pfs
 from bplm.tensor import Tape, Tensor, backward, grad_check
 
 
@@ -100,47 +97,29 @@ class TestC1GradientCorrectness:
             assert err < 1e-6, f"op {name}: {err:.2e}"
 
         # the fused attention op through each of q, k and v, two query heads
-        # per kv group, 2 rows of 3 positions under four masks
-        pads = [[True, True, True], [True, True, False]]
-        full = [[True] * 3] * 2
-        masks = {
-            "causal": attention_mask(AttentionMode.CAUSAL, full),
-            "bidirectional": attention_mask(AttentionMode.BIDIRECTIONAL, full),
-            "ragged causal": attention_mask(AttentionMode.CAUSAL, pads),
-            "ragged bidirectional": attention_mask(
-                AttentionMode.BIDIRECTIONAL, pads),
-        }
+        # per kv group, 2 rows of 3 positions in both modes: unpadded, and
+        # packed, with the second row one token short
+        pads = {"": [[True] * 3] * 2,
+                "packed ": [[True, True, True], [True, True, False]]}
         qkv = [rng.normal(size=(6, 8)), rng.normal(size=(6, 4)),
                rng.normal(size=(6, 4))]
-        probe = Tensor(rng.normal(size=(6, 8)))
-        for mask_name, mask in masks.items():
-            for i, which in enumerate("qkv"):
-                def f(x, i=i, mask=mask):
-                    args = [Tensor(a) for a in qkv]
-                    args[i] = x
-                    return T.sum_all(T.mul(
-                        T.gqa_attention(*args, mask, 4, 2, 100.0), probe))
-                x = Tensor(qkv[i].copy(), requires_grad=True)
-                err = grad_check(anchored(f), x, eps=1e-5)
-                worst = max(worst, err)
-                assert err < 1e-6, f"gqa_attention {which} {mask_name}: {err:.2e}"
-
-        # the packed path: q, k and v of the 5 real positions only
-        real = np.flatnonzero(pads)
-        packed_probe = Tensor(probe.data[real])
-        for mode in AttentionMode:
-            mask = attention_mask(mode, pads)
-            for i, which in enumerate("qkv"):
-                def f(x, i=i, mask=mask):
-                    args = [Tensor(a[real]) for a in qkv]
-                    args[i] = x
-                    return T.sum_all(T.mul(T.gqa_attention(
-                        *args, mask, 4, 2, 100.0, real), packed_probe))
-                x = Tensor(qkv[i][real], requires_grad=True)
-                err = grad_check(anchored(f), x, eps=1e-5)
-                worst = max(worst, err)
-                assert err < 1e-6, \
-                    f"packed gqa_attention {which} {mode.value}: {err:.2e}"
+        probe = rng.normal(size=(6, 8))
+        for label, pad in pads.items():
+            real = np.flatnonzero(pad)
+            for mode in AttentionMode:
+                causal = mode is AttentionMode.CAUSAL
+                for i, which in enumerate("qkv"):
+                    def f(x, i=i, pad=pad, real=real, causal=causal):
+                        args = [Tensor(a[real]) for a in qkv]
+                        args[i] = x
+                        return T.sum_all(T.mul(T.gqa_attention(
+                            *args, pad, causal, 4, 2, 100.0),
+                            Tensor(probe[real])))
+                    x = Tensor(qkv[i][real], requires_grad=True)
+                    err = grad_check(anchored(f), x, eps=1e-5)
+                    worst = max(worst, err)
+                    assert err < 1e-6, \
+                        f"{label}gqa_attention {which} {mode.value}: {err:.2e}"
 
         tokens = [3, 7, 5, 9, 4, 6]
         plan = select_mask(tokens, 0.4, np.random.default_rng(1), MASK_ID)

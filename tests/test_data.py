@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, Corpus, CorpusSpec,
-                       TaskExample, _markov_table, _stationary, gen_corpus,
+from bplm.data import (MAX_MARKOV_STATES, NUM_RESERVED, PAD_ID, Corpus,
+                       CorpusSpec, _markov_table, _stationary, gen_corpus,
                        gen_task_data, load_jsonl, load_task_dataset,
                        pack_batches, save_jsonl, save_task_dataset)
 
@@ -271,12 +271,20 @@ class TestCorpusSpecValidation:
         (dict(num_symbols=0), "num_symbols"),
         (dict(peakedness=-0.5), "peakedness"),
         (dict(peakedness=float("nan")), "peakedness"),
+        (dict(order=3, num_symbols=17), r"num_symbols \*\* order"),
     ], ids=["pattern-above-range", "pattern-negative", "default-pattern",
             "target-zero", "target-negative", "order-negative",
-            "no-symbols", "peakedness-negative", "peakedness-nan"])
+            "no-symbols", "peakedness-negative", "peakedness-nan",
+            "too-many-states"])
     def test_bad_spec_rejected(self, kw, field):
         with pytest.raises(ValueError, match=field):
             CorpusSpec(**kw)
+
+    def test_state_bound(self):
+        assert 16 ** 3 == MAX_MARKOV_STATES
+        CorpusSpec(order=3, num_symbols=16)
+        # a repeated pattern builds no chain
+        CorpusSpec(generator="repeated_pattern", order=3, num_symbols=17)
 
     def test_order_zero_is_iid(self):
         corpus = gen_corpus(CorpusSpec(order=0, num_symbols=4,

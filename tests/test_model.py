@@ -4,13 +4,31 @@ import numpy as np
 import pytest
 
 from bplm import tensor as T
-from bplm.model import (AttentionMode, ModelConfig, attention,
-                        attention_mask, forward, forward_batch, init_params,
-                        lm_head, param_shapes)
+from bplm.model import (AttentionMode, ModelConfig, attention, forward,
+                        forward_batch, init_params, lm_head, param_shapes)
 
 
-def bidirectional_mask(seq_len):
-    return attention_mask(AttentionMode.BIDIRECTIONAL, [[True] * seq_len])
+def attended(pad, causal):
+    """[N, N] booleans over the N real positions of pad, row after row: True
+    where moving a key's k and v rows moves a query's gqa_attention output.
+    A masked key gets exactly zero weight, so the output does not move at
+    all."""
+    n = int(np.sum(pad))
+    rng = np.random.default_rng(0)
+    q, k, v = (rng.normal(size=(n, 8)), rng.normal(size=(n, 4)),
+               rng.normal(size=(n, 4)))
+
+    def run(k, v):
+        return T.gqa_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), pad,
+                               causal, 2, 1, 100.0).data
+    base = run(k, v)
+    seen = np.zeros((n, n), dtype=bool)
+    for key in range(n):
+        k2, v2 = k.copy(), v.copy()
+        k2[key] += 1.0
+        v2[key] += 1.0
+        seen[:, key] = (run(k2, v2) != base).any(axis=1)
+    return seen
 
 
 class TestModelConfig:
@@ -94,8 +112,8 @@ class TestAttention:
         # uniformly, so all output rows coincide
         row = np.random.default_rng(0).normal(size=tiny_cfg.embed_dim)
         hidden = T.Tensor(np.tile(row, (5, 1)))
-        out = attention(hidden, tiny_params, 0, tiny_cfg,
-                        bidirectional_mask(5))
+        out = attention(hidden, tiny_params, 0, tiny_cfg, [[True] * 5],
+                        AttentionMode.BIDIRECTIONAL)
         np.testing.assert_allclose(out.data, np.tile(out.data[0], (5, 1)),
                                    atol=1e-10)
 
@@ -105,16 +123,16 @@ class TestAttention:
         params = {k: T.Tensor(v.data.copy()) for k, v in tiny_params.items()}
         params["layer.0.attn.wo"] = T.Tensor(np.eye(tiny_cfg.embed_dim))
         hidden = T.Tensor(rng.normal(size=(6, tiny_cfg.embed_dim)))
-        base = attention(hidden, params, 0, tiny_cfg,
-                         bidirectional_mask(6)).data
+        base = attention(hidden, params, 0, tiny_cfg, [[True] * 6],
+                         AttentionMode.BIDIRECTIONAL).data
 
         hd = tiny_cfg.head_dim
         for name in ("wk", "wv"):
             arr = params[f"layer.0.attn.{name}"].data.copy()
             arr[:, hd:] = 0.0  # kv group 1
             params[f"layer.0.attn.{name}"] = T.Tensor(arr)
-        ablated = attention(hidden, params, 0, tiny_cfg,
-                            bidirectional_mask(6)).data
+        ablated = attention(hidden, params, 0, tiny_cfg, [[True] * 6],
+                            AttentionMode.BIDIRECTIONAL).data
         heads01 = slice(0, 2 * hd)
         heads23 = slice(2 * hd, 4 * hd)
         np.testing.assert_allclose(ablated[:, heads01], base[:, heads01],
@@ -123,8 +141,8 @@ class TestAttention:
 
     def test_all_padded_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError, match="padded"):
-            forward(tiny_params, tiny_cfg, [3, 4, 5],
-                    AttentionMode.BIDIRECTIONAL, [False, False, False])
+            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5]],
+                          AttentionMode.BIDIRECTIONAL, [[False, False, False]])
 
     def test_too_long_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError):
@@ -133,23 +151,38 @@ class TestAttention:
 
 
 class TestAttentionMask:
+    """The mask gqa_attention builds from the pad mask and the mode."""
+
     def test_causal_and_pad(self):
-        m = attention_mask(AttentionMode.CAUSAL, [[True, True, False],
-                                                  [True, True, True]])
-        allowed = m == 0.0
-        np.testing.assert_array_equal(allowed[0], [[1, 0, 0], [1, 1, 0],
-                                                   [1, 1, 0]])
-        np.testing.assert_array_equal(allowed[1], np.tri(3, dtype=bool))
-        assert set(np.unique(m)) == {0.0, T.NEG_INF}
+        # real positions: row 0 at 0-1 (2 is a pad), row 1 at 0-2
+        seen = attended([[True, True, False], [True, True, True]], True)
+        np.testing.assert_array_equal(seen, [[1, 0, 0, 0, 0],
+                                             [1, 1, 0, 0, 0],
+                                             [0, 0, 1, 0, 0],
+                                             [0, 0, 1, 1, 0],
+                                             [0, 0, 1, 1, 1]])
 
     def test_bidirectional_masks_pad_keys_only(self):
-        m = attention_mask(AttentionMode.BIDIRECTIONAL, [[False, True, True]])
-        np.testing.assert_array_equal(m[0] == 0.0, [[0, 1, 1]] * 3)
+        # a leading pad in row 0, a trailing one in row 1
+        seen = attended([[False, True, True], [True, True, False]], False)
+        np.testing.assert_array_equal(seen, [[1, 1, 0, 0],
+                                             [1, 1, 0, 0],
+                                             [0, 0, 1, 1],
+                                             [0, 0, 1, 1]])
+        # and a pad key gets no weight: without it the output is the same
+        rng = np.random.default_rng(1)
+        q, k, v = (T.Tensor(rng.normal(size=(2, w))) for w in (8, 4, 4))
+        padded = T.gqa_attention(q, k, v, [[True, True, False]], False,
+                                 2, 1, 100.0)
+        alone = T.gqa_attention(q, k, v, [[True, True]], False, 2, 1, 100.0)
+        np.testing.assert_allclose(padded.data, alone.data, rtol=0,
+                                   atol=1e-12)
 
     def test_one_all_pad_row_rejected(self):
+        q, kv = T.Tensor(np.ones((2, 8))), T.Tensor(np.ones((2, 4)))
         with pytest.raises(ValueError, match="padded"):
-            attention_mask(AttentionMode.CAUSAL, [[True, True],
-                                                  [False, False]])
+            T.gqa_attention(q, kv, kv, [[True, True], [False, False]], True,
+                            2, 1, 100.0)
 
 
 class TestForwardBatch:
@@ -160,17 +193,14 @@ class TestForwardBatch:
     def test_rows_match_single_row_forward(self, tiny_cfg, tiny_params, mode):
         hidden = forward_batch(tiny_params, tiny_cfg, self.ROWS, mode,
                                self.PADS)
-        # the real tokens only, row after row
-        assert hidden.data.shape == (12, tiny_cfg.embed_dim)
-        at = 0
-        for row, pad in zip(self.ROWS, self.PADS):
-            h, logits = forward(tiny_params, tiny_cfg, row, mode, pad)
+        # the [B*T] grid, row after row, zero at pads
+        assert hidden.data.shape == (15, tiny_cfg.embed_dim)
+        grid = hidden.data.reshape(3, 5, tiny_cfg.embed_dim)
+        for row, pad, out in zip(self.ROWS, self.PADS, grid):
             n = sum(pad)
-            np.testing.assert_allclose(hidden.data[at:at + n], h.data[:n],
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(h.data[n:], 0.0)
-            np.testing.assert_array_equal(logits.data[n:], 0.0)
-            at += n
+            h, _ = forward(tiny_params, tiny_cfg, row[:n], mode)
+            np.testing.assert_allclose(out[:n], h.data, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(out[n:], 0.0)
 
     def test_pad_tokens_do_not_leak(self, tiny_cfg, tiny_params):
         # masked weights are exactly 0, so changing what sits at pad

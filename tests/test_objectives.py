@@ -257,14 +257,16 @@ class TestBatchedMatchesPerRow:
     @staticmethod
     def per_row_loss(objective, params, cfg, batch):
         losses = []
+        # rows are right-padded, so row[:n] holds every real token
         for i, (row, pad) in enumerate(zip(batch.rows, batch.pad_masks)):
+            n = sum(pad)
             if objective is Objective.CLM:
-                _, logits = forward(params, cfg, row, AttentionMode.CAUSAL, pad)
-                losses.append(clm_loss(logits, row, pad))
+                _, logits = forward(params, cfg, row[:n], AttentionMode.CAUSAL)
+                losses.append(clm_loss(logits, row[:n]))
             else:
                 plan = batch.plans[i]
-                _, logits = forward(params, cfg, plan.apply(row),
-                                    AttentionMode.BIDIRECTIONAL, pad)
+                _, logits = forward(params, cfg, plan.apply(row)[:n],
+                                    AttentionMode.BIDIRECTIONAL)
                 losses.append(mlm_loss(logits, plan))
         total = losses[0]
         for loss in losses[1:]:

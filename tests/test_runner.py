@@ -377,14 +377,40 @@ class TestCheckpointIo:
         lambda block: b"\xff" + block,
         edit_json(lambda c: c["schedule"].update(warmup_steps=100)),
         edit_json(lambda c: c["model_config"].update(kv_heads=0)),
+        edit_json(lambda c: c["model_config"].update(layers="1")),
+        edit_json(lambda c: c["model_config"].update(layers=1.0)),
+        edit_json(lambda c: c["model_config"].update(layers=True)),
+        edit_json(lambda c: c.update(step="4")),
+        edit_json(lambda c: c["opt"].update(step_count="x")),
+        edit_json(lambda c: c["schedule"].update(peak_lr="1e-3")),
     ], ids=["missing_seed", "unknown_model_key", "not_json", "not_utf8",
-            "warmup_exceeds_total", "zero_kv_heads"])
+            "warmup_exceeds_total", "zero_kv_heads", "str_layers",
+            "float_layers", "bool_layers", "str_step", "str_step_count",
+            "str_peak_lr"])
     def test_malformed_config_block_refused(self, tmp_path, edit):
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
         rewrite_config_block(path, edit)
         with pytest.raises(CheckpointError, match="malformed config block"):
             load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_refused(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        raw = bytearray(path.read_bytes()[:-4])
+        (size,) = struct.unpack("<I", raw[8:12])
+        raw[12 + size + 8] = 0xFF  # first byte of the first tensor's name
+        path.write_bytes(bytes(raw)
+                         + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="unknown tensor record"):
+            load_checkpoint(path)
+
+    def test_float_field_takes_an_int(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        rewrite_config_block(path, edit_json(
+            lambda c: c["model_config"].update(rope_theta=10000)))
+        assert load_checkpoint(path).model_config.rope_theta == 10000
 
     def save_altered(self, tmp_path, alter):
         ckpt = self.make_ckpt()

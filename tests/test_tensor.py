@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplm import tensor as T
-from bplm.model import AttentionMode, attention_mask
+from bplm.model import AttentionMode
 from bplm.tensor import Tape, Tensor, backward, grad_check
 
 
@@ -396,38 +396,62 @@ def per_head_attention(q, k, v, mask, heads, kv_heads, theta):
     return T.transpose(T.concat_cols(outputs))
 
 
+def additive_mask(pad, causal):
+    """per_head_attention's [B, T, T] mask: 0 where a query may attend a key
+    (a real key, and with causal one at or before the query), NEG_INF
+    elsewhere."""
+    pad = np.asarray(pad, dtype=bool)
+    seq_len = pad.shape[1]
+    allowed = np.broadcast_to(pad[:, None, :], (len(pad), seq_len, seq_len))
+    if causal:
+        allowed = allowed & np.tri(seq_len, dtype=bool)
+    return np.where(allowed, 0.0, T.NEG_INF)
+
+
+def check_against_per_head(pad, causal, kv_heads, rng):
+    """gqa_attention on the real positions' q, k and v, with their pad mask,
+    equals per_head_attention on the full [B*T] grid at the real rows, in
+    the output and the q/k/v gradients, within 1e-12."""
+    heads, hd = 4, 4
+    real = np.asarray(pad, dtype=bool).reshape(-1)
+    grid = [rng.normal(size=(real.size, w * hd))
+            for w in (heads, kv_heads, kv_heads)]
+    probe = rng.normal(size=(real.size, heads * hd))
+    probe[~real] = 0.0  # pad outputs of the grid are unread
+    mask = additive_mask(pad, causal)
+
+    def run(op, args, rows):
+        inputs = [t(a, grad=True) for a in args]
+        with Tape() as tape:
+            out = op(*inputs)
+            loss = T.sum_all(T.mul(out, Tensor(probe[rows])))
+        backward(loss, tape)
+        return [out.data] + [x.grad for x in inputs]
+
+    packed = run(lambda *x: T.gqa_attention(*x, pad, causal, heads, kv_heads,
+                                            100.0),
+                 [a[real] for a in grid], real)
+    reference = run(lambda *x: per_head_attention(*x, mask, heads, kv_heads,
+                                                  100.0), grid, slice(None))
+    for a, b in zip(packed, reference):
+        assert np.abs(a - b[real]).max() <= 1e-12
+
+
 CAUSAL, BIDIRECTIONAL = AttentionMode.CAUSAL, AttentionMode.BIDIRECTIONAL
-GQA_MASKS = {
-    "causal": attention_mask(CAUSAL, [[True] * 4] * 2),
-    "bidirectional": attention_mask(BIDIRECTIONAL, [[True] * 4] * 2),
-    "ragged_causal": attention_mask(CAUSAL, [[True] * 4,
-                                             [True, True, False, False]]),
-    "ragged_bidirectional": attention_mask(
-        BIDIRECTIONAL, [[True, True, True, False], [True, False, False, False]]),
+GQA_CASES = {  # name: (pad, causal)
+    "causal": ([[True] * 4] * 2, True),
+    "bidirectional": ([[True] * 4] * 2, False),
+    "ragged_causal": ([[True] * 4, [True, True, False, False]], True),
+    "ragged_bidirectional": ([[True, True, True, False],
+                              [True, False, False, False]], False),
 }
 
 
 class TestGqaAttention:
-    @pytest.mark.parametrize("mask_name", sorted(GQA_MASKS))
+    @pytest.mark.parametrize("mask_name", sorted(GQA_CASES))
     @pytest.mark.parametrize("kv_heads", [1, 2, 4])
     def test_matches_per_head_composition(self, mask_name, kv_heads, rng):
-        heads, hd = 4, 4
-        mask = GQA_MASKS[mask_name]
-        n = mask.shape[0] * mask.shape[1]
-        inputs = [t(rng.normal(size=(n, w * hd)), grad=True)
-                  for w in (heads, kv_heads, kv_heads)]
-        probe = Tensor(rng.normal(size=(n, heads * hd)))
-        results = []
-        for op in (T.gqa_attention, per_head_attention):
-            for x in inputs:
-                x.zero_grad()
-            with Tape() as tape:
-                out = op(*inputs, mask, heads, kv_heads, 100.0)
-                loss = T.sum_all(T.mul(out, probe))
-            backward(loss, tape)
-            results.append([out.data] + [x.grad for x in inputs])
-        for fused, reference in zip(*results):
-            assert np.abs(fused - reference).max() <= 1e-12
+        check_against_per_head(*GQA_CASES[mask_name], kv_heads, rng)
 
     @pytest.mark.parametrize("pads", [
         [[True] * 4, [True, True, False, False]],
@@ -436,65 +460,19 @@ class TestGqaAttention:
     @pytest.mark.parametrize("mode", [CAUSAL, BIDIRECTIONAL])
     @pytest.mark.parametrize("kv_heads", [1, 2, 4])
     def test_packed_rows_match_padded_op(self, pads, mode, kv_heads, rng):
-        # q, k and v of the real positions only, with their index in the
-        # grid, give the padded op's real rows and q/k/v gradients
-        heads, hd = 4, 4
-        mask = attention_mask(mode, pads)
-        real = np.flatnonzero(pads)
-        full = [rng.normal(size=(8, w * hd)) for w in (heads, kv_heads, kv_heads)]
-        probe = rng.normal(size=(8, heads * hd))
-        probe[~np.asarray(pads).reshape(-1)] = 0.0  # pad outputs unread
-
-        def run(args, index):
-            inputs = [t(a, grad=True) for a in args]
-            with Tape() as tape:
-                out = T.gqa_attention(*inputs, mask, heads, kv_heads, 100.0,
-                                      index)
-                rows = slice(None) if index is None else index
-                loss = T.sum_all(T.mul(out, Tensor(probe[rows])))
-            backward(loss, tape)
-            return [out.data] + [x.grad for x in inputs]
-
-        padded = run(full, None)
-        packed = run([a[real] for a in full], real)
-        for a, b in zip(padded, packed):
-            assert np.abs(a[real] - b).max() <= 1e-12
-
-    def test_packed_without_pad_equals_unpacked(self, rng):
-        mask = GQA_MASKS["causal"]
-        q, k, v = (rng.normal(size=(8, 8)), rng.normal(size=(8, 4)),
-                   rng.normal(size=(8, 4)))
-        a = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0).data
-        b = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0,
-                            np.arange(8)).data
-        np.testing.assert_array_equal(a, b)
-
-    def test_bad_real_index_rejected(self):
-        mask = GQA_MASKS["ragged_causal"]
-        q, kv = t(np.ones((6, 8))), t(np.ones((6, 4)))
-        for real in ([0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 5, 4], [0, 1, 2, 3, 4, 8]):
-            with pytest.raises(ValueError, match="real positions"):
-                T.gqa_attention(q, kv, kv, mask, 2, 1, 100.0, real)
-        with pytest.raises(ValueError, match="shape"):
-            T.gqa_attention(q, kv, kv, mask, 2, 1, 100.0, [0, 1, 2, 3, 4])
-
-    def test_masked_keys_get_exactly_zero_weight(self, rng):
-        mask = GQA_MASKS["ragged_bidirectional"]
-        q, k, v = (rng.normal(size=(8, 8)), rng.normal(size=(8, 4)),
-                   rng.normal(size=(8, 4)))
-        base = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0).data
-        pad = ~np.asarray([[True, True, True, False],
-                           [True, False, False, False]]).reshape(-1)
-        k[pad] = rng.normal(size=(pad.sum(), 4)) * 1e3
-        v[pad] = rng.normal(size=(pad.sum(), 4)) * 1e3
-        moved = T.gqa_attention(t(q), t(k), t(v), mask, 2, 1, 100.0).data
-        np.testing.assert_array_equal(base, moved)
+        check_against_per_head(pads, mode is CAUSAL, kv_heads, rng)
 
     def test_shape_mismatch_rejected(self):
-        mask = GQA_MASKS["causal"]
-        with pytest.raises(ValueError, match="shape"):
-            T.gqa_attention(t(np.ones((8, 8))), t(np.ones((8, 4))),
-                            t(np.ones((7, 4))), mask, 2, 1, 100.0)
+        # q, k and v must each have one row per real position: pad.sum()
+        pad = [[True] * 4, [True, True, False, False]]
+        good = [t(np.ones((6, w))) for w in (8, 4, 4)]
+        T.gqa_attention(*good, pad, True, 2, 1, 100.0)
+        for i in range(3):
+            for rows in (5, 8):  # one short, and the whole [B*T] grid
+                args = list(good)
+                args[i] = t(np.ones((rows, args[i].data.shape[1])))
+                with pytest.raises(ValueError, match="shape"):
+                    T.gqa_attention(*args, pad, True, 2, 1, 100.0)
 
 
 class TestWeightedCrossEntropy:
