@@ -357,6 +357,8 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
     side by side, [N, heads*hd].
     """
     pad = np.asarray(pad, dtype=bool)
+    if pad.ndim != 2:
+        raise ValueError(f"attention: pad must be [B, T], got {pad.shape}")
     if not pad.any(axis=1).all():
         raise ValueError("attention: all positions padded")
     B, seq_len = pad.shape

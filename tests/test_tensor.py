@@ -474,6 +474,17 @@ class TestGqaAttention:
                 with pytest.raises(ValueError, match="shape"):
                     T.gqa_attention(*args, pad, True, 2, 1, 100.0)
 
+    def test_bad_real_index_rejected(self):
+        # the real positions come from pad: it must be [B, T] with a real
+        # position in every row
+        q, kv = t(np.ones((4, 8))), t(np.ones((4, 4)))
+        for pad in ([True] * 4, [[[True] * 2] * 2]):
+            with pytest.raises(ValueError, match=r"\[B, T\]"):
+                T.gqa_attention(q, kv, kv, pad, True, 2, 1, 100.0)
+        with pytest.raises(ValueError, match="padded"):
+            T.gqa_attention(q, kv, kv, [[True] * 4, [False] * 4], True, 2, 1,
+                            100.0)
+
 
 class TestWeightedCrossEntropy:
     def test_weights_give_mean_of_row_means(self, rng):
