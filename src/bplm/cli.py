@@ -1,6 +1,6 @@
 """Command-line entry point: pretrain, cpt, finetune, report.
 
-Configs are flat INI files with [model], [train], [data] sections; a named
+Configs are flat INI files whose sections and keys are DEFAULTS's; a named
 preset under [experiment] expands to fully explicit values, and the expanded
 config is written next to the outputs for provenance.
 """
@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -29,36 +31,34 @@ from .runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
 
 PRESETS = {
     "pfs-clm": {"train": {"objective": "clm"}},
-    "pfs-mlm-20": {"train": {"objective": "mlm", "mask_ratio": "0.20"}},
-    "pfs-mlm-30": {"train": {"objective": "mlm", "mask_ratio": "0.30"}},
-    "pfs-mlm-40": {"train": {"objective": "mlm", "mask_ratio": "0.40"}},
-    "pfs-mlm-50": {"train": {"objective": "mlm", "mask_ratio": "0.50"}},
-    "biphasic-25-75": {"train": {"objective": "biphasic", "clm_fraction": "0.25"}},
-    "biphasic-50-50": {"train": {"objective": "biphasic", "clm_fraction": "0.50"}},
-    "biphasic-75-25": {"train": {"objective": "biphasic", "clm_fraction": "0.75"}},
-    "cpt-from-clm-2k": {"cpt": {"steps": "2000"}},
-    "cpt-from-clm-12k": {"cpt": {"steps": "12000"}},
-    "cpt-from-clm-22k": {"cpt": {"steps": "22000"}},
+    "pfs-mlm-20": {"train": {"objective": "mlm", "mask_ratio": 0.20}},
+    "pfs-mlm-30": {"train": {"objective": "mlm", "mask_ratio": 0.30}},
+    "pfs-mlm-40": {"train": {"objective": "mlm", "mask_ratio": 0.40}},
+    "pfs-mlm-50": {"train": {"objective": "mlm", "mask_ratio": 0.50}},
+    "biphasic-25-75": {"train": {"objective": "biphasic", "clm_fraction": 0.25}},
+    "biphasic-50-50": {"train": {"objective": "biphasic", "clm_fraction": 0.50}},
+    "biphasic-75-25": {"train": {"objective": "biphasic", "clm_fraction": 0.75}},
+    "cpt-from-clm-2k": {"cpt": {"steps": 2000}},
+    "cpt-from-clm-12k": {"cpt": {"steps": 12000}},
+    "cpt-from-clm-22k": {"cpt": {"steps": 22000}},
 }
 
+# The schema: every settable section and key, with its default, whose type
+# is the type a value in the file is converted to.
 DEFAULTS = {
-    "model": {
-        "layers": "2", "embed_dim": "64", "ffn_dim": "128", "heads": "4",
-        "kv_heads": "2", "vocab_size": "256", "max_seq_len": "128",
-        "rope_theta": "10000.0", "rmsnorm_eps": "1e-5",
-    },
+    "experiment": {"preset": ""},
+    "model": asdict(ModelConfig()),
     "train": {
-        "objective": "clm", "total_steps": "100", "warmup_steps": "10",
-        "decay_steps": "5", "peak_lr": "5e-4", "mask_ratio": "0.40",
-        "clm_fraction": "0.5", "batch_rows": "4", "seed": "0",
-        "checkpoint_cadence": "0", "clip_norm": "1.0", "weight_decay": "0.1",
+        "objective": "clm", "total_steps": 100, "warmup_steps": 10,
+        "decay_steps": 5, "peak_lr": 5e-4, "mask_ratio": 0.40,
+        "clm_fraction": 0.5, "batch_rows": 4, "seed": 0,
+        "checkpoint_cadence": 0, "clip_norm": 1.0, "weight_decay": 0.1,
     },
     "data": {
-        "generator": "markov_k", "order": "1", "num_symbols": "6",
-        "target_tokens": "20000", "min_len": "8", "max_len": "64",
-        "seed": "0",
+        "generator": "markov_k", "order": 1, "num_symbols": 6,
+        "target_tokens": 20000, "min_len": 8, "max_len": 64, "seed": 0,
     },
-    "cpt": {"steps": "2000", "mask_ratio": "0.40"},
+    "cpt": {"steps": 2000, "mask_ratio": 0.40},
 }
 
 
@@ -66,46 +66,49 @@ class CliError(Exception):
     pass
 
 
-def expand_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+def expand_config(path: str) -> dict:
+    """The run's config, {section: {key: typed value}}: DEFAULTS, then the
+    [experiment] preset, then the file's values, each converted to its
+    default's type. A section, key or value DEFAULTS does not take raises
+    CliError naming it."""
     if not os.path.exists(path):
         raise CliError(f"config file not found: {path}")
-    parser.read(path)
-
-    expanded = configparser.ConfigParser()
-    for section, values in DEFAULTS.items():
-        expanded[section] = dict(values)
-    preset = parser.get("experiment", "preset", fallback=None)
-    if preset:
-        if preset not in PRESETS:
-            raise CliError(f"unknown preset {preset!r}; "
-                           f"known: {', '.join(sorted(PRESETS))}")
-        for section, values in PRESETS[preset].items():
-            expanded[section].update(values)
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except configparser.Error as e:  # names the file; one line, not several
+        raise CliError(" ".join(str(e).split())) from None
+    if parser.defaults():
+        raise CliError(f"{path}: unknown section [{parser.default_section}]")
+    given = {}
     for section in parser.sections():
-        if section == "experiment":
-            continue
-        if section not in expanded:
-            expanded[section] = {}
-        expanded[section].update(dict(parser[section]))
-    if "experiment" in parser:
-        expanded["experiment"] = dict(parser["experiment"])
-    return expanded
+        if section not in DEFAULTS:
+            raise CliError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            where = f"{path}: [{section}] {key}"
+            if key not in DEFAULTS[section]:
+                raise CliError(f"{where}: unknown key")
+            kind = type(DEFAULTS[section][key])
+            try:
+                value = kind(parser[section][key])
+            except (configparser.Error, ValueError) as e:
+                raise CliError(f"{where}: {e}") from None
+            if kind is float and not math.isfinite(value):
+                raise CliError(f"{where}: {value} is not finite")
+            given.setdefault(section, {})[key] = value
+    preset = given.get("experiment", {}).get("preset", "")
+    if preset and preset not in PRESETS:
+        raise CliError(f"unknown preset {preset!r}; "
+                       f"known: {', '.join(sorted(PRESETS))}")
+    cfg = {section: dict(keys) for section, keys in DEFAULTS.items()}
+    for layer in (PRESETS.get(preset, {}), given):
+        for section, keys in layer.items():
+            cfg[section].update(keys)
+    return cfg
 
 
-def _model_config(cfg) -> ModelConfig:
-    m = cfg["model"]
-    return ModelConfig(
-        layers=m.getint("layers"), embed_dim=m.getint("embed_dim"),
-        ffn_dim=m.getint("ffn_dim"), heads=m.getint("heads"),
-        kv_heads=m.getint("kv_heads"), vocab_size=m.getint("vocab_size"),
-        max_seq_len=m.getint("max_seq_len"),
-        rope_theta=m.getfloat("rope_theta"),
-        rmsnorm_eps=m.getfloat("rmsnorm_eps"),
-    )
-
-
-def _train_setup(cfg, args, model_cfg: ModelConfig, cpt: bool = False):
+def _train_setup(cfg: dict, args, model_cfg: ModelConfig, cpt: bool = False):
     """The run's TrainConfig, corpus and batch stream, for pretrain and cpt
     alike. --seed is written into cfg, so config.ini records the seed the
     run used. CPT always masks, at its [cpt] ratio, and runs its own plan,
@@ -113,50 +116,42 @@ def _train_setup(cfg, args, model_cfg: ModelConfig, cpt: bool = False):
     the [train] plan and schedule are pretraining's only."""
     t = cfg["train"]
     if args.seed is not None:
-        t["seed"] = str(args.seed)
-    objective = "mlm" if cpt else t.get("objective")
-    mask_ratio = cfg["cpt" if cpt else "train"].getfloat("mask_ratio")
+        t["seed"] = args.seed
+    objective = "mlm" if cpt else t["objective"]
+    mask_ratio = cfg["cpt" if cpt else "train"]["mask_ratio"]
     if objective in ("mlm", "biphasic") and not args.allow_nonstudy:
         if not any(abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
             raise CliError(
                 f"masking ratio {mask_ratio} outside the study set "
                 f"{STUDY_MASK_RATIOS}; pass --allow-nonstudy to override")
     if cpt:
-        steps = cfg["cpt"].getint("steps")
+        steps = cfg["cpt"]["steps"]
         plan = [(Objective.MLM, steps)]
-        schedule = rescaled_schedule(t.getfloat("peak_lr"), steps,
-                                     CPT_DECAY_SHARE)
+        schedule = rescaled_schedule(t["peak_lr"], steps, CPT_DECAY_SHARE)
     else:
-        total = t.getint("total_steps")
-        if objective == "clm":
-            plan = [(Objective.CLM, total)]
-        elif objective == "mlm":
-            plan = [(Objective.MLM, total)]
+        total = t["total_steps"]
+        if total < 1:
+            raise ValueError("[train] total_steps must be >= 1")
+        if objective in ("clm", "mlm"):
+            plan = [(Objective(objective), total)]
         elif objective == "biphasic":
-            clm_steps = int(total * t.getfloat("clm_fraction"))
+            clm_steps = int(total * t["clm_fraction"])
             plan = [(Objective.CLM, clm_steps),
                     (Objective.MLM, total - clm_steps)]
         else:
             raise CliError(f"unknown objective {objective!r}")
-        schedule = WsdSchedule(peak_lr=t.getfloat("peak_lr"),
-                               warmup_steps=t.getint("warmup_steps"),
-                               total_steps=total,
-                               decay_steps=t.getint("decay_steps"))
+        schedule = WsdSchedule(
+            peak_lr=t["peak_lr"], warmup_steps=t["warmup_steps"],
+            total_steps=total, decay_steps=t["decay_steps"])
     train_cfg = TrainConfig(
         objective_plan=plan, schedule=schedule, mask_ratio=mask_ratio,
-        seed=t.getint("seed"), clip_norm=t.getfloat("clip_norm"),
-        weight_decay=t.getfloat("weight_decay"),
-        checkpoint_cadence=t.getint("checkpoint_cadence"),
+        seed=t["seed"], clip_norm=t["clip_norm"], weight_decay=t["weight_decay"],
+        checkpoint_cadence=t["checkpoint_cadence"],
     )
-    d = cfg["data"]
-    spec = CorpusSpec(
-        generator=d.get("generator"), order=d.getint("order"),
-        num_symbols=d.getint("num_symbols"), seed=d.getint("seed"),
-        target_tokens=d.getint("target_tokens"), min_len=d.getint("min_len"),
-        max_len=min(d.getint("max_len"), model_cfg.max_seq_len),
-    )
+    spec = CorpusSpec(**dict(cfg["data"], max_len=min(
+        cfg["data"]["max_len"], model_cfg.max_seq_len)))
     corpus = gen_corpus(spec)
-    stream = pack_batches(corpus.sequences, t.getint("batch_rows"),
+    stream = pack_batches(corpus.sequences, t["batch_rows"],
                           spec.min_len, spec.max_len, PAD_ID, train_cfg.seed)
     return train_cfg, corpus, stream
 
@@ -168,16 +163,18 @@ def _out_dir(args, default_name: str) -> str:
         os.environ.get("BPLM_OUT_DIR", "runs"), default_name)
 
 
-def _write_expanded(cfg, out_dir: str) -> None:
+def _write_expanded(cfg: dict, out_dir: str) -> None:
+    parser = configparser.ConfigParser()
+    parser.read_dict(cfg)
     with open(os.path.join(out_dir, "config.ini"), "w") as f:
-        cfg.write(f)
+        parser.write(f)
 
 
 def cmd_pretrain(args) -> int:
     cfg = expand_config(args.config)
-    model_cfg = _model_config(cfg)
+    model_cfg = ModelConfig(**cfg["model"])
     train_cfg, corpus, stream = _train_setup(cfg, args, model_cfg)
-    out = _out_dir(args, cfg.get("experiment", "preset", fallback="pretrain"))
+    out = _out_dir(args, cfg["experiment"]["preset"] or "pretrain")
     os.makedirs(out, exist_ok=True)  # cadence checkpoints land here
     train_cfg.checkpoint_dir = out
 
@@ -186,7 +183,7 @@ def cmd_pretrain(args) -> int:
     if train_cfg.switch_step() is not None:
         print(f"biphasic switch at step {train_cfg.switch_step()}")
     save_checkpoint(final, os.path.join(out, "final.ckpt"))
-    write_trace(trace, os.path.join(out, "metrics.csv"))
+    write_trace(trace, out)
     _write_expanded(cfg, out)
     print(f"pretrained {final.step} steps; corpus entropy rate "
           f"{corpus.entropy_rate:.4f} nats/token; final loss "
@@ -205,7 +202,7 @@ def cmd_cpt(args) -> int:
                     force=args.force, trace=trace)
     os.makedirs(out, exist_ok=True)
     save_checkpoint(final, os.path.join(out, "final.ckpt"))
-    write_trace(trace, os.path.join(out, "metrics.csv"))
+    write_trace(trace, out)
     _write_expanded(cfg, out)
     print(f"cpt complete: {cpt_steps} MLM steps (bidirectional from step 0); "
           f"history {final.objective_history}; artifacts in {out}")

@@ -182,6 +182,8 @@ class BatchStream:
 
     def __init__(self, sequences: Sequence[Sequence[int]], batch_rows: int,
                  min_len: int, max_len: int, pad_id: int, seed: int):
+        if batch_rows < 1:
+            raise ValueError("batch_rows must be >= 1")
         self.pool = [list(s)[:max_len] for s in sequences if len(s) >= min_len]
         self.discarded = len(sequences) - len(self.pool)
         if not self.pool:
@@ -416,8 +418,15 @@ def load_task_dataset(directory) -> TaskDataset:
     """Load a dataset directory; besides load_jsonl's checks, SC labels must
     lie in [0, num_classes) and TC tags in the tagset."""
     import os
-    with open(os.path.join(directory, "dataset.json")) as f:
+    path = os.path.join(directory, "dataset.json")
+    with open(path) as f:
         meta = json.load(f)
+    for key, kind, default in (("task", str, None), ("num_classes", int, 0),
+                               ("tagset", list, [])):
+        value = meta.get(key, default) if isinstance(meta, dict) else None
+        if type(value) is not kind:
+            raise ValueError(f"{path}: {key!r} must be a {kind.__name__}, "
+                             f"got {value!r}")
     ds = TaskDataset(task=meta["task"], train=[], validation=[], test=[],
                      num_classes=meta.get("num_classes", 0),
                      tagset=tuple(meta.get("tagset", ())))

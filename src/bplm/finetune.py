@@ -39,6 +39,14 @@ class GridSearchSpec:
     max_steps: int = 1000
     batch_size: int = 32
 
+    def __post_init__(self):
+        for name in ("learning_rates", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for name in ("max_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 @dataclass
 class RunReport:

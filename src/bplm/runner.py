@@ -35,8 +35,10 @@ CHECKPOINT_VERSION = 2
 
 CPT_DECAY_SHARE = 0.05  # of the CPT steps, after a 10% warmup
 
-TRACE_FIELDS = ("step", "phase", "objective", "lr", "loss",
-                "masked_fraction", "wall_ms")
+# metrics.csv holds the deterministic columns, so reruns match byte for
+# byte; the wall clock goes to timing.csv
+TRACE_FIELDS = ("step", "phase", "objective", "lr", "loss", "masked_fraction")
+TIMING_FIELDS = ("step", "wall_ms")
 
 
 @dataclass
@@ -51,6 +53,8 @@ class TrainConfig:
     checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):
+        if self.checkpoint_cadence < 0:
+            raise ValueError("checkpoint_cadence must be >= 0")
         if any(steps < 0 for _, steps in self.objective_plan):
             raise ValueError("phase step counts must be non-negative")
         planned = sum(steps for _, steps in self.objective_plan)
@@ -228,11 +232,17 @@ def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
                    resume_from=start, trace=trace)
 
 
-def write_trace(trace: Sequence[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=TRACE_FIELDS)
-        writer.writeheader()
-        writer.writerows(trace)
+def write_trace(trace: Sequence[dict], directory) -> None:
+    """The trace's metrics.csv (TRACE_FIELDS) and timing.csv
+    (TIMING_FIELDS) in directory."""
+    for name, fields in (("metrics.csv", TRACE_FIELDS),
+                         ("timing.csv", TIMING_FIELDS)):
+        with open(os.path.join(directory, name), "w", newline="",
+                  encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=fields,
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(trace)
 
 
 # ---------------------------------------------------------------------------

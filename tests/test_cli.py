@@ -46,14 +46,14 @@ class TestExpandConfig:
         path = write_config(tmp_path, "[experiment]\npreset = pfs-mlm-30\n")
         cfg = expand_config(path)
         assert cfg["train"]["objective"] == "mlm"
-        assert cfg["train"]["mask_ratio"] == "0.30"
-        assert cfg["model"]["layers"] == "2"  # defaults filled in
+        assert cfg["train"]["mask_ratio"] == 0.30
+        assert cfg["model"]["layers"] == 2  # defaults filled in
 
     def test_explicit_overrides_preset(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\npreset = pfs-mlm-30\n"
                                       "[train]\nmask_ratio = 0.50\n")
         cfg = expand_config(path)
-        assert cfg["train"]["mask_ratio"] == "0.50"
+        assert cfg["train"]["mask_ratio"] == 0.50
 
     def test_unknown_preset(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\npreset = nope\n")
@@ -64,6 +64,45 @@ class TestExpandConfig:
         with pytest.raises(CliError, match="not found"):
             expand_config("/does/not/exist.ini")
 
+    @pytest.mark.parametrize("preset", ["", "biphasic-25-75"])
+    def test_written_config_reads_back_equal(self, tmp_path, preset):
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + f"[experiment]\npreset = {preset}\n"
+                             "[train]\ntotal_steps = 8\nwarmup_steps = 2\n"
+                             "decay_steps = 2\npeak_lr = 1e-3\n")
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 0
+        written = expand_config(os.path.join(out, "config.ini"))
+        assert written == expand_config(cfg)
+        assert written["train"]["peak_lr"] == 1e-3
+
+    @pytest.mark.parametrize("body, named", [
+        ("[modle]\nlayers = 1\n", "unknown section [modle]"),
+        ("[DEFAULT]\nseed = 1\n", "unknown section [DEFAULT]"),
+        ("[model]\nembed_dims = 32\n", "[model] embed_dims: unknown key"),
+        ("[train]\ntotl_steps = 8\n", "[train] totl_steps: unknown key"),
+        ("[data]\nsymbols = 4\n", "[data] symbols: unknown key"),
+        ("[cpt]\nstep = 4\n", "[cpt] step: unknown key"),
+        ("[experiment]\npreset = pfs-clm\nname = x\n",
+         "[experiment] name: unknown key"),
+        ("[model]\nlayers = 2.5\n", "[model] layers: invalid literal"),
+        ("[model]\nrope_theta = inf\n", "[model] rope_theta: inf is not"),
+        ("layers = 1\n", "no section headers"),
+        ("[model]\nlayers = 1\nlayers = 2\n", "option 'layers' in section "
+                                              "'model' already exists"),
+        ("[train]\npeak_lr = 5e-4%\n", "[train] peak_lr: '%' must be"),
+    ], ids=["section", "default-section", "model-key", "train-key",
+            "data-key", "cpt-key", "experiment-key", "int-given-float",
+            "inf", "no-header", "duplicate-key", "stray-percent"])
+    def test_bad_config_refused(self, tmp_path, capsys, body, named):
+        cfg = write_config(tmp_path, body)
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
+        assert named in err
+        assert not os.path.exists(out)
+
 
 class TestPretrain:
     def test_artifacts_written(self, tmp_path):
@@ -73,9 +112,12 @@ class TestPretrain:
         out = str(tmp_path / "out")
         assert main(["pretrain", "--config", cfg, "--out", out]) == 0
         assert sorted(os.listdir(out)) == ["config.ini", "final.ckpt",
-                                           "metrics.csv"]
+                                           "metrics.csv", "timing.csv"]
         rows = read_csv(os.path.join(out, "metrics.csv"))
-        assert len(rows) == 8
+        assert len(rows) == 8 and "wall_ms" not in rows[0]
+        timing = read_csv(os.path.join(out, "timing.csv"))
+        assert [list(r) for r in timing] == [["step", "wall_ms"]] * 8
+        assert [int(r["step"]) for r in timing] == list(range(8))
         ckpt = load_checkpoint(os.path.join(out, "final.ckpt"))
         assert ckpt.step == 8 and ckpt.decayed
 
@@ -100,14 +142,10 @@ class TestPretrain:
             out = str(tmp_path / name)
             assert main(["pretrain", "--config", cfg, "--out", out]) == 0
             outs.append(out)
-
-        def stripped(out):
-            return [{k: v for k, v in row.items() if k != "wall_ms"}
-                    for row in read_csv(os.path.join(out, "metrics.csv"))]
-        assert stripped(outs[0]) == stripped(outs[1])
-        a = open(os.path.join(outs[0], "final.ckpt"), "rb").read()
-        b = open(os.path.join(outs[1], "final.ckpt"), "rb").read()
-        assert a == b  # checkpoints are bit-exact across reruns
+        for name in ("metrics.csv", "final.ckpt"):  # wall_ms is in timing.csv
+            a = open(os.path.join(outs[0], name), "rb").read()
+            b = open(os.path.join(outs[1], name), "rb").read()
+            assert a == b
 
     def test_nonstudy_mask_ratio_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
@@ -130,6 +168,18 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite .* at step \d+\n", err), err
         assert not os.path.exists(os.path.join(out, "final.ckpt"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("total_steps", 0), ("checkpoint_cadence", -1), ("batch_rows", 0)])
+    def test_run_bounds_refused(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\nwarmup_steps = 0\ndecay_steps = 0\n"
+                           + f"{key} = {value}\n")
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: [^\n]*{key}[^\n]*\n", err), err
+        assert not os.path.exists(out)
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
@@ -285,6 +335,15 @@ class TestFinetuneAndReport:
         assert len(summary) == 6 * 2  # per (lr, split)
         assert all(r["metric"] == "accuracy" for r in summary)
         assert all(r["n"] == "1" and r["ci95"] == "" for r in summary)
+
+    def test_zero_seeds_refused(self, tmp_path, capsys):
+        ds_dir = str(tmp_path / "sc-synth")
+        save_task_dataset(gen_task_data("SC", 30, 0, seq_len=8), ds_dir)
+        out = str(tmp_path / "ft")
+        assert main(["finetune", self.checkpoint(tmp_path), ds_dir,
+                     "--seeds", "0", "--out", out]) == 1
+        assert "error: seeds must not be empty" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1

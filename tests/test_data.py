@@ -342,6 +342,10 @@ class TestBatchStream:
                               pad_id=PAD_ID, seed=0)
         assert stream.discarded == 2
 
+    def test_zero_rows_refused(self):
+        with pytest.raises(ValueError, match="batch_rows"):
+            self.make(batch_rows=0)
+
     def test_all_discarded(self):
         with pytest.raises(ValueError):
             pack_batches([[5]], batch_rows=1, min_len=4, max_len=8,
@@ -535,6 +539,20 @@ class TestTaskDatasetLabels:
                            "tags": ["O", "X-FOO"]})
         with pytest.raises(ValueError,
                            match=r"train.jsonl: line 3: tags \['X-FOO'\]"):
+            load_task_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("task", None), ("num_classes", "3"), ("tagset", "OBI")])
+    def test_bad_metadata(self, tmp_path, key, value):
+        save_task_dataset(gen_task_data("SC", 40, 0), tmp_path)
+        path = tmp_path / "dataset.json"
+        meta = json.loads(path.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"dataset.json: '{key}' must"):
             load_task_dataset(tmp_path)
 
     @pytest.mark.parametrize("label", [3, -1])

@@ -469,6 +469,15 @@ class TestCi95:
         assert ci95_half_width([0.7]) is None
 
 
+class TestGridSearchSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", ()), ("learning_rates", ()), ("max_steps", 0),
+        ("batch_size", 0)])
+    def test_empty_grid_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GridSearchSpec(**{field: value})
+
+
 class TestFinetuneEndToEnd:
     def test_sc_learnable(self):
         base = pretrained_base()

@@ -78,6 +78,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="cover"):
             train_cfg([(Objective.CLM, 5)], total=10)
 
+    def test_negative_checkpoint_cadence_refused(self):
+        with pytest.raises(ValueError, match="checkpoint_cadence"):
+            train_cfg([(Objective.CLM, 10)], total=10, checkpoint_cadence=-1)
+
     def test_biphasic_order_enforced(self):
         with pytest.raises(ValueError, match="CLM first"):
             train_cfg([(Objective.MLM, 5), (Objective.CLM, 5)], total=10)
@@ -577,12 +581,16 @@ class TestWriteTrace:
         cfg = train_cfg([(Objective.MLM, 5)], total=5)
         trace = []
         run_pfs(cfg, make_stream(), CFG, trace=trace)
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        with open(path) as f:
+        write_trace(trace, tmp_path)
+        with open(tmp_path / "metrics.csv") as f:
             rows = list(csv.DictReader(f))
-        assert len(rows) == 5
+        with open(tmp_path / "timing.csv") as f:
+            timing = list(csv.DictReader(f))
+        assert len(rows) == len(timing) == 5
         assert list(rows[0]) == ["step", "phase", "objective", "lr", "loss",
-                                 "masked_fraction", "wall_ms"]
+                                 "masked_fraction"]
+        assert list(timing[0]) == ["step", "wall_ms"]
         assert [int(r["step"]) for r in rows] == list(range(5))
+        assert [int(r["step"]) for r in timing] == list(range(5))
         assert float(rows[0]["lr"]) == trace[0]["lr"]
+        assert float(timing[0]["wall_ms"]) == trace[0]["wall_ms"]
