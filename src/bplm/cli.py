@@ -52,7 +52,7 @@ DEFAULTS = {
         "objective": "clm", "total_steps": 100, "warmup_steps": 10,
         "decay_steps": 5, "peak_lr": 5e-4, "mask_ratio": 0.40,
         "clm_fraction": 0.5, "batch_rows": 4, "seed": 0,
-        "checkpoint_cadence": 0, "clip_norm": 1.0, "weight_decay": 0.1,
+        "checkpoint_cadence": 0,
     },
     "data": {
         "generator": "markov_k", "order": 1, "num_symbols": 6,
@@ -145,9 +145,7 @@ def _train_setup(cfg: dict, args, model_cfg: ModelConfig, cpt: bool = False):
             total_steps=total, decay_steps=t["decay_steps"])
     train_cfg = TrainConfig(
         objective_plan=plan, schedule=schedule, mask_ratio=mask_ratio,
-        seed=t["seed"], clip_norm=t["clip_norm"], weight_decay=t["weight_decay"],
-        checkpoint_cadence=t["checkpoint_cadence"],
-    )
+        seed=t["seed"], checkpoint_cadence=t["checkpoint_cadence"])
     spec = CorpusSpec(**dict(cfg["data"], max_len=min(
         cfg["data"]["max_len"], model_cfg.max_seq_len)))
     corpus = gen_corpus(spec)

@@ -19,9 +19,9 @@ from .objectives import LmBatch, select_mask  # noqa: F401 (re-export)
 
 PAD_ID = 0
 MASK_ID = 1
-UNK_ID = 2
-NUM_RESERVED = 3
+NUM_RESERVED = 3  # ids 0..2; id 2 is reserved but unused
 MAX_MARKOV_STATES = 4096  # gen_corpus's dense state chain: 128 MiB
+PEAKEDNESS = 8.0  # added to one entry per Markov row; higher, lower entropy
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class CorpusSpec:
     min_len: int = 8
     max_len: int = 128
     pattern: Tuple[int, ...] = ()          # repeated_pattern only
-    peakedness: float = 8.0                # higher -> lower entropy chain
     transition: Optional[Tuple[Tuple[float, ...], ...]] = None  # explicit P
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class CorpusSpec:
             raise ValueError("order must be >= 0")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be >= 1")
-        if not self.peakedness >= 0:
-            raise ValueError("peakedness must be >= 0")
         if self.generator == "markov_k" \
                 and self.num_symbols ** self.order > MAX_MARKOV_STATES:
             raise ValueError(f"num_symbols ** order = {self.num_symbols} ** "
@@ -80,11 +77,11 @@ def _stationary(P: np.ndarray) -> np.ndarray:
 
 def _markov_table(spec: CorpusSpec, rng: np.random.Generator) -> np.ndarray:
     """Row-stochastic transition table over order-k states via a Dirichlet
-    with one boosted entry per row (peaked, hence learnable)."""
+    with one entry per row boosted by PEAKEDNESS (peaked, so learnable)."""
     n_states = spec.num_symbols ** spec.order
     P = rng.dirichlet(np.ones(spec.num_symbols), size=n_states)
     boost = rng.integers(0, spec.num_symbols, size=n_states)
-    P[np.arange(n_states), boost] += spec.peakedness
+    P[np.arange(n_states), boost] += PEAKEDNESS
     P /= P.sum(axis=1, keepdims=True)
     return P
 
@@ -241,6 +238,8 @@ class TaskDataset:
 
 TC_TYPES = ("PER", "LOC")
 TC_TAGSET = ("O",) + tuple(f"{b}-{t}" for t in TC_TYPES for b in ("B", "I"))
+TASK_SEQ_LEN = 16  # tokens per sequence (each IR document)
+IR_NEGATIVES = 3  # documents per IR example besides the positive
 
 # token-id layout for synthetic tasks (all < 64 so tiny vocabs work)
 _FILLER = list(range(8, 24))
@@ -255,22 +254,22 @@ def _rand_filler(rng, n) -> List[int]:
     return [int(x) for x in rng.choice(_FILLER, size=n)]
 
 
-def _gen_sc(rng, seq_len: int) -> TaskExample:
+def _gen_sc(rng) -> TaskExample:
     label = int(rng.integers(0, len(_SC_KEYWORDS)))
-    tokens = _rand_filler(rng, seq_len)
-    tokens[int(rng.integers(0, seq_len))] = _SC_KEYWORDS[label]
+    tokens = _rand_filler(rng, TASK_SEQ_LEN)
+    tokens[int(rng.integers(0, TASK_SEQ_LEN))] = _SC_KEYWORDS[label]
     return TaskExample("SC", tokens=tokens, label=label)
 
 
-def _gen_tc(rng, seq_len: int) -> TaskExample:
-    tokens = _rand_filler(rng, seq_len)
-    tags = ["O"] * seq_len
+def _gen_tc(rng) -> TaskExample:
+    tokens = _rand_filler(rng, TASK_SEQ_LEN)
+    tags = ["O"] * TASK_SEQ_LEN
     n_entities = int(rng.integers(1, 3))
     for _ in range(n_entities):
         etype = TC_TYPES[int(rng.integers(0, len(TC_TYPES)))]
         lo, hi = _TC_ENTITY[etype]
         length = int(rng.integers(1, 4))
-        start = int(rng.integers(0, seq_len - length + 1))
+        start = int(rng.integers(0, TASK_SEQ_LEN - length + 1))
         if any(tags[i] != "O" for i in range(start, start + length)):
             continue
         for j in range(length):
@@ -279,26 +278,24 @@ def _gen_tc(rng, seq_len: int) -> TaskExample:
     return TaskExample("TC", tokens=tokens, tags=tags)
 
 
-def _gen_qa(rng, seq_len: int) -> TaskExample:
+def _gen_qa(rng) -> TaskExample:
     # answer = run of tokens right after the marker; position 0 is a BOS
     # sentinel reserved for no-answer examples
-    tokens = [_BOS] + _rand_filler(rng, seq_len - 1)
+    tokens = [_BOS] + _rand_filler(rng, TASK_SEQ_LEN - 1)
     if rng.random() < 0.25:
         return TaskExample("QA", tokens=tokens, span=None)
     ans_len = int(rng.integers(1, 4))
-    start = int(rng.integers(1, seq_len - ans_len - 1))
+    start = int(rng.integers(1, TASK_SEQ_LEN - ans_len - 1))
     tokens[start - 1] = _QA_MARKER
     return TaskExample("QA", tokens=tokens, span=(start, start + ans_len - 1))
 
 
-def _gen_ir(rng, seq_len: int, n_negatives: int = 3) -> TaskExample:
+def _gen_ir(rng) -> TaskExample:
     rare = int(rng.choice(_IR_RARE))
     query = _rand_filler(rng, 4) + [rare]
-    positive = _rand_filler(rng, seq_len)
-    positive[int(rng.integers(0, seq_len))] = rare
-    negatives = []
-    for _ in range(n_negatives):
-        negatives.append(_rand_filler(rng, seq_len))
+    positive = _rand_filler(rng, TASK_SEQ_LEN)
+    positive[int(rng.integers(0, TASK_SEQ_LEN))] = rare
+    negatives = [_rand_filler(rng, TASK_SEQ_LEN) for _ in range(IR_NEGATIVES)]
     return TaskExample("IR", query=query, positive=positive,
                        negatives=negatives)
 
@@ -308,8 +305,7 @@ def _example_key(ex: TaskExample) -> tuple:
             tuple(ex.positive or ()))
 
 
-def gen_task_data(task: str, size: int, seed: int,
-                  seq_len: int = 16) -> TaskDataset:
+def gen_task_data(task: str, size: int, seed: int) -> TaskDataset:
     """Learnable-by-construction synthetic dataset with disjoint splits."""
     if size < 30:
         raise ValueError("size must be >= 30 to stratify splits")
@@ -320,7 +316,7 @@ def gen_task_data(task: str, size: int, seed: int,
     examples: List[TaskExample] = []
     seen = set()
     while len(examples) < size:
-        ex = gen[task](rng, seq_len)
+        ex = gen[task](rng)
         key = _example_key(ex)
         if key in seen:
             continue

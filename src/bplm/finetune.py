@@ -126,16 +126,18 @@ def qa_f1(pred_tokens: Sequence[int], gold_tokens: Sequence[int]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def ndcg_at_10(ranked_ids: Sequence, relevance: Dict, k: int = 10
-               ) -> Optional[float]:
-    """DCG@k with gain = relevance and discount 1/log2(rank+1), normalized
-    by the ideal DCG. Returns None when nothing is relevant (query skipped)."""
-    rels = [relevance.get(doc, 0) for doc in ranked_ids]
-    ideal = sorted(relevance.values(), reverse=True)
+NDCG_K = 10  # the ranks ndcg_at_10 scores
+
+
+def ndcg_at_10(ranked_ids: Sequence, relevance: Dict) -> Optional[float]:
+    """DCG@NDCG_K with gain = relevance and discount 1/log2(rank+1),
+    normalized by the ideal DCG. Returns None when nothing is relevant."""
+    rels = [relevance.get(doc, 0) for doc in ranked_ids[:NDCG_K]]
+    ideal = sorted(relevance.values(), reverse=True)[:NDCG_K]
     if not ideal or ideal[0] <= 0:
         return None
-    dcg = sum(r / math.log2(rank + 2) for rank, r in enumerate(rels[:k]))
-    idcg = sum(r / math.log2(rank + 2) for rank, r in enumerate(ideal[:k]))
+    dcg = sum(r / math.log2(rank + 2) for rank, r in enumerate(rels))
+    idcg = sum(r / math.log2(rank + 2) for rank, r in enumerate(ideal))
     return dcg / idcg
 
 
@@ -345,7 +347,7 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
     total_steps = min(spec.max_steps, steps_per_epoch)
     # 10% warmup, then linear decay to zero at total_steps
     schedule = rescaled_schedule(lr, total_steps, 1.0)
-    opt = AdamWState(weight_decay=0.1)
+    opt = AdamWState()
 
     for step in range(total_steps):
         lo = (step % steps_per_epoch) * spec.batch_size
@@ -356,7 +358,7 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
             loss = task_loss(dataset.task, head, params, cfg, batch, dataset)
         backward(loss, tape)
         grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
-        clip_global_norm(grads, 1.0)
+        clip_global_norm(grads)
         adamw_step(trainable, grads, opt, wsd_lr(schedule, step))
     return params, head
 
@@ -394,6 +396,8 @@ def run_grid_search(base: Checkpoint, dataset: TaskDataset,
                     jobs: int = 1) -> RunReport:
     """The full protocol: every (lr, seed) cell fine-tuned and evaluated,
     lr selected on validation, test mean and ci95 reported across seeds."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for name, split in dataset.splits().items():
         if not split:
             raise ValueError(f"empty {name} split")
@@ -419,15 +423,6 @@ def run_grid_search(base: Checkpoint, dataset: TaskDataset,
 def _cell_worker(args) -> dict:
     base, dataset, lr, seed, spec = args
     return _finetune_and_eval(base, dataset, lr, seed, spec)
-
-
-def zero_shot_eval(params: Parameters, cfg: ModelConfig,
-                   dataset: TaskDataset,
-                   split: str = "test") -> float:
-    """NDCG@10 on an IR dataset with no further training (transfer eval)."""
-    if dataset.task != "IR":
-        raise ValueError("zero_shot_eval expects an IR dataset")
-    return ir_eval(params, cfg, dataset.splits()[split])
 
 
 def write_report(report: RunReport, dataset_name: str, path) -> None:

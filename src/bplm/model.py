@@ -19,6 +19,10 @@ class AttentionMode(enum.Enum):
     BIDIRECTIONAL = "bidirectional"
 
 
+ROPE_THETA = 10_000.0
+RMSNORM_EPS = 1e-5
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     layers: int = 2
@@ -28,8 +32,6 @@ class ModelConfig:
     kv_heads: int = 2
     vocab_size: int = 256
     max_seq_len: int = 128
-    rope_theta: float = 10_000.0
-    rmsnorm_eps: float = 1e-5
 
     def __post_init__(self):
         if self.heads % self.kv_heads != 0:
@@ -96,7 +98,7 @@ def attention(hidden: Tensor, params: Parameters, layer: int, cfg: ModelConfig,
     k = T.matmul(hidden, params[f"{p}.wk"])
     v = T.matmul(hidden, params[f"{p}.wv"])
     heads = T.gqa_attention(q, k, v, pad, mode is AttentionMode.CAUSAL,
-                            cfg.heads, cfg.kv_heads, cfg.rope_theta)
+                            cfg.heads, cfg.kv_heads, ROPE_THETA)
     return T.matmul(heads, params[f"{p}.wo"])
 
 
@@ -134,11 +136,11 @@ def forward_batch(params: Parameters, cfg: ModelConfig,
 
     x = T.gather_rows(params["embed"], tokens[pad.reshape(-1)])
     for i in range(cfg.layers):
-        normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], cfg.rmsnorm_eps)
+        normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], RMSNORM_EPS)
         x = T.add(x, attention(normed, params, i, cfg, pad, mode))
-        normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], cfg.rmsnorm_eps)
+        normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], RMSNORM_EPS)
         x = T.add(x, _ffn(normed, params, i))
-    x = T.rms_norm(x, params["final_norm"], cfg.rmsnorm_eps)
+    x = T.rms_norm(x, params["final_norm"], RMSNORM_EPS)
     return x if pad.all() else T.scatter_rows(x, np.flatnonzero(pad), pad.size)
 
 

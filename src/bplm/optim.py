@@ -11,6 +11,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+WEIGHT_DECAY = 0.1  # decoupled, as in AdamW
+CLIP_NORM = 1.0     # global L2 norm the gradients are clipped to
+
 
 @dataclass(frozen=True)
 class WsdSchedule:
@@ -22,6 +25,8 @@ class WsdSchedule:
     def __post_init__(self):
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
+        if self.warmup_steps < 0 or self.decay_steps < 0:
+            raise ValueError("warmup_steps and decay_steps must be >= 0")
         if self.warmup_steps + self.decay_steps > self.total_steps:
             raise ValueError("warmup + decay exceed total steps")
 
@@ -62,7 +67,6 @@ class AdamWState:
     beta1: float = 0.9
     beta2: float = 0.95
     eps: float = 1e-5
-    weight_decay: float = 0.1
     step_count: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -74,20 +78,18 @@ class AdamWState:
         return self.m[name], self.v[name]
 
 
-def clip_global_norm(grads: Dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients by max_norm/g when the global L2 norm g exceeds
-    max_norm. Returns the factor applied; a non-finite g raises."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+def clip_global_norm(grads: Dict[str, np.ndarray]) -> float:
+    """Scale all gradients by CLIP_NORM/g when the global L2 norm g exceeds
+    CLIP_NORM. Returns the factor applied; a non-finite g raises."""
     # accumulate in sorted-name order so the result is independent of dict
     # insertion order (keeps resumed runs bit-exact)
     total = math.sqrt(sum(float((grads[k] ** 2).sum())
                           for k in sorted(grads)))
     if not math.isfinite(total):
         raise ValueError(f"non-finite gradient norm {total}")
-    if total <= max_norm:
+    if total <= CLIP_NORM:
         return 1.0
-    factor = max_norm / total
+    factor = CLIP_NORM / total
     for g in grads.values():
         g *= factor
     return factor
@@ -113,6 +115,6 @@ def adamw_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         v += (1.0 - state.beta2) * g * g
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         # RMSNorm gains (the names holding "norm") never decay
-        if state.weight_decay and "norm" not in name:
-            update = update + lr * state.weight_decay * p.data
+        if "norm" not in name:
+            update = update + lr * WEIGHT_DECAY * p.data
         p.data = p.data - update

@@ -31,7 +31,7 @@ from .optim import (AdamWState, WsdSchedule, adamw_step, clip_global_norm,
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"BPLM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 CPT_DECAY_SHARE = 0.05  # of the CPT steps, after a 10% warmup
 
@@ -47,8 +47,6 @@ class TrainConfig:
     schedule: WsdSchedule
     mask_ratio: float = 0.4
     seed: int = 0
-    clip_norm: float = 1.0
-    weight_decay: float = 0.1
     checkpoint_cadence: int = 0       # steps between saves; 0 disables
     checkpoint_dir: Optional[str] = None
 
@@ -124,13 +122,16 @@ def _masked_fraction(batch: LmBatch) -> float:
 
 def _check_start(start: Checkpoint, cfg: TrainConfig,
                  model_cfg: ModelConfig) -> None:
-    """A start checkpoint must come from a run under the same config."""
+    """A start checkpoint must come from a run under the same config, its
+    history ending in the plan's phases (CPT's "cpt" marker aside)."""
+    plan = [(obj.value, n) for obj, n in cfg.objective_plan if n > 0]
+    ran = [(h["objective"], h["steps"]) for h in start.objective_history]
     for name, have, want in (
             ("model_config", start.model_config, model_cfg),
             ("schedule", start.schedule, cfg.schedule),
             ("seed", start.seed, cfg.seed),
             ("mask_ratio", start.mask_ratio, cfg.mask_ratio),
-            ("weight_decay", start.opt_state.weight_decay, cfg.weight_decay)):
+            ("objective_plan", ran[len(ran) - len(plan):], plan)):
         if have != want:
             raise ValueError(f"start checkpoint {name} {have!r} does not "
                              f"match the run's {want!r}")
@@ -148,7 +149,7 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
     only in phase 2."""
     if resume_from is None:
         params = init_params(model_cfg, cfg.seed)
-        opt_state = AdamWState(weight_decay=cfg.weight_decay)
+        opt_state = AdamWState()
         start = 0
         history = [{"objective": obj.value, "steps": steps}
                    for obj, steps in cfg.objective_plan if steps > 0]
@@ -185,7 +186,7 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
         grads = {name: p.grad for name, p in params.items()
                  if p.grad is not None}
         try:
-            clip_global_norm(grads, cfg.clip_norm)
+            clip_global_norm(grads)
         except ValueError as err:
             raise ValueError(f"{err} at step {step}") from None
         adamw_step(params, grads, opt_state, lr)
@@ -225,8 +226,7 @@ def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
                       schedule=schedule)
     history = list(base.objective_history) + [
         {"objective": Objective.MLM.value, "steps": cpt_steps, "cpt": True}]
-    start = Checkpoint(base.model_config, base.params,
-                       AdamWState(weight_decay=cfg.weight_decay),
+    start = Checkpoint(base.model_config, base.params, AdamWState(),
                        schedule, 0, history, cfg.seed, cfg.mask_ratio)
     return run_pfs(cpt_cfg, stream, base.model_config, mask_id,
                    resume_from=start, trace=trace)
@@ -260,7 +260,6 @@ def _config_block(ckpt: Checkpoint) -> bytes:
         "opt": {
             "beta1": ckpt.opt_state.beta1, "beta2": ckpt.opt_state.beta2,
             "eps": ckpt.opt_state.eps,
-            "weight_decay": ckpt.opt_state.weight_decay,
             "step_count": ckpt.opt_state.step_count,
         },
     }
@@ -367,6 +366,10 @@ def _parse_config_block(block: bytes) -> Checkpoint:
     is a CheckpointError."""
     try:
         cfg = json.loads(block.decode("utf-8"))
+        for entry in cfg["objective_history"]:  # resume checks read these
+            if type(entry["steps"]) is not int:
+                raise TypeError(f"history steps {entry['steps']!r}")
+            Objective(entry["objective"])
         return _typed(Checkpoint,
                       model_config=_typed(ModelConfig, **cfg["model_config"]),
                       params={}, opt_state=_typed(AdamWState, **cfg["opt"]),

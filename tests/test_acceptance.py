@@ -187,22 +187,22 @@ class TestC3ScheduleExactness:
 
 class TestC4OptimizerOracle:
     def test_c4(self):
-        # unit gradient, fresh state, wd=0: update is -lr/(1+eps) ~ -lr
+        # unit gradient, fresh state, zero params (so no decay term): update
+        # is -lr/(1+eps) ~ -lr
         p = {"w": Tensor(np.zeros(3), requires_grad=True)}
-        state = AdamWState(eps=1e-12, weight_decay=0.0)
+        state = AdamWState(eps=1e-12)
         adamw_step(p, {"w": np.ones(3)}, state, lr=0.01)
         step_err = float(np.abs(p["w"].data + 0.01).max())
 
         # decoupled decay, zero gradient: exact (1 - lr*wd) factor
         p2 = {"w": Tensor(np.array([1.5, -2.0]), requires_grad=True)}
-        adamw_step(p2, {"w": np.zeros(2)}, AdamWState(weight_decay=0.1),
-                   lr=0.1)
+        adamw_step(p2, {"w": np.zeros(2)}, AdamWState(), lr=0.1)
         expected = np.array([1.5, -2.0]) * (1 - 0.1 * 0.1)
         decay_exact = float(np.abs(p2["w"].data - expected).max()) < 1e-15
 
         rng = np.random.default_rng(0)
         grads = {f"p{i}": rng.normal(size=16) * 5 for i in range(4)}
-        clip_global_norm(grads, 1.0)
+        clip_global_norm(grads)
         post = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
 
         ok = step_err < 1e-9 and decay_exact and post <= 1.0 + 1e-12

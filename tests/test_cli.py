@@ -86,14 +86,22 @@ class TestExpandConfig:
         ("[experiment]\npreset = pfs-clm\nname = x\n",
          "[experiment] name: unknown key"),
         ("[model]\nlayers = 2.5\n", "[model] layers: invalid literal"),
-        ("[model]\nrope_theta = inf\n", "[model] rope_theta: inf is not"),
+        ("[train]\npeak_lr = inf\n", "[train] peak_lr: inf is not"),
         ("layers = 1\n", "no section headers"),
         ("[model]\nlayers = 1\nlayers = 2\n", "option 'layers' in section "
                                               "'model' already exists"),
         ("[train]\npeak_lr = 5e-4%\n", "[train] peak_lr: '%' must be"),
+        ("[train]\nclip_norm = 1e-6\n", "[train] clip_norm: unknown key"),
+        ("[train]\nweight_decay = 0.0\n",
+         "[train] weight_decay: unknown key"),
+        ("[model]\nrope_theta = 500\n", "[model] rope_theta: unknown key"),
+        ("[model]\nrmsnorm_eps = 1e-6\n",
+         "[model] rmsnorm_eps: unknown key"),
     ], ids=["section", "default-section", "model-key", "train-key",
             "data-key", "cpt-key", "experiment-key", "int-given-float",
-            "inf", "no-header", "duplicate-key", "stray-percent"])
+            "inf", "no-header", "duplicate-key", "stray-percent",
+            "clip-norm-constant", "weight-decay-constant",
+            "rope-theta-constant", "rmsnorm-eps-constant"])
     def test_bad_config_refused(self, tmp_path, capsys, body, named):
         cfg = write_config(tmp_path, body)
         out = str(tmp_path / "out")
@@ -181,6 +189,17 @@ class TestPretrain:
         assert re.fullmatch(rf"error: [^\n]*{key}[^\n]*\n", err), err
         assert not os.path.exists(out)
 
+    def test_negative_decay_steps_refused(self, tmp_path, capsys):
+        # used to train with no decay and save a final.ckpt counted decayed
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\ntotal_steps = 6\nwarmup_steps = 2\n"
+                             "decay_steps = -3\n")
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*decay_steps[^\n]*\n", err), err
+        assert not os.path.exists(out)
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
                            + "[train]\nobjective = clm\ntotal_steps = 4\n"
@@ -228,22 +247,6 @@ class TestCpt:
         assert main(["cpt", os.path.join(pre, "final.ckpt"),
                      "--config", cfg, "--out", out]) == 0
         assert len(read_csv(os.path.join(out, "metrics.csv"))) == steps
-
-    def test_train_clip_norm_and_weight_decay_apply(self, tmp_path):
-        base = os.path.join(self.pretrain(tmp_path), "final.ckpt")
-        finals = {}
-        for name, train in (("default", ""), ("clip", "clip_norm = 1e-6\n"),
-                            ("wd", "weight_decay = 0.0\n")):
-            cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                               + "[cpt]\nsteps = 4\n[train]\n" + train,
-                               f"{name}.ini")
-            out = str(tmp_path / name)
-            assert main(["cpt", base, "--config", cfg, "--out", out]) == 0
-            with open(os.path.join(out, "final.ckpt"), "rb") as f:
-                finals[name] = f.read()
-        assert load_checkpoint(os.path.join(tmp_path, "wd", "final.ckpt")) \
-            .opt_state.weight_decay == 0.0
-        assert finals["clip"] != finals["default"] != finals["wd"]
 
     def test_seed_override_recorded(self, tmp_path):
         pre = self.pretrain(tmp_path)
@@ -313,7 +316,7 @@ class TestFinetuneAndReport:
         ckpt = os.path.join(pre, "final.ckpt")
 
         ds_dir = str(tmp_path / "sc-synth")
-        save_task_dataset(gen_task_data("SC", 30, 0, seq_len=8), ds_dir)
+        save_task_dataset(gen_task_data("SC", 30, 0), ds_dir)
         out = str(tmp_path / "ft")
         assert main(["finetune", ckpt, ds_dir, "--seeds", "1",
                      "--out", out]) == 0
@@ -338,11 +341,21 @@ class TestFinetuneAndReport:
 
     def test_zero_seeds_refused(self, tmp_path, capsys):
         ds_dir = str(tmp_path / "sc-synth")
-        save_task_dataset(gen_task_data("SC", 30, 0, seq_len=8), ds_dir)
+        save_task_dataset(gen_task_data("SC", 30, 0), ds_dir)
         out = str(tmp_path / "ft")
         assert main(["finetune", self.checkpoint(tmp_path), ds_dir,
                      "--seeds", "0", "--out", out]) == 1
         assert "error: seeds must not be empty" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_zero_jobs_refused(self, tmp_path, capsys):
+        ds_dir = str(tmp_path / "sc-synth")
+        save_task_dataset(gen_task_data("SC", 30, 0), ds_dir)
+        out = str(tmp_path / "ft")
+        assert main(["finetune", self.checkpoint(tmp_path), ds_dir,
+                     "--jobs", "0", "--out", out]) == 1
+        assert capsys.readouterr().err \
+            == "error: jobs must be >= 1, got 0\n"
         assert not os.path.exists(out)
 
     def test_report_empty_dir(self, tmp_path, capsys):

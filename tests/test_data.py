@@ -93,8 +93,7 @@ def corpus_specs(draw):
     hi = draw(st.integers(lo, 40))
     kw = dict(generator=generator, order=order, num_symbols=n,
               seed=draw(st.integers(0, 2**16)), min_len=lo, max_len=hi,
-              target_tokens=draw(st.integers(1, 300)),
-              peakedness=draw(st.floats(0.0, 16.0)))
+              target_tokens=draw(st.integers(1, 300)))
     if generator == "repeated_pattern":
         kw["pattern"] = tuple(draw(st.lists(st.integers(0, n - 1),
                                             min_size=1, max_size=5)))
@@ -269,13 +268,10 @@ class TestCorpusSpecValidation:
         (dict(target_tokens=-5), "target_tokens"),
         (dict(order=-1), "order"),
         (dict(num_symbols=0), "num_symbols"),
-        (dict(peakedness=-0.5), "peakedness"),
-        (dict(peakedness=float("nan")), "peakedness"),
         (dict(order=3, num_symbols=17), r"num_symbols \*\* order"),
     ], ids=["pattern-above-range", "pattern-negative", "default-pattern",
             "target-zero", "target-negative", "order-negative",
-            "no-symbols", "peakedness-negative", "peakedness-nan",
-            "too-many-states"])
+            "no-symbols", "too-many-states"])
     def test_bad_spec_rejected(self, kw, field):
         with pytest.raises(ValueError, match=field):
             CorpusSpec(**kw)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bplm import tensor as T
-from bplm.data import (PAD_ID, TC_TAGSET, CorpusSpec, TaskDataset, TaskExample,
-                       gen_corpus, gen_task_data, pack_batches)
+from bplm.data import (PAD_ID, TASK_SEQ_LEN, TC_TAGSET, CorpusSpec,
+                       TaskDataset, TaskExample, gen_corpus, gen_task_data,
+                       pack_batches)
 from bplm.finetune import (EVAL_CHUNK, GridSearchSpec, accuracy, bio_spans,
                            ci95_half_width, encode, entity_f1, evaluate,
                            finetune_one, init_head, ndcg_at_10, qa_f1,
                            run_grid_search, select_best_lr, task_loss,
-                           write_report, zero_shot_eval)
+                           write_report)
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import Objective
 from bplm.optim import WsdSchedule
@@ -180,11 +181,11 @@ class TestTaskLoss:
 
     def test_qa_zero_head_uniform(self):
         params = init_params(CFG, 0)
-        ds = gen_task_data("QA", 30, 0, seq_len=10)
+        ds = gen_task_data("QA", 30, 0)
         head = {"w": Tensor(np.zeros((CFG.embed_dim, 2)), requires_grad=True)}
         loss = task_loss("QA", head, params, CFG, ds.train[:3], ds)
         # 0.5 * (ln T + ln T) = ln T over positions
-        assert abs(loss.item() - math.log(10)) < 1e-12
+        assert abs(loss.item() - math.log(TASK_SEQ_LEN)) < 1e-12
 
     def test_ir_identical_embeddings(self):
         # same document everywhere -> uniform similarities -> ln(num docs)
@@ -553,11 +554,10 @@ class TestFinetuneEndToEnd:
         with pytest.raises(ValueError, match="validation"):
             run_grid_search(base, ds, GridSearchSpec())
 
-    def test_zero_shot_eval_ir_only(self):
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, jobs):
+        # both used to run serially without an error
         base = pretrained_base()
-        sc = gen_task_data("SC", 30, 0)
-        with pytest.raises(ValueError, match="IR"):
-            zero_shot_eval(base.params, CFG, sc)
-        ir = gen_task_data("IR", 30, 0)
-        value = zero_shot_eval(base.params, CFG, ir)
-        assert isinstance(value, float) and 0.0 <= value <= 1.0
+        ds = gen_task_data("SC", 30, 0)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_grid_search(base, ds, GridSearchSpec(), jobs=jobs)

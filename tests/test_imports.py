@@ -1,11 +1,15 @@
-"""No module in src/bplm or tests imports a name it never uses."""
+"""No module in src/bplm or tests imports a name it never uses, and every
+top-level name in src/bplm is read somewhere in src/bplm, tests or
+benchmark."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "bplm").glob("*.py")) \
-    + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "bplm").glob("*.py"))
+MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
+READERS = MODULES + sorted((ROOT / "benchmark").glob("*.py"))
+DEAD_NAME_EXEMPT = {"__all__", "__version__", "main"}
 
 
 def unused_imports(source: str):
@@ -42,3 +46,57 @@ def test_checker_sees_unused_and_exempt_names():
               "from typing import List, Dict\n"
               "__all__ = ['Dict']\nx: List = []\n")
     assert unused_imports(source) == ["os (line 1)"]
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def defined_names(source: str):
+    """Names a module binds at its top level by def, class or assignment."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def read_names(source: str) -> set:
+    """Names a module reads: as a variable, as an attribute, or as a string
+    (getattr, monkeypatch and the benchmark's probes look names up so); an
+    __all__ listing is not a read."""
+    read = set()
+    for top in ast.parse(source).body:
+        if _is_all(top):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def test_no_dead_top_level_names():
+    read = set().union(*(read_names(path.read_text()) for path in READERS))
+    dead = [f"{path.name}: {name}" for path in SRC
+            for name in defined_names(path.read_text())
+            if name not in read | DEAD_NAME_EXEMPT]
+    assert dead == []
+
+
+def test_dead_name_checker_sees_reads():
+    source = ("import os\nA = 1\nB: int = 2\nC = D = 3\n"
+              "def f():\n    return B\nclass K:\n    pass\n"
+              "__all__ = ['A', 'K']\nos.C\ngetattr(os, 'D')\n")
+    assert list(defined_names(source)) \
+        == ["A", "B", "C", "D", "f", "K", "__all__"]
+    assert {"A", "K", "f"} & read_names(source) == set()
+    assert {"B", "C", "D"} <= read_names(source)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplm.optim import (AdamWState, WsdSchedule, adamw_step, clip_global_norm,
-                        rescaled_schedule, wsd_lr)
+from bplm.optim import (WEIGHT_DECAY, AdamWState, WsdSchedule, adamw_step,
+                        clip_global_norm, rescaled_schedule, wsd_lr)
 from bplm.tensor import Tensor
 
 PAPER_SCHEDULE = WsdSchedule(peak_lr=5e-4, warmup_steps=2000,
@@ -48,6 +48,15 @@ class TestWsdLr:
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):
             WsdSchedule(5e-4, 60, 100, 50)
+
+    def test_negative_warmup_refused(self):
+        with pytest.raises(ValueError, match="warmup_steps"):
+            WsdSchedule(5e-4, -4, 6, 0)
+
+    def test_negative_decay_refused(self):
+        # used to train at peak lr throughout and still count as decayed
+        with pytest.raises(ValueError, match="decay_steps"):
+            WsdSchedule(5e-4, 2, 6, -3)
 
 
 def finetune_lr(peak_lr, total_steps, step):
@@ -98,18 +107,18 @@ class TestRescaledSchedule:
 class TestClipGlobalNorm:
     def test_exact_halving(self):
         grads = {"a": np.array([2.0, 0.0]), "b": np.zeros(3)}
-        factor = clip_global_norm(grads, 1.0)
+        factor = clip_global_norm(grads)
         assert factor == 0.5
         assert math.sqrt(sum((g ** 2).sum() for g in grads.values())) \
             == pytest.approx(1.0)
 
     def test_under_threshold(self):
         grads = {"a": np.array([0.5])}
-        assert clip_global_norm(grads, 1.0) == 1.0
+        assert clip_global_norm(grads) == 1.0
         np.testing.assert_array_equal(grads["a"], [0.5])
 
     def test_zero_gradients(self):
-        assert clip_global_norm({"a": np.zeros(4)}, 1.0) == 1.0
+        assert clip_global_norm({"a": np.zeros(4)}) == 1.0
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -118,47 +127,50 @@ class TestClipGlobalNorm:
         grads = {f"p{i}": rng.normal(size=rng.integers(1, 10)) * 10
                  for i in range(3)}
         before = {k: np.abs(v).copy() for k, v in grads.items()}
-        clip_global_norm(grads, 1.0)
+        clip_global_norm(grads)
         total = math.sqrt(sum((g ** 2).sum() for g in grads.values()))
         assert total <= 1.0 + 1e-12
         for k in grads:  # clipping never increases a magnitude
             assert (np.abs(grads[k]) <= before[k] + 1e-15).all()
 
 
-def fresh(wd=0.0, eps=1e-12):
-    return AdamWState(beta1=0.9, beta2=0.95, eps=eps, weight_decay=wd)
+def fresh(eps=1e-12):
+    return AdamWState(beta1=0.9, beta2=0.95, eps=eps)
 
 
 class TestAdamW:
     def test_closed_form_single_step(self):
-        # m-hat = v-hat = 1 for unit gradient from a fresh state
+        # m-hat = v-hat = 1 for unit gradient from a fresh state, and the
+        # decoupled decay adds lr * WEIGHT_DECAY * w
         params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
         adamw_step(params, {"w": np.ones(2)}, fresh(), lr=0.1)
-        np.testing.assert_allclose(params["w"].data, [0.9, -2.1], atol=1e-9)
+        np.testing.assert_allclose(params["w"].data, [0.89, -2.08], atol=1e-9)
 
     def test_zero_gradient_identity(self):
         params = {"w": Tensor(np.array([3.0]), requires_grad=True)}
         state = fresh()
         adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1)
-        np.testing.assert_array_equal(params["w"].data, [3.0])
+        # only the decoupled decay moves w
+        np.testing.assert_array_equal(params["w"].data,
+                                      [3.0 - 0.1 * WEIGHT_DECAY * 3.0])
         np.testing.assert_array_equal(state.m["w"], [0.0])
         np.testing.assert_array_equal(state.v["w"], [0.0])
         assert state.step_count == 1
 
     def test_decoupled_decay(self):
         params = {"w": Tensor(np.array([2.0]), requires_grad=True)}
-        adamw_step(params, {"w": np.zeros(1)}, fresh(wd=0.1), lr=0.1)
+        adamw_step(params, {"w": np.zeros(1)}, fresh(), lr=0.1)
         np.testing.assert_allclose(params["w"].data, [2.0 * 0.99], atol=1e-15)
 
     def test_norm_gains_skip_decay(self):
         params = {"final_norm": Tensor(np.array([2.0]), requires_grad=True)}
-        adamw_step(params, {"final_norm": np.zeros(1)}, fresh(wd=0.1), lr=0.1)
+        adamw_step(params, {"final_norm": np.zeros(1)}, fresh(), lr=0.1)
         np.testing.assert_array_equal(params["final_norm"].data, [2.0])
 
     def test_bit_identical_twins(self, rng):
         def run():
             params = {"w": Tensor(np.linspace(-1, 1, 8), requires_grad=True)}
-            state = fresh(wd=0.1, eps=1e-5)
+            state = fresh(eps=1e-5)
             g = np.random.default_rng(5)
             for step in range(20):
                 adamw_step(params, {"w": g.normal(size=8)}, state, lr=1e-3)

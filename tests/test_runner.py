@@ -268,18 +268,20 @@ class TestResume:
             == ckpt_bytes(full, tmp_path / "full.ckpt")
 
     @pytest.mark.parametrize("name, cfg_kw, model_kw", [
-        ("model_config", {}, {"rope_theta": 500.0}),
+        ("model_config", {}, {"max_seq_len": 64}),
         ("schedule", {"warmup": 3}, {}),
         ("seed", {"seed": 1}, {}),
         ("mask_ratio", {"mask_ratio": 0.3}, {}),
-        ("weight_decay", {"weight_decay": 0.0}, {}),
+        ("objective_plan",
+         {"plan": [(Objective.CLM, 4), (Objective.MLM, 6)]}, {}),
     ])
     def test_mismatched_start_refused(self, tmp_path, name, cfg_kw, model_kw):
         run_pfs(train_cfg([(Objective.MLM, 10)], total=10,
                           checkpoint_cadence=5, checkpoint_dir=str(tmp_path)),
                 make_stream(), CFG)
         mid = load_checkpoint(tmp_path / "step_00000005.ckpt")
-        cfg = train_cfg([(Objective.MLM, 10)], total=10, **cfg_kw)
+        cfg = train_cfg(**{"plan": [(Objective.MLM, 10)], "total": 10,
+                           **cfg_kw})
         trace = []
         with pytest.raises(ValueError, match=f"start checkpoint {name} "):
             run_pfs(cfg, make_stream(), replace(CFG, **model_kw),
@@ -362,6 +364,18 @@ class TestCheckpointIo:
                            match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
+    def test_version_2_refused(self, tmp_path):
+        # version 2 blocks also held rope_theta, rmsnorm_eps and weight_decay
+        def v2_keys(cfg):
+            cfg["model_config"].update(rope_theta=10_000.0, rmsnorm_eps=1e-5)
+            cfg["opt"]["weight_decay"] = 0.1
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        rewrite_config_block(path, edit_json(v2_keys), version=2)
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
     def test_config_block_keys_are_the_fields(self, tmp_path):
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
@@ -387,10 +401,14 @@ class TestCheckpointIo:
         edit_json(lambda c: c.update(step="4")),
         edit_json(lambda c: c["opt"].update(step_count="x")),
         edit_json(lambda c: c["schedule"].update(peak_lr="1e-3")),
+        edit_json(lambda c: c.update(objective_history=[1])),
+        edit_json(lambda c: c["objective_history"][0].update(steps="4")),
+        edit_json(lambda c: c["objective_history"][0].update(objective="x")),
     ], ids=["missing_seed", "unknown_model_key", "not_json", "not_utf8",
             "warmup_exceeds_total", "zero_kv_heads", "str_layers",
             "float_layers", "bool_layers", "str_step", "str_step_count",
-            "str_peak_lr"])
+            "str_peak_lr", "int_history_entry", "str_history_steps",
+            "unknown_history_objective"])
     def test_malformed_config_block_refused(self, tmp_path, edit):
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
@@ -413,8 +431,8 @@ class TestCheckpointIo:
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
         rewrite_config_block(path, edit_json(
-            lambda c: c["model_config"].update(rope_theta=10000)))
-        assert load_checkpoint(path).model_config.rope_theta == 10000
+            lambda c: c["schedule"].update(peak_lr=1)))
+        assert load_checkpoint(path).schedule.peak_lr == 1
 
     def save_altered(self, tmp_path, alter):
         ckpt = self.make_ckpt()
@@ -508,7 +526,7 @@ class TestCheckpointIo:
                           [{"objective": "clm", "steps": 4}], 7, 0.4)
         save_checkpoint(ckpt, tmp_path / "a.ckpt")
         assert hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest() \
-            == "f218365f50dd4494317e776e82159e7fedc6dc60fef704cdb533ca87a2671abd"
+            == "d13f17a993f7a63cc31321894a7a8e273e78310ea4f4c1c053f19a54f359fa53"
 
     def test_no_tmp_file_left(self, tmp_path):
         save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")
