@@ -108,12 +108,24 @@ def expand_config(path: str) -> dict:
     return cfg
 
 
-def _train_setup(cfg: dict, args, model_cfg: ModelConfig, cpt: bool = False):
-    """The run's TrainConfig, corpus and batch stream, for pretrain and cpt
-    alike. --seed is written into cfg, so config.ini records the seed the
-    run used. CPT always masks, at its [cpt] ratio, and runs its own plan,
-    [cpt] steps of MLM, under the rescaled CPT schedule at [train] peak_lr;
-    the [train] plan and schedule are pretraining's only."""
+def _out_dir(args, default_name: str) -> str:
+    """The output directory's path; each command creates it when it first
+    writes there, so a refused command leaves nothing behind."""
+    return args.out or os.path.join(
+        os.environ.get("BPLM_OUT_DIR", "runs"), default_name)
+
+
+def _train(args) -> int:
+    """bplm pretrain and bplm cpt. --seed is written into cfg, so config.ini
+    records the seed the run used. CPT continues its base checkpoint with its
+    own plan, [cpt] steps of MLM at its [cpt] ratio, under the rescaled CPT
+    schedule at [train] peak_lr; the [train] plan and schedule are
+    pretraining's only. Cadence checkpoints, final.ckpt, the trace and the
+    expanded config go to the output directory, which the run creates."""
+    cfg = expand_config(args.config)
+    cpt = args.command == "cpt"
+    base = load_checkpoint(args.base) if cpt else None
+    model_cfg = base.model_config if cpt else ModelConfig(**cfg["model"])
     t = cfg["train"]
     if args.seed is not None:
         t["seed"] = args.seed
@@ -126,84 +138,59 @@ def _train_setup(cfg: dict, args, model_cfg: ModelConfig, cpt: bool = False):
                 f"{STUDY_MASK_RATIOS}; pass --allow-nonstudy to override")
     if cpt:
         steps = cfg["cpt"]["steps"]
+        if steps < 0:
+            raise ValueError("[cpt] steps must be >= 0")
         plan = [(Objective.MLM, steps)]
         schedule = rescaled_schedule(t["peak_lr"], steps, CPT_DECAY_SHARE)
     else:
-        total = t["total_steps"]
-        if total < 1:
+        steps = t["total_steps"]
+        if steps < 1:
             raise ValueError("[train] total_steps must be >= 1")
         if objective in ("clm", "mlm"):
-            plan = [(Objective(objective), total)]
+            plan = [(Objective(objective), steps)]
         elif objective == "biphasic":
-            clm_steps = int(total * t["clm_fraction"])
+            clm_steps = int(steps * t["clm_fraction"])
             plan = [(Objective.CLM, clm_steps),
-                    (Objective.MLM, total - clm_steps)]
+                    (Objective.MLM, steps - clm_steps)]
         else:
             raise CliError(f"unknown objective {objective!r}")
         schedule = WsdSchedule(
             peak_lr=t["peak_lr"], warmup_steps=t["warmup_steps"],
-            total_steps=total, decay_steps=t["decay_steps"])
+            total_steps=steps, decay_steps=t["decay_steps"])
+    out = _out_dir(args, "cpt" if cpt
+                   else cfg["experiment"]["preset"] or "pretrain")
     train_cfg = TrainConfig(
         objective_plan=plan, schedule=schedule, mask_ratio=mask_ratio,
-        seed=t["seed"], checkpoint_cadence=t["checkpoint_cadence"])
+        seed=t["seed"], checkpoint_cadence=t["checkpoint_cadence"],
+        checkpoint_dir=out)
     spec = CorpusSpec(**dict(cfg["data"], max_len=min(
         cfg["data"]["max_len"], model_cfg.max_seq_len)))
     corpus = gen_corpus(spec)
     stream = pack_batches(corpus.sequences, t["batch_rows"],
                           spec.min_len, spec.max_len, PAD_ID, train_cfg.seed)
-    return train_cfg, corpus, stream
-
-
-def _out_dir(args, default_name: str) -> str:
-    """The output directory's path; each command creates it when it first
-    writes there, so a refused command leaves nothing behind."""
-    return args.out or os.path.join(
-        os.environ.get("BPLM_OUT_DIR", "runs"), default_name)
-
-
-def _write_expanded(cfg: dict, out_dir: str) -> None:
-    parser = configparser.ConfigParser()
-    parser.read_dict(cfg)
-    with open(os.path.join(out_dir, "config.ini"), "w") as f:
-        parser.write(f)
-
-
-def cmd_pretrain(args) -> int:
-    cfg = expand_config(args.config)
-    model_cfg = ModelConfig(**cfg["model"])
-    train_cfg, corpus, stream = _train_setup(cfg, args, model_cfg)
-    out = _out_dir(args, cfg["experiment"]["preset"] or "pretrain")
-    os.makedirs(out, exist_ok=True)  # cadence checkpoints land here
-    train_cfg.checkpoint_dir = out
 
     trace: list = []
-    final = run_pfs(train_cfg, stream, model_cfg, MASK_ID, trace=trace)
-    if train_cfg.switch_step() is not None:
-        print(f"biphasic switch at step {train_cfg.switch_step()}")
-    save_checkpoint(final, os.path.join(out, "final.ckpt"))
-    write_trace(trace, out)
-    _write_expanded(cfg, out)
-    print(f"pretrained {final.step} steps; corpus entropy rate "
-          f"{corpus.entropy_rate:.4f} nats/token; final loss "
-          f"{trace[-1]['loss']:.4f}; artifacts in {out}")
-    return 0
-
-
-def cmd_cpt(args) -> int:
-    cfg = expand_config(args.config)
-    base = load_checkpoint(args.base)
-    train_cfg, _, stream = _train_setup(cfg, args, base.model_config, cpt=True)
-    cpt_steps = train_cfg.schedule.total_steps
-    out = _out_dir(args, "cpt")
-    trace: list = []
-    final = run_cpt(base, cpt_steps, train_cfg, stream, MASK_ID,
-                    force=args.force, trace=trace)
+    if cpt:
+        final = run_cpt(base, steps, train_cfg, stream, MASK_ID,
+                        force=args.force, trace=trace)
+    else:
+        final = run_pfs(train_cfg, stream, model_cfg, MASK_ID, trace=trace)
     os.makedirs(out, exist_ok=True)
     save_checkpoint(final, os.path.join(out, "final.ckpt"))
     write_trace(trace, out)
-    _write_expanded(cfg, out)
-    print(f"cpt complete: {cpt_steps} MLM steps (bidirectional from step 0); "
-          f"history {final.objective_history}; artifacts in {out}")
+    parser = configparser.ConfigParser()
+    parser.read_dict(cfg)
+    with open(os.path.join(out, "config.ini"), "w") as f:
+        parser.write(f)
+    if cpt:
+        print(f"cpt complete: {steps} MLM steps (bidirectional from step 0); "
+              f"history {final.objective_history}; artifacts in {out}")
+    else:
+        if train_cfg.switch_step() is not None:
+            print(f"biphasic switch at step {train_cfg.switch_step()}")
+        print(f"pretrained {final.step} steps; corpus entropy rate "
+              f"{corpus.entropy_rate:.4f} nats/token; final loss "
+              f"{trace[-1]['loss']:.4f}; artifacts in {out}")
     return 0
 
 
@@ -280,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="run PFS or biphasic pretraining")
     p.add_argument("--config", required=True)
     common(p)
-    p.set_defaults(fn=cmd_pretrain)
+    p.set_defaults(fn=_train)
 
     p = sub.add_parser("cpt", help="continued pretraining from a checkpoint")
     p.add_argument("base", help="path to the base checkpoint")
@@ -288,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="accept a non-decayed base checkpoint")
     common(p)
-    p.set_defaults(fn=cmd_cpt)
+    p.set_defaults(fn=_train)
 
     p = sub.add_parser("finetune", help="grid-search fine-tune and evaluate")
     p.add_argument("checkpoint")

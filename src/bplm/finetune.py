@@ -145,7 +145,7 @@ def ndcg_at_10(ranked_ids: Sequence, relevance: Dict) -> Optional[float]:
 # encoding and task heads
 # ---------------------------------------------------------------------------
 
-EVAL_CHUNK = 16  # examples per encode in evaluate/ir_eval; bounds peak memory
+EVAL_CHUNK = 16  # examples per encode in evaluate; bounds peak memory
 
 
 def encode(params: Parameters, cfg: ModelConfig,
@@ -267,25 +267,19 @@ def _span_tokens(tokens: List[int], span: Optional[Tuple[int, int]]
     return tokens[span[0]: span[1] + 1] if span is not None else []
 
 
-def _chunk_scores(task: str, head: Dict[str, Tensor], params: Parameters,
-                  cfg: ModelConfig, examples: Sequence[TaskExample]):
-    """(chunk, scores array) for consecutive chunks of at most EVAL_CHUNK
-    examples."""
-    for lo in range(0, len(examples), EVAL_CHUNK):
-        chunk = examples[lo: lo + EVAL_CHUNK]
-        yield chunk, _scores(task, head, params, cfg, chunk).data
-
-
 def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
              cfg: ModelConfig, examples: Sequence[TaskExample],
              dataset: TaskDataset) -> float:
+    """The split's score, over chunks of at most EVAL_CHUNK examples: SC
+    accuracy, TC entity F1, QA token F1, or IR mean NDCG@10 with the
+    example's labeled documents as the candidate pool, of which the positive
+    is the one relevant document."""
     if not examples:
         raise ValueError("empty split")
-    if task == "IR":
-        return ir_eval(params, cfg, examples)
-
     preds = []
-    for chunk, scores in _chunk_scores(task, head, params, cfg, examples):
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        chunk = examples[lo: lo + EVAL_CHUNK]
+        scores = _scores(task, head, params, cfg, chunk).data
         n = len(chunk)
         if task == "SC":
             preds += [int(i) for i in scores.argmax(axis=1)]
@@ -293,34 +287,26 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
             ids = scores.argmax(axis=1).reshape(n, -1)
             preds += [[dataset.tagset[i] for i in row[:len(ex.tokens)]]
                       for row, ex in zip(ids, chunk)]
-        else:
+        elif task == "QA":
             preds += [_predict_span(scores[b], scores[n + b])
                       for b in range(n)]
+        else:
+            at = n  # the chunk's negatives follow its positives
+            for b, ex in enumerate(chunk):
+                n_neg = len(ex.negatives or ())
+                row = [scores[b, b]] + list(scores[b, at: at + n_neg])
+                at += n_neg
+                ranked = sorted(range(len(row)), key=lambda i: -row[i])
+                preds.append(ndcg_at_10(ranked, {0: 1}))
     if task == "SC":
         return accuracy(preds, [ex.label for ex in examples])
     if task == "TC":
         return entity_f1(preds, [ex.tags for ex in examples])
-    return float(np.mean([qa_f1(_span_tokens(ex.tokens, span),
-                                _span_tokens(ex.tokens, ex.span))
-                          for span, ex in zip(preds, examples)]))
-
-
-def ir_eval(params: Parameters, cfg: ModelConfig,
-            examples: Sequence[TaskExample]) -> float:
-    """Mean NDCG@10 over queries; candidate pool is the example's labeled
-    documents only, of which the positive is the one relevant document."""
-    if not examples:
-        raise ValueError("empty split")
-    scores = []
-    for chunk, sims in _chunk_scores("IR", {}, params, cfg, examples):
-        at = len(chunk)  # the chunk's negatives follow its positives
-        for b, ex in enumerate(chunk):
-            n_neg = len(ex.negatives or ())
-            row = [sims[b, b]] + list(sims[b, at: at + n_neg])
-            at += n_neg
-            ranked = sorted(range(len(row)), key=lambda i: -row[i])
-            scores.append(ndcg_at_10(ranked, {0: 1}))
-    return float(np.mean(scores))
+    if task == "QA":
+        preds = [qa_f1(_span_tokens(ex.tokens, span),
+                       _span_tokens(ex.tokens, ex.span))
+                 for span, ex in zip(preds, examples)]
+    return float(np.mean(preds))
 
 
 # ---------------------------------------------------------------------------

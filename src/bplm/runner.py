@@ -2,11 +2,11 @@
 
 run_pfs is the one training loop. It runs the config's objective plan (one
 objective, or biphasic CLM switching to MLM before the decay window with the
-schedule uninterrupted) from a start state: random init, or a start
-checkpoint that gives params, moments, step and objective history. That
-covers resuming a cadence checkpoint, and CPT: run_cpt checks its decayed
-base and starts run_pfs from the base's params with fresh moments under MLM
-and a short rescaled schedule. Training never changes its start checkpoint.
+schedule uninterrupted) from a start checkpoint that gives params, moments,
+step and objective history: the step-0 one built from the config, a cadence
+checkpoint to resume, or a CPT start, for which run_cpt checks its decayed
+base and takes the base's params with fresh moments under MLM and a short
+rescaled schedule. Training never changes its start checkpoint.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class TrainConfig:
     checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):
+        if not 0.0 < self.mask_ratio <= 1.0:
+            raise ValueError(f"mask_ratio must lie in (0, 1], "
+                             f"got {self.mask_ratio}")
         if self.checkpoint_cadence < 0:
             raise ValueError("checkpoint_cadence must be >= 0")
         if any(steps < 0 for _, steps in self.objective_plan):
@@ -141,34 +144,37 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
             mask_id: int = 1,
             resume_from: Optional[Checkpoint] = None,
             trace: Optional[List[dict]] = None) -> Checkpoint:
-    """Train under cfg's objective plan from a start state. With resume_from
-    None: params from cfg.seed, fresh moments, step 0 and the plan's history.
-    Otherwise the checkpoint's params, moments, step and history; it must
-    match cfg and model_cfg, and it is left unchanged. A biphasic plan trains
-    CLM at stable lr, then MLM; the schedule runs on uninterrupted and decays
-    only in phase 2."""
-    if resume_from is None:
-        params = init_params(model_cfg, cfg.seed)
-        opt_state = AdamWState()
-        start = 0
-        history = [{"objective": obj.value, "steps": steps}
-                   for obj, steps in cfg.objective_plan if steps > 0]
-    else:
-        _check_start(resume_from, cfg, model_cfg)
-        # adamw_step replaces .data, so fresh wrappers keep the start's
-        # params; it updates moments in place, so those are copied
-        params = {name: Tensor(p.data, requires_grad=True)
-                  for name, p in resume_from.params.items()}
-        opt_state = replace(
-            resume_from.opt_state,
-            m={k: a.copy() for k, a in resume_from.opt_state.m.items()},
-            v={k: a.copy() for k, a in resume_from.opt_state.v.items()})
-        start = resume_from.step
-        history = list(resume_from.objective_history)
+    """Train under cfg's objective plan from a start checkpoint: resume_from,
+    or with None the step-0 one (params from cfg.seed, fresh moments, the
+    plan's history). It must match cfg and model_cfg, and it is left
+    unchanged. A biphasic plan trains CLM at stable lr, then MLM; the
+    schedule runs on uninterrupted and decays only in phase 2. Cadence
+    checkpoints go to cfg.checkpoint_dir, created at the first save."""
+    start = resume_from
+    if start is None:
+        start = Checkpoint(
+            model_cfg, init_params(model_cfg, cfg.seed), AdamWState(),
+            cfg.schedule, 0, [{"objective": obj.value, "steps": steps}
+                              for obj, steps in cfg.objective_plan if steps > 0],
+            cfg.seed, cfg.mask_ratio)
+    _check_start(start, cfg, model_cfg)
+    # adamw_step replaces .data, so fresh wrappers keep the start's params;
+    # it updates moments in place, so those are copied
+    params = {name: Tensor(p.data, requires_grad=True)
+              for name, p in start.params.items()}
+    opt_state = replace(
+        start.opt_state, m={k: a.copy() for k, a in start.opt_state.m.items()},
+        v={k: a.copy() for k, a in start.opt_state.v.items()})
+    history = list(start.objective_history)
+
+    def snapshot(step: int) -> Checkpoint:
+        return Checkpoint(model_cfg, params, opt_state, cfg.schedule, step,
+                          history, cfg.seed, cfg.mask_ratio)
+
     if trace is None:
         trace = []
     total = cfg.schedule.total_steps
-    for step in range(start, total):
+    for step in range(start.step, total):
         t0 = time.perf_counter()
         phase, objective = cfg.objective_at(step)
         batch = stream.batch(step)
@@ -200,12 +206,10 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
         done = step + 1
         if cfg.checkpoint_cadence and cfg.checkpoint_dir \
                 and done % cfg.checkpoint_cadence == 0 and done < total:
-            path = os.path.join(cfg.checkpoint_dir, f"step_{done:08d}.ckpt")
-            save_checkpoint(Checkpoint(model_cfg, params, opt_state,
-                                       cfg.schedule, done, history, cfg.seed,
-                                       cfg.mask_ratio), path)
-    return Checkpoint(model_cfg, params, opt_state, cfg.schedule, total,
-                      history, cfg.seed, cfg.mask_ratio)
+            os.makedirs(cfg.checkpoint_dir, exist_ok=True)
+            save_checkpoint(snapshot(done), os.path.join(
+                cfg.checkpoint_dir, f"step_{done:08d}.ckpt"))
+    return snapshot(total)
 
 
 def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
@@ -403,12 +407,15 @@ def load_checkpoint(path) -> Checkpoint:
         name = r.read(r.u32()).decode("utf-8", "replace")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}Q", r.read(8 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)  # exact, so a huge shape reads as truncation
         payload = r.read(8 * count)
         crc = r.u32()
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CheckpointError(f"payload CRC mismatch for tensor {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:  # no elements, yet a dim or ndim past numpy's limits
+            tensors[name] = np.frombuffer(payload, "<f8").reshape(shape).copy()
+        except ValueError as err:
+            raise CheckpointError(f"tensor {name!r}: {err}") from None
 
     opt = ckpt.opt_state
     for name, arr in tensors.items():

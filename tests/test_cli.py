@@ -2,13 +2,18 @@ import configparser
 import csv
 import os
 import re
+import struct
+import zlib
 
 import pytest
 
 from bplm.cli import CliError, expand_config, main
-from bplm.data import gen_task_data, save_task_dataset
+from bplm.data import (MASK_ID, PAD_ID, CorpusSpec, gen_corpus, gen_task_data,
+                       pack_batches, save_task_dataset)
+from bplm.objectives import Objective
 from bplm.optim import rescaled_schedule
-from bplm.runner import CPT_DECAY_SHARE, load_checkpoint
+from bplm.runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
+                         load_checkpoint, run_pfs, save_checkpoint)
 
 TINY_MODEL = """
 [model]
@@ -177,6 +182,24 @@ class TestPretrain:
         assert re.fullmatch(r"error: non-finite .* at step \d+\n", err), err
         assert not os.path.exists(os.path.join(out, "final.ckpt"))
 
+    @pytest.mark.parametrize("ratio", [0.0, 1.5])
+    def test_mask_ratio_outside_unit_interval_refused(self, tmp_path, capsys,
+                                                       ratio):
+        # used to train the CLM phase, save its cadence checkpoints and only
+        # then fail at the switch
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[experiment]\npreset = biphasic-50-50\n"
+                             "[train]\ntotal_steps = 8\nwarmup_steps = 1\n"
+                             f"decay_steps = 1\nmask_ratio = {ratio}\n"
+                             "checkpoint_cadence = 2\n")
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out,
+                     "--allow-nonstudy"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: mask_ratio must lie in \(0, 1\][^\n]*\n",
+                            err), err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("key, value", [
         ("total_steps", 0), ("checkpoint_cadence", -1), ("batch_rows", 0)])
     def test_run_bounds_refused(self, tmp_path, capsys, key, value):
@@ -280,6 +303,60 @@ class TestCpt:
         assert main(["cpt", str(base), "--config",
                      self.cpt_config(tmp_path), "--out", out]) == 1
         assert "error: bad magic" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_negative_steps_refused(self, tmp_path, capsys):
+        pre = self.pretrain(tmp_path)
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", os.path.join(pre, "final.ckpt"), "--config",
+                     self.cpt_config(tmp_path, -3), "--out", out]) == 1
+        assert capsys.readouterr().err == "error: [cpt] steps must be >= 0\n"
+        assert not os.path.exists(out)
+
+    def test_cadence_checkpoints_resume_to_final(self, tmp_path):
+        pre = self.pretrain(tmp_path)
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\ncheckpoint_cadence = 2\n"
+                             "[cpt]\nsteps = 8\n", "cpt.ini")
+        out = tmp_path / "cpt"
+        assert main(["cpt", os.path.join(pre, "final.ckpt"),
+                     "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("step_*.ckpt")) == [
+            "step_00000002.ckpt", "step_00000004.ckpt", "step_00000006.ckpt"]
+        # the run's own stream and CPT config, rebuilt from its config.ini
+        ran = expand_config(str(out / "config.ini"))
+        spec = CorpusSpec(**ran["data"])
+        stream = pack_batches(gen_corpus(spec).sequences,
+                              ran["train"]["batch_rows"], spec.min_len,
+                              spec.max_len, PAD_ID, ran["train"]["seed"])
+        cpt_cfg = TrainConfig(
+            [(Objective.MLM, 8)],
+            rescaled_schedule(ran["train"]["peak_lr"], 8, CPT_DECAY_SHARE),
+            mask_ratio=ran["cpt"]["mask_ratio"], seed=ran["train"]["seed"])
+        mid = load_checkpoint(out / "step_00000004.ckpt")
+        resumed = run_pfs(cpt_cfg, stream, mid.model_config, MASK_ID,
+                          resume_from=mid)
+        save_checkpoint(resumed, tmp_path / "resumed.ckpt")
+        assert (tmp_path / "resumed.ckpt").read_bytes() \
+            == (out / "final.ckpt").read_bytes()
+
+    def test_huge_tensor_shape_in_base_fails_without_traceback(
+            self, tmp_path, capsys):
+        # a CRC-valid base whose param.head record claims 201 dims
+        pre = self.pretrain(tmp_path)
+        body = bytearray(open(os.path.join(pre, "final.ckpt"), "rb").read())
+        del body[-4:]
+        body[body.index(b"param.head") + len(b"param.head")] = 201
+        base = tmp_path / "huge.ckpt"
+        base.write_bytes(bytes(body) + struct.pack(
+            "<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(base)
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", str(base), "--config", self.cpt_config(tmp_path),
+                     "--out", out]) == 1
+        assert capsys.readouterr().err \
+            == "error: truncated checkpoint file\n"
         assert not os.path.exists(out)
 
     def test_non_decayed_base_refused(self, tmp_path, capsys):

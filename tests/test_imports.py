@@ -1,9 +1,17 @@
-"""No module in src/bplm or tests imports a name it never uses, and every
+"""No module in src/bplm or tests imports a name it never uses, every
 top-level name in src/bplm is read somewhere in src/bplm, tests or
-benchmark."""
+benchmark, and every name the benchmark's probes wrap still exists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import bplm.data
+import bplm.finetune
+import bplm.model
+import bplm.objectives
+import bplm.runner
+import bplm.tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "bplm").glob("*.py"))
@@ -100,3 +108,32 @@ def test_dead_name_checker_sees_reads():
         == ["A", "B", "C", "D", "f", "K", "__all__"]
     assert {"A", "K", "f"} & read_names(source) == set()
     assert {"B", "C", "D"} <= read_names(source)
+
+
+class _Calibration:
+    def tick(self):
+        pass
+
+
+def test_benchmark_probes_find_every_name(monkeypatch):
+    # benchmark/probes.py looks bplm names up only when a probe is
+    # installed, so a rename in src would otherwise break only a traced run
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    workloads = importlib.import_module("workloads")  # imports probes too
+    probes = importlib.import_module("probes")
+    owners = (bplm.data, bplm.data.BatchStream, bplm.finetune, bplm.model,
+              bplm.objectives, bplm.runner, bplm.tensor)
+    before = [(owner, name, value) for owner in owners
+              for name, value in vars(owner).items()
+              if not name.startswith("__")]
+    save = bplm.runner.save_checkpoint
+    try:
+        with probes.Tracer(), workloads.StepClock(_Calibration()):
+            assert bplm.runner.save_checkpoint is not save  # wrapped
+    finally:
+        moved = []
+        for owner, name, original in before:
+            if getattr(owner, name) is not original:
+                moved.append(f"{owner.__name__}.{name}")
+                setattr(owner, name, original)
+    assert moved == []

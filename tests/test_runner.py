@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import zlib
@@ -8,6 +9,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bplm.data import MASK_ID, PAD_ID, CorpusSpec, gen_corpus, pack_batches
 from bplm.model import ModelConfig, param_shapes
@@ -58,6 +61,32 @@ def rewrite_config_block(path, edit, version=CHECKPOINT_VERSION):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
+def write_with_crc(path, body):
+    """body and its file CRC, so a change in body reaches the parser."""
+    path.write_bytes(bytes(body)
+                     + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def structure_offsets(raw):
+    """Offsets of a saved file's version, size and count fields, and of each
+    tensor record's name length, ndim and shape: the bytes that steer the
+    parser, as opposed to the config block, names, payloads and CRCs."""
+    (size,) = struct.unpack("<I", raw[8:12])
+    at = 12 + size
+    offsets = list(range(4, 12)) + list(range(at, at + 4))
+    (count,) = struct.unpack("<I", raw[at: at + 4])
+    at += 4
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", raw[at: at + 4])
+        dims = at + 4 + name_len
+        (ndim,) = struct.unpack("<I", raw[dims: dims + 4])
+        shape = struct.unpack(f"<{ndim}Q", raw[dims + 4: dims + 4 + 8 * ndim])
+        offsets += range(at, at + 4)
+        offsets += range(dims, dims + 4 + 8 * ndim)
+        at = dims + 4 + 8 * ndim + 8 * math.prod(shape) + 4
+    return offsets
+
+
 def edit_json(change):
     """A block edit that applies change to the parsed block in place."""
     def edit(block):
@@ -94,6 +123,15 @@ class TestTrainConfig:
 
     def test_single_phase_has_no_switch(self):
         assert train_cfg([(Objective.CLM, 10)], total=10).switch_step() is None
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5])
+    def test_mask_ratio_outside_unit_interval_refused(self, ratio):
+        # select_mask's range; a biphasic run used to fail only at the switch
+        with pytest.raises(ValueError, match=r"mask_ratio must lie in \(0, 1\]"):
+            train_cfg([(Objective.CLM, 4), (Objective.MLM, 6)], total=10,
+                      mask_ratio=ratio)
+        assert train_cfg([(Objective.MLM, 10)], total=10,
+                         mask_ratio=1.0).mask_ratio == 1.0
 
 
 class TestRunPfs:
@@ -426,6 +464,60 @@ class TestCheckpointIo:
                          + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
         with pytest.raises(CheckpointError, match="unknown tensor record"):
             load_checkpoint(path)
+
+    def test_huge_shape_reads_as_truncation(self, tmp_path):
+        # ndim 2 -> 201 reads 201 shape words from the payload; their product
+        # used to overflow np.prod into an OverflowError
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        body = bytearray(path.read_bytes()[:-4])
+        at = body.index(b"param.head") + len(b"param.head")
+        assert body[at] == 2
+        body[at] = 201
+        write_with_crc(path, body)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_empty_shape_past_numpy_limits_refused(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        body = bytearray(path.read_bytes()[:-4])
+        (size,) = struct.unpack("<I", body[8:12])
+        (count,) = struct.unpack("<I", body[12 + size: 16 + size])
+        body[12 + size: 16 + size] = struct.pack("<I", count + 1)
+        name = b"param.huge"  # no elements, so an empty payload, CRC 0
+        body += struct.pack("<I", len(name)) + name + struct.pack(
+            "<I2QI", 2, 0, 2 ** 63, 0)
+        write_with_crc(path, body)
+        with pytest.raises(CheckpointError, match="'param.huge'"):
+            load_checkpoint(path)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_file_raises_only_checkpoint_error(self, tmp_path, data):
+        # truncations and 1-3 overwritten bytes, biased to the bytes that
+        # steer the parser, with the file CRC recomputed
+        raw = self.fuzz_base(tmp_path)
+        body = bytearray(raw[:-4])
+        where = st.sampled_from(structure_offsets(raw)) \
+            | st.integers(0, len(body) - 1)
+        for at in data.draw(st.lists(where, min_size=1, max_size=3)):
+            body[at] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            body = body[:data.draw(st.integers(0, len(body)))]
+        path = tmp_path / "fuzzed.ckpt"
+        write_with_crc(path, body)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+    def fuzz_base(self, tmp_path):
+        path = tmp_path / "base.ckpt"
+        if not path.exists():
+            save_checkpoint(self.make_ckpt(), path)
+        return path.read_bytes()
 
     def test_float_field_takes_an_int(self, tmp_path):
         path = tmp_path / "a.ckpt"
