@@ -140,6 +140,11 @@ def _train(args) -> int:
         steps = cfg["cpt"]["steps"]
         if steps < 0:
             raise ValueError("[cpt] steps must be >= 0")
+        if steps == 0:  # the base is saved as is; config.ini names its seed
+            if args.seed not in (None, base.seed):
+                raise CliError(f"--seed {args.seed} differs from the base's "
+                               f"seed {base.seed}; zero-step CPT keeps it")
+            t["seed"] = base.seed
         plan = [(Objective.MLM, steps)]
         schedule = rescaled_schedule(t["peak_lr"], steps, CPT_DECAY_SHARE)
     else:

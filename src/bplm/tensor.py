@@ -9,6 +9,7 @@ and checked against central finite differences (see grad_check).
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -344,6 +345,14 @@ def rope_apply(x: Tensor, positions: Sequence[int], theta: float) -> Tensor:
     return _record(out, (x,), lambda g: (_rope_rotate(g, cos, -sin),))
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_mask(seq_len: int):
+    """Additive [L, 1, L] score mask, NEG_INF at keys after the query."""
+    mask = np.where(np.tri(seq_len, dtype=bool).T, 0.0, NEG_INF)[:, None, :]
+    mask.setflags(write=False)
+    return mask
+
+
 def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
                   heads: int, kv_heads: int, theta: float) -> Tensor:
     """Grouped-query scaled dot-product attention with RoPE over B rows of T
@@ -361,7 +370,6 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
         raise ValueError(f"attention: pad must be [B, T], got {pad.shape}")
     if not pad.any(axis=1).all():
         raise ValueError("attention: all positions padded")
-    B, seq_len = pad.shape
     if heads % kv_heads != 0 or q.data.shape[1] % heads != 0:
         raise ValueError("heads must divide the query width and be a "
                          "multiple of kv_heads")
@@ -375,67 +383,65 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, "
                          f"k {k.data.shape}, v {v.data.shape}, "
                          f"{n} real positions")
-    real = None if pad.all() else np.flatnonzero(pad)
-    # additive mask with keys on axis 1, as in the scores below: NEG_INF at
-    # pad keys and, with causal, at keys after the query
-    allowed = pad[:, :, None] & (np.tri(seq_len, dtype=bool).T
-                                 if causal else True)
-    mask = np.where(allowed, 0.0, NEG_INF)[:, None, :, None, :]
-
-    def spread(a):  # [N, w] -> [B*T, w], zero rows at pad positions
-        if real is None:
-            return a
-        full = np.zeros((pad.size, a.shape[1]))
-        full[real] = a
-        return full
-
-    def pack(a):  # [B*T, w] -> [N, w]
-        return a if real is None else a[real]
+    runs, lo = [], 0  # (first packed row, G rows, real length L) per run
+    for length, rows in itertools.groupby(pad.sum(axis=1).tolist()):
+        runs.append((lo, len(list(rows)), length))
+        lo += runs[-1][1] * length
 
     group = heads // kv_heads
     scale = 1.0 / np.sqrt(hd)
-    cos, sin = _rope_table(seq_len, hd, theta)
-    cos = cos[:, None, :]  # broadcast over the head axis of [B, T, h, hd]
-    sin = sin[:, None, :]
+    cos, sin = _rope_table(pad.shape[1], hd, theta)
+    lead, cols = pad.shape, slice(None)  # unpadded rows read the table as is
+    if not pad.all():  # else each real position reads its column's row
+        lead, cols = (n,), np.nonzero(pad)[1]
+    cos, sin = cos[cols, None, :], sin[cols, None, :]  # over the head axis
 
-    def rotate(a, n_heads, s):  # [B*T, n_heads*hd] -> [B, T, n_heads, hd]
-        return _rope_rotate(a.reshape(B, seq_len, n_heads, hd), cos, s)
+    def rotate(a, n_heads, s):  # packed rows [N, n_heads*hd], by position
+        return _rope_rotate(a.reshape(*lead, n_heads, hd), cos,
+                            s).reshape(a.shape)
 
-    def merge_q(a):  # [B, kv, group*T, hd] -> [B*T, heads*hd]
-        return (a.reshape(B, kv_heads, group, seq_len, hd)
-                .transpose(0, 3, 1, 2, 4).reshape(B * seq_len, heads * hd))
+    def split(a, lo, G, L, width):  # packed rows -> [G, kv, width*L, hd]
+        return (a[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)
+                .transpose(0, 2, 3, 1, 4).reshape(G, kv_heads, width * L, hd))
 
-    def merge_kv(a):  # [B, kv, T, hd] -> [B*T, kv*hd]
-        return a.transpose(0, 2, 1, 3).reshape(B * seq_len, kv_heads * hd)
+    def put(dst, a, lo, G, L, width):  # split's inverse, into dst's rows
+        dst[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)[...] = (
+            a.reshape(G, kv_heads, width, L, hd).transpose(0, 3, 1, 2, 4))
 
     # The query heads of one kv group sit side by side, so each (row, group)
-    # is one [T, hd] x [hd, group*T] product and KV is never copied per head.
-    # Scores keep keys on axis 2, where numpy reduces fastest: [B, kv, Tk,
-    # group*Tq], the transpose of the usual layout.
-    qt = ((rotate(spread(q.data), heads, sin) * scale)
-          .reshape(B, seq_len, kv_heads, group, hd)
-          .transpose(0, 2, 4, 3, 1).reshape(B, kv_heads, hd, group * seq_len))
-    kr = rotate(spread(k.data), kv_heads, sin).transpose(0, 2, 1, 3)
-    vh = spread(v.data).reshape(B, seq_len, kv_heads, hd).transpose(0, 2, 1, 3)
-    s = (kr @ qt).reshape(B, kv_heads, seq_len, group, seq_len) + mask
-    s -= s.max(axis=2, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=2, keepdims=True)
-    wt = s.reshape(B, kv_heads, seq_len, group * seq_len)
-    out = Tensor(pack(merge_q(wt.transpose(0, 1, 3, 2) @ vh)))
+    # is one [L, hd] x [hd, group*L] product and KV is never copied per head.
+    # Scores keep keys on axis 2, where numpy reduces fastest: [G, kv, Lk,
+    # group*Lq], the transpose of the usual layout.
+    qr = rotate(q.data, heads, sin) * scale
+    kr = rotate(k.data, kv_heads, sin)
+    out, saved = np.empty(q.data.shape), []
+    for run in runs:
+        lo, G, L = run
+        qt = (qr[lo:lo + G * L].reshape(G, L, kv_heads, group, hd)
+              .transpose(0, 2, 4, 3, 1).reshape(G, kv_heads, hd, group * L))
+        kt, vt = split(kr, *run, 1), split(v.data, *run, 1)
+        s = (kt @ qt).reshape(G, kv_heads, L, group, L)
+        if causal:
+            s += _causal_mask(L)
+        s -= s.max(axis=2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=2, keepdims=True)
+        wt = s.reshape(G, kv_heads, L, group * L)
+        put(out, wt.transpose(0, 1, 3, 2) @ vt, *run, group)
+        saved.append((run, qt, kt, vt, wt))
 
     def bw(g):
-        go = (spread(g).reshape(B, seq_len, kv_heads, group, hd)
-              .transpose(0, 2, 3, 1, 4).reshape(B, kv_heads, group * seq_len, hd))
-        gw = vh @ go.transpose(0, 1, 3, 2)
-        gs = wt * (gw - (gw * wt).sum(axis=2, keepdims=True))
-        gq = merge_q(gs.transpose(0, 1, 3, 2) @ kr) * scale
-        gk = merge_kv(gs @ qt.transpose(0, 1, 3, 2))
-        gv = merge_kv(wt @ go)
-        return (pack(rotate(gq, heads, -sin).reshape(gq.shape)),
-                pack(rotate(gk, kv_heads, -sin).reshape(gk.shape)), pack(gv))
+        gq, gk, gv = np.empty(g.shape), np.empty(kv_shape), np.empty(kv_shape)
+        for run, qt, kt, vt, wt in saved:
+            go = split(g, *run, group)
+            gw = vt @ go.transpose(0, 1, 3, 2)
+            gs = wt * (gw - (gw * wt).sum(axis=2, keepdims=True))
+            put(gq, gs.transpose(0, 1, 3, 2) @ kt, *run, group)
+            put(gk, gs @ qt.transpose(0, 1, 3, 2), *run, 1)
+            put(gv, wt @ go, *run, 1)
+        return rotate(gq * scale, heads, -sin), rotate(gk, kv_heads, -sin), gv
 
-    return _record(out, (q, k, v), bw)
+    return _record(Tensor(out), (q, k, v), bw)
 
 
 def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],

@@ -1,5 +1,10 @@
-import numpy as np
-import pytest
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads, as bplm does
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from bplm.model import ModelConfig, init_params
 

@@ -3,6 +3,8 @@ import csv
 import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -33,6 +35,10 @@ target_tokens = 2000
 min_len = 4
 max_len = 12
 """
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def write_config(tmp_path, body, name="cfg.ini"):
@@ -223,6 +229,27 @@ class TestPretrain:
         assert re.fullmatch(r"error: [^\n]*decay_steps[^\n]*\n", err), err
         assert not os.path.exists(out)
 
+    def test_blas_threads_unset_or_one_write_same_bytes(self, tmp_path):
+        # bplm pins BLAS to one thread unless the caller set these
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\nobjective = mlm\ntotal_steps = 6\n"
+                             "warmup_steps = 2\ndecay_steps = 2\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outs = []
+        for name in ("unset", "one"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in BLAS_THREAD_VARS}
+            if name == "one":
+                env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+            env["PYTHONPATH"] = src
+            outs.append(str(tmp_path / name))
+            subprocess.run([sys.executable, "-m", "bplm.cli", "pretrain",
+                            "--config", cfg, "--out", outs[-1]],
+                           env=env, check=True, capture_output=True)
+        for name in ("final.ckpt", "metrics.csv"):
+            a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert a == b, name
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
                            + "[train]\nobjective = clm\ntotal_steps = 4\n"
@@ -311,6 +338,32 @@ class TestCpt:
         assert main(["cpt", os.path.join(pre, "final.ckpt"), "--config",
                      self.cpt_config(tmp_path, -3), "--out", out]) == 1
         assert capsys.readouterr().err == "error: [cpt] steps must be >= 0\n"
+        assert not os.path.exists(out)
+
+    def test_zero_steps_record_the_base_seed(self, tmp_path):
+        # the base is saved unchanged, so config.ini names its seed (0), not
+        # the config's
+        pre = self.pretrain(tmp_path)
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\nseed = 3\n[cpt]\nsteps = 0\n", "cpt.ini")
+        base = os.path.join(pre, "final.ckpt")
+        for name, seed in (("a", []), ("b", ["--seed", "0"])):
+            out = str(tmp_path / name)
+            assert main(["cpt", base, "--config", cfg, "--out", out] + seed) == 0
+            assert open(os.path.join(out, "final.ckpt"), "rb").read() \
+                == open(base, "rb").read()
+            recorded = configparser.ConfigParser()
+            recorded.read(os.path.join(out, "config.ini"))
+            assert recorded["train"]["seed"] == "0"
+
+    def test_zero_steps_refuse_a_different_seed(self, tmp_path, capsys):
+        pre = self.pretrain(tmp_path)
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", os.path.join(pre, "final.ckpt"), "--config",
+                     self.cpt_config(tmp_path, 0), "--out", out,
+                     "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed 7" in err and "seed 0" in err
         assert not os.path.exists(out)
 
     def test_cadence_checkpoints_resume_to_final(self, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bplm import tensor as T
@@ -250,6 +250,25 @@ def ragged_batches(draw):
     return rows, pads
 
 
+def padded_rows(lengths, width):
+    """Right-padded rows of the given real lengths, with their pad masks."""
+    return ([[2 + (i + j) % 9 for j in range(n)] + [0] * (width - n)
+             for i, n in enumerate(lengths)],
+            [[True] * n + [False] * (width - n) for n in lengths])
+
+
+def with_run_examples(test):
+    """Add @examples whose adjacent padded rows of one length attend as one
+    multi-row run, for both objectives and kv_heads 1, 2 and 4."""
+    for lengths, width in (((3, 3, 5, 3), 5), ((4, 4, 4), 6)):
+        for kv_heads in (1, 2, 4):
+            for objective in Objective:
+                test = example(batch=padded_rows(lengths, width),
+                               kv_heads=kv_heads, objective=objective,
+                               seed=kv_heads, layers=1 + kv_heads % 2)(test)
+    return test
+
+
 class TestBatchedMatchesPerRow:
     """pretrain_loss (one batched forward) against the mean of per-row
     forward + clm_loss / mlm_loss: the loss and every parameter gradient."""
@@ -276,9 +295,11 @@ class TestBatchedMatchesPerRow:
     @settings(max_examples=30, deadline=None)
     @given(batch=ragged_batches(), kv_heads=st.sampled_from([1, 2, 4]),
            objective=st.sampled_from(list(Objective)),
-           seed=st.integers(0, 2 ** 16))
-    def test_loss_and_grads_match(self, batch, kv_heads, objective, seed):
-        cfg = ModelConfig(layers=2, embed_dim=16, ffn_dim=32, heads=4,
+           seed=st.integers(0, 2 ** 16), layers=st.integers(1, 2))
+    @with_run_examples
+    def test_loss_and_grads_match(self, batch, kv_heads, objective, seed,
+                                  layers):
+        cfg = ModelConfig(layers=layers, embed_dim=16, ffn_dim=32, heads=4,
                           kv_heads=kv_heads, vocab_size=11, max_seq_len=16)
         params = init_params(cfg, seed)
         rows, pads = batch

@@ -456,11 +456,46 @@ class TestGqaAttention:
     @pytest.mark.parametrize("pads", [
         [[True] * 4, [True, True, False, False]],
         [[True, True, True, False], [True, False, False, False]],
-        [[True, False, False, False], [True, True, True, True]]])
+        [[True, False, False, False], [True, True, True, True]],
+        # a two-row run of length 3 beside single rows: lengths 3, 3, 1, 3
+        [[True] * 3 + [False]] * 2 + [[True] + [False] * 3,
+                                      [True] * 3 + [False]],
+        [[False, True, True, True], [True, False, True, True]],  # pads inside
+        [[True, True, False, False]] * 3])  # one padded run
     @pytest.mark.parametrize("mode", [CAUSAL, BIDIRECTIONAL])
     @pytest.mark.parametrize("kv_heads", [1, 2, 4])
     def test_packed_rows_match_padded_op(self, pads, mode, kv_heads, rng):
         check_against_per_head(pads, mode is CAUSAL, kv_heads, rng)
+
+    @pytest.mark.parametrize("mode", [CAUSAL, BIDIRECTIONAL])
+    def test_trailing_pad_columns_change_nothing(self, mode, rng):
+        # all-pad columns add no real key and move no real position, so the
+        # output and the q/k/v gradients keep every bit
+        pad = [[True] * 3 + [False]] * 2 + [[True] * 2 + [False] * 2,
+                                            [True] * 4]
+        heads, kv_heads, hd = 4, 2, 4
+        n = sum(map(sum, pad))
+        qkv = [rng.normal(size=(n, w * hd)) for w in (heads, kv_heads, kv_heads)]
+        probe = Tensor(rng.normal(size=(n, heads * hd)))
+
+        def run(pad):
+            inputs = [t(a, grad=True) for a in qkv]
+            with Tape() as tape:
+                out = T.gqa_attention(*inputs, pad, mode is CAUSAL, heads,
+                                      kv_heads, 100.0)
+                loss = T.sum_all(T.mul(out, probe))
+            backward(loss, tape)
+            return [out.data] + [x.grad for x in inputs]
+
+        wide = [row + [False] * 5 for row in pad]
+        for a, b in zip(run(pad), run(wide)):
+            assert np.array_equal(a, b)
+
+    def test_causal_mask_is_cached_read_only(self):
+        mask = T._causal_mask(3)
+        assert T._causal_mask(3) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0, 0] = 1.0
 
     def test_shape_mismatch_rejected(self):
         # q, k and v must each have one row per real position: pad.sum()
