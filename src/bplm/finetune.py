@@ -313,16 +313,13 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
 # fine-tuning loop and grid search
 # ---------------------------------------------------------------------------
 
-def _copy_params(params: Parameters) -> Parameters:
-    return {name: Tensor(p.data.copy(), requires_grad=True)
-            for name, p in params.items()}
-
-
 def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
                  spec: GridSearchSpec) -> Tuple[Parameters, Dict[str, Tensor]]:
     """Fine-tune a copy of the checkpoint for up to min(max_steps, 1 epoch)."""
     cfg = base.model_config
-    params = _copy_params(base.params)
+    # adamw_step copies the weights into buffers of its own at its first step
+    params = {name: Tensor(p.data, requires_grad=True)
+              for name, p in base.params.items()}
     head = init_head(dataset.task, cfg, dataset, seed)
     trainable = dict(params)
     trainable.update({f"__head.{k}": v for k, v in head.items()})

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .tensor import Tensor
 
 WEIGHT_DECAY = 0.1  # decoupled, as in AdamW
 CLIP_NORM = 1.0     # global L2 norm the gradients are clipped to
+ADAMW_CHUNK = 32_768  # elements per pass; five such arrays fit a 2 MiB cache
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,40 @@ class AdamWState:
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
-    def moments_for(self, name: str, shape) -> tuple:
-        if name not in self.m:
-            self.m[name] = np.zeros(shape)
-            self.v[name] = np.zeros(shape)
-        return self.m[name], self.v[name]
+    def __post_init__(self):
+        self.flat: Optional[_FlatLayout] = None  # adamw_step's buffers
+
+
+class _FlatLayout:
+    """One flat buffer each for params, m and v, whose views are each
+    parameter's .data and its m and v entries; decayed parameters first.
+    No field of AdamWState, so neither saved nor carried by replace."""
+
+    def __init__(self, params: Dict[str, Tensor], state: AdamWState):
+        # RMSNorm gains (the names holding "norm") never decay
+        names = sorted(params, key=lambda name: "norm" in name)
+        sizes = [params[name].data.size for name in names]
+        self.decayed = sum(size for name, size in zip(names, sizes)
+                           if "norm" not in name)
+        self.p, self.m, self.v = (np.zeros(sum(sizes)) for _ in range(3))
+        self.views, lo = {}, 0
+        for name, size in zip(names, sizes):
+            p = params[name]
+            views = [buf[lo:lo + size].reshape(p.data.shape)
+                     for buf in (self.p, self.m, self.v)]
+            for view, old in zip(views, (p.data, state.m.get(name),
+                                         state.v.get(name))):
+                if old is not None:  # moments start at zero
+                    view[...] = old
+            p.data, state.m[name], state.v[name] = self.views[name] = views
+            lo += size
+
+    def holds(self, params: Dict[str, Tensor], state: AdamWState) -> bool:
+        """True while params and state's moments are still its views."""
+        return len(params) == len(self.views) and all(
+            name in params and params[name].data is p
+            and state.m.get(name) is m and state.v.get(name) is v
+            for name, (p, m, v) in self.views.items())
 
 
 def clip_global_norm(grads: Dict[str, np.ndarray]) -> float:
@@ -97,24 +127,39 @@ def clip_global_norm(grads: Dict[str, np.ndarray]) -> float:
 
 def adamw_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
                state: AdamWState, lr: float) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    """One decoupled-weight-decay Adam update, in place; a missing gradient
+    is zero, and a misshapen one raises before anything changes."""
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
+        if grads.get(name) is not None and grads[name].shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m, v = state.moments_for(name, p.data.shape)
+    flat = state.flat
+    if flat is None or not flat.holds(params, state):
+        flat = state.flat = _FlatLayout(params, state)
+    state.step_count += 1
+    bc1 = 1.0 - state.beta1 ** state.step_count
+    bc2 = 1.0 - state.beta2 ** state.step_count
+    grad = np.concatenate([np.zeros(p.shape) if grads.get(name) is None
+                           else grads[name]
+                           for name, (p, _, _) in flat.views.items()],
+                          axis=None, dtype=np.float64)
+    scratch = np.empty(min(grad.size, ADAMW_CHUNK))
+    # per element, in this order: m = b1*m + (1-b1)*g, v = b2*v +
+    # ((1-b2)*g)*g, p = p - (lr*(m/bc1) / (sqrt(v/bc2) + eps) + (lr*wd)*p)
+    for lo in range(0, grad.size, ADAMW_CHUNK):
+        p, m, v, g = (a[lo:lo + ADAMW_CHUNK]
+                      for a in (flat.p, flat.m, flat.v, grad))
+        s = scratch[:g.size]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=s)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        # RMSNorm gains (the names holding "norm") never decay
-        if "norm" not in name:
-            update = update + lr * WEIGHT_DECAY * p.data
-        p.data = p.data - update
+        np.multiply(g, 1.0 - state.beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.divide(m, bc1, out=g)
+        g *= lr
+        g /= s  # the update
+        d = max(flat.decayed - lo, 0)  # the chunk's decayed entries
+        g[:d] += np.multiply(p[:d], lr * WEIGHT_DECAY, out=s[:d])
+        p -= g

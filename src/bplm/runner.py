@@ -158,13 +158,12 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
                               for obj, steps in cfg.objective_plan if steps > 0],
             cfg.seed, cfg.mask_ratio)
     _check_start(start, cfg, model_cfg)
-    # adamw_step replaces .data, so fresh wrappers keep the start's params;
-    # it updates moments in place, so those are copied
+    # adamw_step moves params and moments into buffers of its own at its
+    # first step, so fresh wrappers and dicts leave the start's unchanged
     params = {name: Tensor(p.data, requires_grad=True)
               for name, p in start.params.items()}
-    opt_state = replace(
-        start.opt_state, m={k: a.copy() for k, a in start.opt_state.m.items()},
-        v={k: a.copy() for k, a in start.opt_state.v.items()})
+    opt_state = replace(start.opt_state, m=dict(start.opt_state.m),
+                        v=dict(start.opt_state.v))
     history = list(start.objective_history)
 
     def snapshot(step: int) -> Checkpoint:

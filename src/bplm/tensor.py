@@ -20,8 +20,8 @@ NORMALIZE_EPS = 1e-12  # keeps l2_normalize_rows finite on a zero row
 
 
 class Tensor:
-    """Dense row-major float64 tensor. Values are treated as immutable once
-    an op has produced them; training code replaces .data wholesale."""
+    """Dense row-major float64 tensor. Op outputs are treated as immutable;
+    the optimizer updates parameters' .data in place, after backward."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -308,9 +308,11 @@ def _rope_angles(positions, head_dim: int, theta: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _rope_table(seq_len: int, head_dim: int, theta: float):
-    """_rope_angles for positions 0..seq_len-1, built once and read-only."""
+def _rope_table(seq_len: int, head_dim: int, theta: float, heads: int):
+    """_rope_angles for positions 0..seq_len-1 repeated for each of heads
+    heads side by side, [seq_len, heads*head_dim/2]; built once, read-only."""
     cos, sin = _rope_angles(np.arange(seq_len), head_dim, theta)
+    cos, sin = np.tile(cos, (1, heads)), np.tile(sin, (1, heads))
     cos.setflags(write=False)
     sin.setflags(write=False)
     return cos, sin
@@ -390,15 +392,17 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
 
     group = heads // kv_heads
     scale = 1.0 / np.sqrt(hd)
-    cos, sin = _rope_table(pad.shape[1], hd, theta)
-    lead, cols = pad.shape, slice(None)  # unpadded rows read the table as is
+    # a column per (head, pair): one rotation spans all heads, k's first ones
+    cos, sin = _rope_table(pad.shape[1], hd, theta, heads)
+    lead = pad.shape  # unpadded rows read the table as is
     if not pad.all():  # else each real position reads its column's row
         lead, cols = (n,), np.nonzero(pad)[1]
-    cos, sin = cos[cols, None, :], sin[cols, None, :]  # over the head axis
+        cos, sin = cos[cols], sin[cols]
 
-    def rotate(a, n_heads, s):  # packed rows [N, n_heads*hd], by position
-        return _rope_rotate(a.reshape(*lead, n_heads, hd), cos,
-                            s).reshape(a.shape)
+    def rotate(a, s):  # packed rows [N, width], by position
+        w = a.shape[1] // 2
+        return _rope_rotate(a.reshape(*lead, 2 * w), cos[..., :w],
+                            s[..., :w]).reshape(a.shape)
 
     def split(a, lo, G, L, width):  # packed rows -> [G, kv, width*L, hd]
         return (a[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)
@@ -412,8 +416,8 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
     # is one [L, hd] x [hd, group*L] product and KV is never copied per head.
     # Scores keep keys on axis 2, where numpy reduces fastest: [G, kv, Lk,
     # group*Lq], the transpose of the usual layout.
-    qr = rotate(q.data, heads, sin) * scale
-    kr = rotate(k.data, kv_heads, sin)
+    qr = rotate(q.data, sin) * scale
+    kr = rotate(k.data, sin)
     out, saved = np.empty(q.data.shape), []
     for run in runs:
         lo, G, L = run
@@ -439,7 +443,7 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
             put(gq, gs.transpose(0, 1, 3, 2) @ kt, *run, group)
             put(gk, gs @ qt.transpose(0, 1, 3, 2), *run, 1)
             put(gv, wt @ go, *run, 1)
-        return rotate(gq * scale, heads, -sin), rotate(gk, kv_heads, -sin), gv
+        return rotate(gq * scale, -sin), rotate(gk, -sin), gv
 
     return _record(Tensor(out), (q, k, v), bw)
 

@@ -20,6 +20,9 @@ from bplm.optim import WsdSchedule
 from bplm.runner import TrainConfig, run_pfs
 from bplm.tensor import Tape, Tensor, backward
 
+import bplm.finetune
+import reference
+
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
                   vocab_size=64, max_seq_len=32)
 
@@ -498,6 +501,21 @@ class TestFinetuneEndToEnd:
         finetune_one(base, ds, 1e-3, 0, spec)
         for name in before:
             np.testing.assert_array_equal(base.params[name].data, before[name])
+
+    def test_reference_optimizer_gives_the_same_params(self, monkeypatch):
+        base = pretrained_base()
+        ds = gen_task_data("QA", 30, 0)
+        spec = GridSearchSpec(max_steps=3, batch_size=8)
+        runs = [finetune_one(base, ds, 1e-3, 0, spec)]
+        monkeypatch.setattr(bplm.finetune, "adamw_step",
+                            reference.adamw_step)
+        runs.append(finetune_one(base, ds, 1e-3, 0, spec))
+        (params, head), (ref_params, ref_head) = runs
+        for fast, ref in ((params, ref_params), (head, ref_head)):
+            assert fast.keys() == ref.keys()
+            for name in fast:
+                np.testing.assert_array_equal(fast[name].data,
+                                              ref[name].data)
 
     def test_deterministic(self):
         base = pretrained_base()

@@ -12,6 +12,9 @@ import bplm.model
 import bplm.objectives
 import bplm.runner
 import bplm.tensor
+from bplm.data import gen_task_data
+from bplm.model import ModelConfig, init_params
+from bplm.optim import AdamWState, WsdSchedule
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "bplm").glob("*.py"))
@@ -137,3 +140,20 @@ def test_benchmark_probes_find_every_name(monkeypatch):
                 moved.append(f"{owner.__name__}.{name}")
                 setattr(owner, name, original)
     assert moved == []
+
+
+def test_step_clock_sees_one_loss_and_one_update_per_step(monkeypatch):
+    # finetune-grid's step times run from task_loss to adamw_step, so a
+    # fine-tuning step must call each exactly once
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    probes = importlib.import_module("probes")
+    cfg = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4,
+                      kv_heads=2, vocab_size=64, max_seq_len=32)
+    base = bplm.runner.Checkpoint(cfg, init_params(cfg, 0), AdamWState(),
+                                  WsdSchedule(1e-3, 0, 1, 0), 1)
+    spec = bplm.finetune.GridSearchSpec(max_steps=3, batch_size=4)
+    with probes.StepClock(_Calibration()) as clock:
+        bplm.finetune.finetune_one(base, gen_task_data("SC", 30, 0), 1e-3, 0,
+                                   spec)
+    assert len(clock.steps) == len(clock.losses) == 3
+    assert all(end > start for start, end in clock.steps)

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplm.optim import (WEIGHT_DECAY, AdamWState, WsdSchedule, adamw_step,
-                        clip_global_norm, rescaled_schedule, wsd_lr)
+import bplm.optim
+from bplm.optim import (ADAMW_CHUNK, WEIGHT_DECAY, AdamWState, WsdSchedule,
+                        adamw_step, clip_global_norm, rescaled_schedule,
+                        wsd_lr)
 from bplm.tensor import Tensor
+
+import reference
 
 PAPER_SCHEDULE = WsdSchedule(peak_lr=5e-4, warmup_steps=2000,
                              total_steps=42_000, decay_steps=2000)
@@ -188,3 +192,92 @@ class TestAdamW:
         for expected in (1, 2, 3):
             adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1)
             assert state.step_count == expected
+
+    def test_bad_gradient_changes_nothing(self):
+        # "a" comes before the mismatched "b", so a check made while
+        # updating would already have moved it
+        params = {"a": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                  "b": Tensor(np.ones((2, 2)), requires_grad=True)}
+        state = fresh()
+        adamw_step(params, {"a": np.ones(2), "b": np.ones((2, 2))}, state,
+                   lr=0.1)
+        before = [(name, p.data.copy(), state.m[name].copy(),
+                   state.v[name].copy()) for name, p in params.items()]
+        with pytest.raises(ValueError, match="mismatch for b"):
+            adamw_step(params, {"a": np.ones(2), "b": np.ones(4)}, state,
+                       lr=0.1)
+        assert state.step_count == 1
+        for name, p, m, v in before:
+            np.testing.assert_array_equal(params[name].data, p)
+            np.testing.assert_array_equal(state.m[name], m)
+            np.testing.assert_array_equal(state.v[name], v)
+
+    def test_replaced_data_takes_effect(self):
+        # the optimizer keeps parameters in buffers of its own; a .data
+        # set between steps must be what the next step updates
+        runs = []
+        for step in (adamw_step, reference.adamw_step):
+            params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
+            state = fresh()
+            step(params, {"w": np.array([0.5, 1.0])}, state, lr=0.1)
+            params["w"].data = np.array([4.0, 3.0])
+            step(params, {"w": np.array([-1.0, 2.0])}, state, lr=0.1)
+            runs.append((params["w"].data, state.m["w"], state.v["w"]))
+        for fast, ref in zip(*runs):
+            np.testing.assert_array_equal(fast, ref)
+        # one step of lr 0.1 from the replaced value, not from the old one
+        np.testing.assert_allclose(runs[0][0], [4.0, 3.0], atol=0.5)
+
+
+PARAM_NAMES = ("embed", "layer.0.attn_norm", "layer.0.attn.wq",
+               "layer.0.ffn_norm", "final_norm", "head", "__head.w")
+SHAPES = st.sampled_from([(1,), (3,), (5,), (2, 3), (4, 1), (3, 4)])
+
+
+class TestMatchesReference:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_params_and_moments_match(self, data):
+        """The flat update equals the per-parameter reference bit for bit,
+        over several steps: norm gains and decayed parameters, 1-D and 2-D
+        shapes, a parameter with no gradient, moments present at the start
+        as load_checkpoint leaves them, and chunks that end inside a
+        parameter and inside the decayed prefix."""
+        names = data.draw(st.lists(st.sampled_from(PARAM_NAMES), min_size=1,
+                                   max_size=6, unique=True))
+        shapes = {name: data.draw(SHAPES) for name in names}
+        missing = data.draw(st.sampled_from(names))
+        loaded = data.draw(st.booleans())
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        chunk = data.draw(st.sampled_from([1, 2, 5, 7, ADAMW_CHUNK]))
+
+        def start():
+            rng = np.random.default_rng(seed)
+            params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                      for name, shape in shapes.items()}
+            state = fresh(eps=1e-5)
+            if loaded:
+                state.step_count = 7
+                state.m = {name: rng.normal(size=shape)
+                           for name, shape in shapes.items()}
+                state.v = {name: rng.random(size=shape)
+                           for name, shape in shapes.items()}
+            return params, state
+
+        (params, state), (ref_params, ref_state) = start(), start()
+        rng = np.random.default_rng([seed, 1])
+        for step in range(4):
+            grads = {name: rng.normal(scale=10.0 ** (step - 2), size=shape)
+                     for name, shape in shapes.items() if name != missing}
+            lr = 1e-3 * (step + 1)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bplm.optim, "ADAMW_CHUNK", chunk)
+                adamw_step(params, grads, state, lr)
+            reference.adamw_step(ref_params, grads, ref_state, lr)
+        assert state.step_count == ref_state.step_count
+        assert set(state.m) == set(ref_state.m) == set(names)
+        for name in names:
+            np.testing.assert_array_equal(params[name].data,
+                                          ref_params[name].data)
+            np.testing.assert_array_equal(state.m[name], ref_state.m[name])
+            np.testing.assert_array_equal(state.v[name], ref_state.v[name])

@@ -22,6 +22,9 @@ from bplm.runner import (CHECKPOINT_VERSION, CPT_DECAY_SHARE, Checkpoint,
                          write_trace)
 from bplm.tensor import Tensor
 
+import bplm.runner
+import reference
+
 CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
                   vocab_size=16, max_seq_len=32)
 
@@ -291,6 +294,16 @@ class TestResume:
             == ckpt_bytes(full, tmp_path / "full.ckpt")
         assert ckpt_bytes(mid, tmp_path / "mid.ckpt") == mid_bytes
 
+    def test_resume_from_a_live_checkpoint_leaves_it_unchanged(self,
+                                                               tmp_path):
+        # the returned checkpoint's params and moments are the optimizer's
+        # buffers; a run started from it must train on copies
+        cfg = train_cfg([(Objective.MLM, 10)], total=10)
+        full = run_pfs(cfg, make_stream(), CFG)
+        before = ckpt_bytes(full, tmp_path / "before.ckpt")
+        run_pfs(cfg, make_stream(), CFG, resume_from=replace(full, step=6))
+        assert ckpt_bytes(full, tmp_path / "after.ckpt") == before
+
     def test_cpt_resume_saves_the_same_bytes(self, tmp_path):
         base = run_pfs(train_cfg([(Objective.CLM, 6)], total=6),
                        make_stream(), CFG)
@@ -325,6 +338,25 @@ class TestResume:
             run_pfs(cfg, make_stream(), replace(CFG, **model_kw),
                     resume_from=mid, trace=trace)
         assert trace == []
+
+
+class TestReferenceOptimizer:
+    def test_biphasic_run_saves_the_same_bytes(self, tmp_path, monkeypatch):
+        """run_pfs under the flat optimizer and under the per-parameter
+        reference writes the same cadence and final checkpoint bytes."""
+        def run(directory):
+            cfg = train_cfg([(Objective.CLM, 4), (Objective.MLM, 6)],
+                            total=10, checkpoint_cadence=3,
+                            checkpoint_dir=str(directory))
+            save_checkpoint(run_pfs(cfg, make_stream(), CFG),
+                            directory / "final.ckpt")
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        fast = run(tmp_path / "fast")
+        monkeypatch.setattr(bplm.runner, "adamw_step", reference.adamw_step)
+        assert sorted(fast) == ["final.ckpt", "step_00000003.ckpt",
+                                "step_00000006.ckpt", "step_00000009.ckpt"]
+        assert run(tmp_path / "reference") == fast
 
 
 class TestCheckpointIo:
