@@ -335,14 +335,14 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
     for step in range(total_steps):
         lo = (step % steps_per_epoch) * spec.batch_size
         batch = [dataset.train[i] for i in order[lo: lo + spec.batch_size]]
-        for p in trainable.values():
-            p.zero_grad()
         with Tape() as tape:
             loss = task_loss(dataset.task, head, params, cfg, batch, dataset)
         backward(loss, tape)
         grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
         clip_global_norm(grads)
         adamw_step(trainable, grads, opt, wsd_lr(schedule, step))
+        for p in trainable.values():
+            p.zero_grad()
     return params, head
 
 

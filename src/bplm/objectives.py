@@ -57,6 +57,8 @@ class LmBatch:
         for r, m in zip(self.rows, self.pad_masks):
             if len(r) != len(m):
                 raise ValueError("row/pad mask length mismatch")
+        if len({len(r) for r in self.rows}) > 1:
+            raise ValueError("rows of one batch must share one length")
 
 
 def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
@@ -93,16 +95,17 @@ def _mlm_targets(plan: MaskingPlan, seq_len: int) -> np.ndarray:
     return targets
 
 
-def _clm_targets(tokens: Sequence[int],
-                 pad_mask: Optional[Sequence[bool]]) -> np.ndarray:
-    """Next-token shift: position t targets token t+1 where both are real."""
+def _clm_targets(tokens, pad_mask) -> np.ndarray:
+    """Next-token shift along the last axis: position t targets token t+1
+    where both are real. tokens is one row [T] or a batch [B, T]."""
     tokens = np.asarray(tokens, dtype=np.int64)
     pad = (np.ones(tokens.shape, dtype=bool) if pad_mask is None
            else np.asarray(pad_mask, dtype=bool))
-    if pad.sum() < 2:
+    if (pad.sum(axis=-1) < 2).any():
         raise ValueError("clm_loss needs at least 2 non-pad tokens")
     targets = np.full(tokens.shape, IGNORE_INDEX, dtype=np.int64)
-    targets[:-1] = np.where(pad[:-1] & pad[1:], tokens[1:], IGNORE_INDEX)
+    targets[..., :-1] = np.where(pad[..., :-1] & pad[..., 1:], tokens[..., 1:],
+                                 IGNORE_INDEX)
     return targets
 
 
@@ -129,25 +132,22 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
     if objective is Objective.CLM:
         mode = AttentionMode.CAUSAL
         inputs = batch.rows
-        targets = [_clm_targets(tokens, pad)
-                   for tokens, pad in zip(batch.rows, batch.pad_masks)]
+        targets = _clm_targets(batch.rows, batch.pad_masks)
     else:
         if batch.plans is None or len(batch.plans) != len(batch.rows):
             raise ValueError("MLM batch must carry one masking plan per row")
         mode = AttentionMode.BIDIRECTIONAL
         inputs = [plan.apply(tokens)
                   for plan, tokens in zip(batch.plans, batch.rows)]
-        targets = [_mlm_targets(plan, len(tokens))
-                   for plan, tokens in zip(batch.plans, batch.rows)]
-    weights = []
-    for row_targets in targets:
-        kept = row_targets != IGNORE_INDEX
-        if not kept.any():
-            raise ValueError("empty loss: all positions ignored")
-        weights.append(kept / (kept.sum() * len(targets)))
+        targets = np.stack([_mlm_targets(plan, len(tokens))
+                            for plan, tokens in zip(batch.plans, batch.rows)])
+    kept = targets != IGNORE_INDEX
+    counts = kept.sum(axis=1, keepdims=True)
+    if not counts.all():
+        raise ValueError("empty loss: all positions ignored")
+    weights = kept / (counts * len(targets))
     hidden = forward_batch(params, cfg, inputs, mode, batch.pad_masks)
-    targets = np.concatenate(targets)
-    rows = np.flatnonzero(targets != IGNORE_INDEX)
+    rows = np.flatnonzero(kept)
     logits = lm_head(params, T.gather_rows(hidden, rows))
-    return T.cross_entropy_from_logits(logits, targets[rows],
-                                       np.concatenate(weights)[rows])
+    return T.cross_entropy_from_logits(logits, targets.reshape(-1)[rows],
+                                       weights.reshape(-1)[rows])

@@ -75,6 +75,10 @@ class AdamWState:
     def __post_init__(self):
         self.flat: Optional[_FlatLayout] = None  # adamw_step's buffers
 
+    def __getstate__(self):
+        # m and v pickle as arrays of their own; the next step rebuilds flat
+        return {**self.__dict__, "flat": None}
+
 
 class _FlatLayout:
     """One flat buffer each for params, m and v, whose views are each

@@ -181,8 +181,6 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
             batch = _mask_batch(batch, cfg.mask_ratio, mask_id, cfg.seed, step)
         lr = wsd_lr(cfg.schedule, step)
 
-        for p in params.values():
-            p.zero_grad()
         with Tape() as tape:
             loss = pretrain_loss(objective, params, model_cfg, batch)
         if not math.isfinite(loss.item()):
@@ -195,6 +193,8 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
         except ValueError as err:
             raise ValueError(f"{err} at step {step}") from None
         adamw_step(params, grads, opt_state, lr)
+        for p in params.values():  # so a returned checkpoint holds no grads
+            p.zero_grad()
 
         trace.append({
             "step": step, "phase": phase, "objective": objective.value,

@@ -234,7 +234,7 @@ def scatter_rows(x: Tensor, ids: Sequence[int], n_rows: int) -> Tensor:
         raise ValueError("scatter_rows expects one row index per row of x")
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ValueError("row index out of range")
-    if np.unique(idx).size != idx.size:
+    if not (idx[1:] > idx[:-1]).all() and np.unique(idx).size != idx.size:
         raise ValueError("scatter_rows: repeated row index")
     data = np.zeros((n_rows,) + x.data.shape[1:])
     data[idx] = x.data
@@ -299,34 +299,32 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     return _record(out, (gate, up), bw)
 
 
-def _rope_angles(positions, head_dim: int, theta: float):
-    """cos and sin of pos * theta**(-2i/head_dim), one row per position and
+def _rope_rotations(positions, head_dim: int, theta: float) -> np.ndarray:
+    """e^{i*pos*theta**(-2i/head_dim)}, complex128, one row per position and
     one column per coordinate pair i."""
     freqs = theta ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.cos(ang), np.sin(ang)
+    rot = np.empty(ang.shape, dtype=np.complex128)
+    rot.real, rot.imag = np.cos(ang), np.sin(ang)
+    return rot
 
 
 @functools.lru_cache(maxsize=64)
 def _rope_table(seq_len: int, head_dim: int, theta: float, heads: int):
-    """_rope_angles for positions 0..seq_len-1 repeated for each of heads
+    """_rope_rotations for positions 0..seq_len-1 repeated for each of heads
     heads side by side, [seq_len, heads*head_dim/2]; built once, read-only."""
-    cos, sin = _rope_angles(np.arange(seq_len), head_dim, theta)
-    cos, sin = np.tile(cos, (1, heads)), np.tile(sin, (1, heads))
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    rot = np.tile(_rope_rotations(np.arange(seq_len), head_dim, theta),
+                  (1, heads))
+    rot.setflags(write=False)
+    return rot
 
 
-def _rope_rotate(arr: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate coordinate pairs (2i, 2i+1) of the last axis; cos and sin
-    broadcast against arr[..., 0::2]. Passing -sin undoes the rotation."""
-    even = arr[..., 0::2]
-    odd = arr[..., 1::2]
-    out = np.empty_like(arr)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+def _rope_rotate(arr: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Rotate coordinate pairs (2i, 2i+1) of the last axis, read as complex
+    numbers 2i + i*(2i+1), by multiplying them with rot, which broadcasts
+    against arr[..., 0::2]. Passing rot.conj() undoes the rotation."""
+    pairs = np.ascontiguousarray(arr).view(np.complex128)
+    return (pairs * rot).view(np.float64)
 
 
 def rope_apply(x: Tensor, positions: Sequence[int], theta: float) -> Tensor:
@@ -337,20 +335,19 @@ def rope_apply(x: Tensor, positions: Sequence[int], theta: float) -> Tensor:
         raise ValueError("rope requires an even head dimension")
     if len(positions) != x.data.shape[0]:
         raise ValueError("positions length must match sequence length")
-    cos, sin = _rope_angles(positions, hd, theta)
     # broadcast over any middle axes
     bshape = (x.data.shape[0],) + (1,) * (x.data.ndim - 2) + (hd // 2,)
-    cos = cos.reshape(bshape)
-    sin = sin.reshape(bshape)
-    out = Tensor(_rope_rotate(x.data, cos, sin))
-    # inverse rotation transposes the 2x2 blocks
-    return _record(out, (x,), lambda g: (_rope_rotate(g, cos, -sin),))
+    rot = _rope_rotations(positions, hd, theta).reshape(bshape)
+    out = Tensor(_rope_rotate(x.data, rot))
+    return _record(out, (x,), lambda g: (_rope_rotate(g, rot.conj()),))
 
 
 @functools.lru_cache(maxsize=64)
-def _causal_mask(seq_len: int):
-    """Additive [L, 1, L] score mask, NEG_INF at keys after the query."""
-    mask = np.where(np.tri(seq_len, dtype=bool).T, 0.0, NEG_INF)[:, None, :]
+def _causal_mask(seq_len: int, group: int):
+    """Additive [L, group*L] score mask, keys down and group blocks of L
+    queries across: NEG_INF at keys after the query."""
+    mask = np.tile(np.where(np.tri(seq_len, dtype=bool).T, 0.0, NEG_INF),
+                   (1, group))
     mask.setflags(write=False)
     return mask
 
@@ -393,20 +390,19 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
     group = heads // kv_heads
     scale = 1.0 / np.sqrt(hd)
     # a column per (head, pair): one rotation spans all heads, k's first ones
-    cos, sin = _rope_table(pad.shape[1], hd, theta, heads)
+    rot = _rope_table(pad.shape[1], hd, theta, heads)
     lead = pad.shape  # unpadded rows read the table as is
     if not pad.all():  # else each real position reads its column's row
-        lead, cols = (n,), np.nonzero(pad)[1]
-        cos, sin = cos[cols], sin[cols]
+        lead, rot = (n,), rot[np.nonzero(pad)[1]]
 
-    def rotate(a, s):  # packed rows [N, width], by position
+    def rotate(a, r):  # packed rows [N, width], by position
         w = a.shape[1] // 2
-        return _rope_rotate(a.reshape(*lead, 2 * w), cos[..., :w],
-                            s[..., :w]).reshape(a.shape)
+        return _rope_rotate(a.reshape(*lead, 2 * w),
+                            r[..., :w]).reshape(a.shape)
 
-    def split(a, lo, G, L, width):  # packed rows -> [G, kv, width*L, hd]
+    def split(a, lo, G, L, width):  # packed rows -> [G*kv, width*L, hd]
         return (a[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)
-                .transpose(0, 2, 3, 1, 4).reshape(G, kv_heads, width * L, hd))
+                .transpose(0, 2, 3, 1, 4).reshape(G * kv_heads, width * L, hd))
 
     def put(dst, a, lo, G, L, width):  # split's inverse, into dst's rows
         dst[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)[...] = (
@@ -414,36 +410,36 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
 
     # The query heads of one kv group sit side by side, so each (row, group)
     # is one [L, hd] x [hd, group*L] product and KV is never copied per head.
-    # Scores keep keys on axis 2, where numpy reduces fastest: [G, kv, Lk,
-    # group*Lq], the transpose of the usual layout.
-    qr = rotate(q.data, sin) * scale
-    kr = rotate(k.data, sin)
+    # Scores are [G*kv, Lk, group*Lq] blocks with keys on axis 1, the
+    # transpose of the usual layout, where numpy reduces fastest.
+    qr = rotate(q.data, rot) * scale
+    kr = rotate(k.data, rot)
     out, saved = np.empty(q.data.shape), []
     for run in runs:
         lo, G, L = run
         qt = (qr[lo:lo + G * L].reshape(G, L, kv_heads, group, hd)
-              .transpose(0, 2, 4, 3, 1).reshape(G, kv_heads, hd, group * L))
+              .transpose(0, 2, 4, 3, 1).reshape(G * kv_heads, hd, group * L))
         kt, vt = split(kr, *run, 1), split(v.data, *run, 1)
-        s = (kt @ qt).reshape(G, kv_heads, L, group, L)
+        wt = kt @ qt  # softmax in place on the product: a reshape may copy
         if causal:
-            s += _causal_mask(L)
-        s -= s.max(axis=2, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=2, keepdims=True)
-        wt = s.reshape(G, kv_heads, L, group * L)
-        put(out, wt.transpose(0, 1, 3, 2) @ vt, *run, group)
+            wt += _causal_mask(L, group)
+        wt -= wt.max(axis=1, keepdims=True)
+        np.exp(wt, out=wt)
+        wt /= wt.sum(axis=1, keepdims=True)
+        put(out, wt.transpose(0, 2, 1) @ vt, *run, group)
         saved.append((run, qt, kt, vt, wt))
 
     def bw(g):
         gq, gk, gv = np.empty(g.shape), np.empty(kv_shape), np.empty(kv_shape)
         for run, qt, kt, vt, wt in saved:
             go = split(g, *run, group)
-            gw = vt @ go.transpose(0, 1, 3, 2)
-            gs = wt * (gw - (gw * wt).sum(axis=2, keepdims=True))
-            put(gq, gs.transpose(0, 1, 3, 2) @ kt, *run, group)
-            put(gk, gs @ qt.transpose(0, 1, 3, 2), *run, 1)
+            gw = vt @ go.transpose(0, 2, 1)
+            gs = wt * (gw - (gw * wt).sum(axis=1, keepdims=True))
+            put(gq, gs.transpose(0, 2, 1) @ kt, *run, group)
+            put(gk, gs @ qt.transpose(0, 2, 1), *run, 1)
             put(gv, wt @ go, *run, 1)
-        return rotate(gq * scale, -sin), rotate(gk, -sin), gv
+        back = rot.conj()
+        return rotate(gq * scale, back), rotate(gk, back), gv
 
     return _record(Tensor(out), (q, k, v), bw)
 
@@ -477,11 +473,11 @@ def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
     out = Tensor(-(w * logp[rows, tgt[rows]]).sum())
 
     def bw(g):
-        p = np.exp(logp)
-        grad = np.zeros_like(logits.data)
-        grad[rows] = p[rows]
+        row_scale = np.zeros(tgt.shape)  # ignored rows' grad stays +0.0
+        row_scale[rows] = w * float(g)
+        grad = np.exp(logp)
         grad[rows, tgt[rows]] -= 1.0
-        grad[rows] *= w[:, None] * float(g)
+        grad *= row_scale[:, None]
         return (grad,)
 
     return _record(out, (logits,), bw)

@@ -34,3 +34,15 @@ def adamw_step(params, grads, state: AdamWState, lr: float) -> None:
         if "norm" not in name:
             update = update + lr * WEIGHT_DECAY * p.data
         p.data = p.data - update
+
+
+def rope_rotate(arr, cos, sin):
+    """Rotate coordinate pairs (2i, 2i+1) of the last axis by the real
+    formula (even*cos - odd*sin, even*sin + odd*cos); cos and sin broadcast
+    against arr[..., 0::2]. Passing -sin undoes the rotation."""
+    even = arr[..., 0::2]
+    odd = arr[..., 1::2]
+    out = np.empty_like(arr)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out

@@ -175,6 +175,11 @@ class TestPretrainLoss:
                           LmBatch([[3, 4], [3, 0]],
                                   [[True, True], [True, False]]))
 
+    def test_ragged_rows_rejected(self):
+        # pretrain_loss builds its targets as one [B, T] array
+        with pytest.raises(ValueError, match="share one length"):
+            LmBatch([[3, 4, 5], [3, 4]], [[True] * 3, [True] * 2])
+
     def test_empty_plan_rejected(self, tiny_cfg, tiny_params, rng):
         rows = [[3, 4, 5], [6, 7, 8]]
         plans = [select_mask(rows[0], 0.5, rng, 1),

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import struct
 import zlib
 from dataclasses import fields, replace
@@ -303,6 +304,26 @@ class TestResume:
         before = ckpt_bytes(full, tmp_path / "before.ckpt")
         run_pfs(cfg, make_stream(), CFG, resume_from=replace(full, step=6))
         assert ckpt_bytes(full, tmp_path / "after.ckpt") == before
+
+    def test_live_checkpoint_pickles_like_a_loaded_one(self, tmp_path):
+        # run_grid_search(jobs > 1) pickles its base once per cell: a live
+        # checkpoint carries no optimizer buffers and no grads beside its
+        # params and moments, and unpickled it resumes to the same bytes
+        cfg = train_cfg([(Objective.MLM, 10)], total=10)
+        live = run_pfs(cfg, make_stream(), CFG)
+        assert all(p.grad is None for p in live.params.values())
+        save_checkpoint(live, tmp_path / "live.ckpt")
+        loaded = load_checkpoint(tmp_path / "live.ckpt")
+        pickled = pickle.dumps(live)
+        assert len(pickled) <= 1.01 * len(pickle.dumps(loaded))
+
+        def resumed(start, name):
+            return ckpt_bytes(run_pfs(cfg, make_stream(), CFG,
+                                      resume_from=replace(start, step=6)),
+                              tmp_path / name)
+
+        assert resumed(pickle.loads(pickled), "unpickled.ckpt") \
+            == resumed(loaded, "loaded.ckpt")
 
     def test_cpt_resume_saves_the_same_bytes(self, tmp_path):
         base = run_pfs(train_cfg([(Objective.CLM, 6)], total=6),

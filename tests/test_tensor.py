@@ -9,6 +9,8 @@ from bplm import tensor as T
 from bplm.model import AttentionMode
 from bplm.tensor import Tape, Tensor, backward, grad_check
 
+import reference
+
 
 def t(data, grad=False):
     return Tensor(data, requires_grad=grad)
@@ -369,6 +371,53 @@ class TestRope:
         with pytest.raises(ValueError):
             T.rope_apply(Tensor(np.ones((2, 3))), [0, 1], 10.0)
 
+    @given(st.integers(1, 6), st.integers(0, 3), st.integers(1, 8),
+           st.lists(st.integers(0, 4096), min_size=6, max_size=6),
+           st.sampled_from([10.0, 100.0, 10_000.0]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_complex_kernel_matches_real_formula(self, rows, mid, pairs,
+                                                 positions, theta, undo,
+                                                 seed):
+        # the complex multiply fuses multiply-adds, so it may differ from
+        # the even/odd formula by about an ulp, not more
+        shape = (rows,) + (2,) * mid + (2 * pairs,)
+        x = np.random.default_rng(seed).normal(size=shape) * 10.0
+        rot = T._rope_rotations(positions[:rows], 2 * pairs, theta)
+        rot = rot.reshape((rows,) + (1,) * mid + (pairs,))
+        if undo:
+            rot = rot.conj()
+        want = reference.rope_rotate(x, rot.real, rot.imag)
+        got = T._rope_rotate(x, rot)
+        assert got.shape == x.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(x).max()
+
+    def test_rotate_then_undo_returns_input(self, rng):
+        x = rng.normal(size=(7, 3, 16))
+        rot = T._rope_rotations([0, 1, 2, 50, 99, 1000, 4095], 16,
+                                10_000.0)[:, None, :]
+        back = T._rope_rotate(T._rope_rotate(x, rot), rot.conj())
+        assert np.abs(back - x).max() <= 1e-15 * np.abs(x).max()
+
+    def test_strided_input_is_rotated(self, rng):
+        # a gradient may arrive as a view whose last axis is not contiguous
+        x = rng.normal(size=(8, 4)).T
+        rot = T._rope_rotations([0, 1, 2, 3], 8, 100.0)
+        want = reference.rope_rotate(x, rot.real, rot.imag)
+        assert np.abs(T._rope_rotate(x, rot) - want).max() \
+            <= 1e-15 * np.abs(x).max()
+
+    def test_table_is_cached_read_only(self):
+        table = T._rope_table(5, 4, 100.0, 3)
+        assert T._rope_table(5, 4, 100.0, 3) is table
+        assert table.dtype == np.complex128 and table.shape == (5, 3 * 2)
+        # e^{i*pos*theta_j} with theta_j = 100**(-2j/4), tiled across heads
+        angles = np.arange(5)[:, None] * np.array([1.0, 0.1])
+        np.testing.assert_allclose(table, np.tile(np.exp(1j * angles), (1, 3)),
+                                   rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
 
 def per_head_attention(q, k, v, mask, heads, kv_heads, theta):
     """The fused op's reference: one row and one head at a time, composed
@@ -492,10 +541,15 @@ class TestGqaAttention:
             assert np.array_equal(a, b)
 
     def test_causal_mask_is_cached_read_only(self):
-        mask = T._causal_mask(3)
-        assert T._causal_mask(3) is mask
+        mask = T._causal_mask(3, 2)
+        assert T._causal_mask(3, 2) is mask
+        # keys down, two blocks of three queries across
+        assert mask.shape == (3, 6)
+        np.testing.assert_array_equal(mask[:, :3] == 0,
+                                      np.tri(3, dtype=bool).T)
+        np.testing.assert_array_equal(mask[:, 3:], mask[:, :3])
         with pytest.raises(ValueError, match="read-only"):
-            mask[0, 0, 0] = 1.0
+            mask[0, 0] = 1.0
 
     def test_shape_mismatch_rejected(self):
         # q, k and v must each have one row per real position: pad.sum()
