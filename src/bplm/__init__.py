@@ -11,7 +11,7 @@ from .model import AttentionMode, ModelConfig, init_params, forward, forward_bat
 from .objectives import LmBatch, MaskingPlan, Objective
 from .optim import AdamWState, WsdSchedule, rescaled_schedule, wsd_lr
 from .runner import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
-from .tensor import Tape, Tensor, backward, grad_check
+from .tensor import Tape, Tensor, backward
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,6 @@ __all__ = [
     "LmBatch", "MaskingPlan", "Objective",
     "AdamWState", "WsdSchedule", "rescaled_schedule", "wsd_lr",
     "Checkpoint", "TrainConfig", "load_checkpoint", "save_checkpoint",
-    "Tape", "Tensor", "backward", "grad_check",
+    "Tape", "Tensor", "backward",
     "__version__",
 ]

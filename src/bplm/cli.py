@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (CorpusSpec, MASK_ID, PAD_ID, gen_corpus, load_task_dataset,
-                   pack_batches)
+from .data import (BatchStream, CorpusSpec, MASK_ID, PAD_ID, gen_corpus,
+                   load_task_dataset)
 from .finetune import (GridSearchSpec, ci95_half_width, run_grid_search,
                        write_report)
 from .model import ModelConfig
@@ -171,8 +171,8 @@ def _train(args) -> int:
     spec = CorpusSpec(**dict(cfg["data"], max_len=min(
         cfg["data"]["max_len"], model_cfg.max_seq_len)))
     corpus = gen_corpus(spec)
-    stream = pack_batches(corpus.sequences, t["batch_rows"],
-                          spec.min_len, spec.max_len, PAD_ID, train_cfg.seed)
+    stream = BatchStream(corpus.sequences, t["batch_rows"],
+                         spec.min_len, spec.max_len, PAD_ID, train_cfg.seed)
 
     trace: list = []
     if cpt:
@@ -208,7 +208,7 @@ def cmd_finetune(args) -> int:
               file=sys.stderr)
     spec = GridSearchSpec(seeds=seeds)
     out = _out_dir(args, f"finetune-{dataset.task.lower()}")
-    report = run_grid_search(base, dataset, spec, jobs=args.jobs)
+    report = run_grid_search(base, dataset, spec)
     os.makedirs(out, exist_ok=True)
     name = os.path.basename(os.path.normpath(args.task_data))
     write_report(report, name, os.path.join(out, "runs.csv"))
@@ -262,9 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic desk-scale CLM/MLM pretraining study")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def out(p):
         p.add_argument("--out", help="output directory "
                        "(default: $BPLM_OUT_DIR/<name>)")
+
+    def common(p):
+        out(p)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--allow-nonstudy", action="store_true",
                        help="permit values outside the study grid")
@@ -282,12 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_train)
 
-    p = sub.add_parser("finetune", help="grid-search fine-tune and evaluate")
+    # no abbreviations, so --seed is refused rather than read as --seeds
+    p = sub.add_parser("finetune", help="grid-search fine-tune and evaluate",
+                       allow_abbrev=False)
     p.add_argument("checkpoint")
     p.add_argument("task_data", help="task dataset directory")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    out(p)
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("report", help="aggregate run CSVs into a summary")

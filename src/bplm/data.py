@@ -186,7 +186,6 @@ class BatchStream:
         if not self.pool:
             raise ValueError("no sequences of at least min_len tokens")
         self.batch_rows = batch_rows
-        self.max_len = max_len
         self.pad_id = pad_id
         self.seed = seed
 
@@ -203,7 +202,7 @@ class BatchStream:
         return LmBatch(rows, pads)
 
 
-pack_batches = BatchStream  # alias: the benchmark and tests call this name
+pack_batches = BatchStream  # alias: benchmark/workloads.py calls this name
 
 
 # ---------------------------------------------------------------------------

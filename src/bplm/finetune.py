@@ -331,15 +331,22 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
     # 10% warmup, then linear decay to zero at total_steps
     schedule = rescaled_schedule(lr, total_steps, 1.0)
     opt = AdamWState()
+    cell = f"the lr={lr:g}, seed={seed} cell"  # names a diverging cell
 
     for step in range(total_steps):
         lo = (step % steps_per_epoch) * spec.batch_size
         batch = [dataset.train[i] for i in order[lo: lo + spec.batch_size]]
         with Tape() as tape:
             loss = task_loss(dataset.task, head, params, cfg, batch, dataset)
+        if not math.isfinite(loss.item()):
+            raise ValueError(
+                f"non-finite loss {loss.item()} at step {step} of {cell}")
         backward(loss, tape)
         grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
-        clip_global_norm(grads)
+        try:
+            clip_global_norm(grads)
+        except ValueError as err:
+            raise ValueError(f"{err} at step {step} of {cell}") from None
         adamw_step(trainable, grads, opt, wsd_lr(schedule, step))
         for p in trainable.values():
             p.zero_grad()
@@ -379,21 +386,15 @@ def run_grid_search(base: Checkpoint, dataset: TaskDataset,
                     jobs: int = 1) -> RunReport:
     """The full protocol: every (lr, seed) cell fine-tuned and evaluated,
     lr selected on validation, test mean and ci95 reported across seeds."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # the cells run one after another; jobs stays only because
+    # benchmark/workloads.py passes jobs=1 by keyword
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     for name, split in dataset.splits().items():
         if not split:
             raise ValueError(f"empty {name} split")
-    cells = [(lr, seed) for lr in spec.learning_rates for seed in spec.seeds]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_worker,
-                                 [(base, dataset, lr, seed, spec)
-                                  for lr, seed in cells]))
-    else:
-        rows = [_finetune_and_eval(base, dataset, lr, seed, spec)
-                for lr, seed in cells]
+    rows = [_finetune_and_eval(base, dataset, lr, seed, spec)
+            for lr in spec.learning_rates for seed in spec.seeds]
     selected = select_best_lr(rows)
     test_scores = [r["test"] for r in rows if r["lr"] == selected]
     return RunReport(
@@ -401,11 +402,6 @@ def run_grid_search(base: Checkpoint, dataset: TaskDataset,
         test_mean=float(np.mean(test_scores)),
         ci95=ci95_half_width(test_scores),
     )
-
-
-def _cell_worker(args) -> dict:
-    base, dataset, lr, seed, spec = args
-    return _finetune_and_eval(base, dataset, lr, seed, spec)
 
 
 def write_report(report: RunReport, dataset_name: str, path) -> None:

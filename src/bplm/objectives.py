@@ -32,7 +32,6 @@ class Objective(enum.Enum):
 
 @dataclass
 class MaskingPlan:
-    ratio: float
     mask_token_id: int
     masked_positions: List[int]  # sorted
     original_targets: List[int]
@@ -81,7 +80,7 @@ def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
         sel = eligible[rng.random(eligible.size) < ratio]
         if sel.size:
             positions = sorted(int(i) for i in sel)
-            return MaskingPlan(ratio, mask_token_id, positions,
+            return MaskingPlan(mask_token_id, positions,
                                [tokens[i] for i in positions])
     raise RuntimeError(f"no positions selected after {MASK_ATTEMPTS} attempts")
 

@@ -76,7 +76,9 @@ class AdamWState:
         self.flat: Optional[_FlatLayout] = None  # adamw_step's buffers
 
     def __getstate__(self):
-        # m and v pickle as arrays of their own; the next step rebuilds flat
+        # pickle and copy.deepcopy copy each view apart from the copied flat
+        # buffers, so a copied flat would update none of them: m and v go
+        # as arrays of their own, and the next step rebuilds flat
         return {**self.__dict__, "flat": None}
 
 

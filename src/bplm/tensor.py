@@ -3,7 +3,7 @@
 Every operation the model and losses need is a free function that computes
 the forward value eagerly and, when a Tape is active and an input requires
 grad, records a backward rule on the tape. Backward rules are hand-written
-and checked against central finite differences (see grad_check).
+and checked against central finite differences (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -143,13 +143,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-    return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
     return _record(out, (a,), lambda g: (g * c,))
@@ -239,11 +232,6 @@ def scatter_rows(x: Tensor, ids: Sequence[int], n_rows: int) -> Tensor:
     data = np.zeros((n_rows,) + x.data.shape[1:])
     data[idx] = x.data
     return _record(Tensor(data), (x,), lambda g: (g[idx],))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-    return _record(out, (a,), lambda g: (np.full_like(a.data, float(g)),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -516,37 +504,3 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
         return (g / r - x.data * dot / r ** 3,)
 
     return _record(out, (x,), bw)
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-# ---------------------------------------------------------------------------
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between the tape gradient of f at x and central
-    finite differences, with denominator max(|a|, |b|, 1e-8).
-
-    f must return a scalar Tensor computed from its argument alone.
-    """
-    if not 0 < eps <= 1e-3:
-        raise ValueError("eps must lie in (0, 1e-3]")
-    x.zero_grad()
-    with Tape() as tape:
-        loss = f(x)
-    backward(loss, tape)
-    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(Tensor(x.data)).item()
-        flat[i] = orig - eps
-        fm = f(Tensor(x.data)).item()
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * eps)
-    numeric = numeric.reshape(x.data.shape)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / denom).max())

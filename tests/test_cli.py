@@ -1,5 +1,6 @@
 import configparser
 import csv
+import functools
 import os
 import re
 import struct
@@ -9,9 +10,11 @@ import zlib
 
 import pytest
 
+import bplm.cli
 from bplm.cli import CliError, expand_config, main
-from bplm.data import (MASK_ID, PAD_ID, CorpusSpec, gen_corpus, gen_task_data,
-                       pack_batches, save_task_dataset)
+from bplm.data import (MASK_ID, PAD_ID, BatchStream, CorpusSpec, gen_corpus,
+                       gen_task_data, save_task_dataset)
+from bplm.finetune import GridSearchSpec
 from bplm.objectives import Objective
 from bplm.optim import rescaled_schedule
 from bplm.runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
@@ -183,7 +186,8 @@ class TestPretrain:
                              "warmup_steps = 2\ndecay_steps = 2\n"
                              "peak_lr = 1e6\n")
         out = str(tmp_path / "out")
-        assert main(["pretrain", "--config", cfg, "--out", out]) == 1
+        with pytest.warns(RuntimeWarning):
+            assert main(["pretrain", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite .* at step \d+\n", err), err
         assert not os.path.exists(os.path.join(out, "final.ckpt"))
@@ -379,9 +383,9 @@ class TestCpt:
         # the run's own stream and CPT config, rebuilt from its config.ini
         ran = expand_config(str(out / "config.ini"))
         spec = CorpusSpec(**ran["data"])
-        stream = pack_batches(gen_corpus(spec).sequences,
-                              ran["train"]["batch_rows"], spec.min_len,
-                              spec.max_len, PAD_ID, ran["train"]["seed"])
+        stream = BatchStream(gen_corpus(spec).sequences,
+                             ran["train"]["batch_rows"], spec.min_len,
+                             spec.max_len, PAD_ID, ran["train"]["seed"])
         cpt_cfg = TrainConfig(
             [(Objective.MLM, 8)],
             rescaled_schedule(ran["train"]["peak_lr"], 8, CPT_DECAY_SHARE),
@@ -426,25 +430,18 @@ class TestCpt:
 
 
 class TestFinetuneAndReport:
-    def checkpoint(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = mlm\ntotal_steps = 6\n"
-                             "warmup_steps = 2\ndecay_steps = 2\n", "pre.ini")
+    def checkpoint(self, tmp_path, vocab=16):
+        # SC token ids need a 64-vocab model; the tiny one has 16
+        cfg = write_config(tmp_path, TINY_MODEL.replace(
+            "vocab_size = 16", f"vocab_size = {vocab}") + TINY_DATA
+            + "[train]\nobjective = mlm\ntotal_steps = 6\n"
+              "warmup_steps = 2\ndecay_steps = 2\n", "pre.ini")
         out = str(tmp_path / "pre")
         assert main(["pretrain", "--config", cfg, "--out", out]) == 0
         return os.path.join(out, "final.ckpt")
 
     def test_single_seed_warns_and_empty_ci(self, tmp_path, capsys):
-        # SC token ids fit the tiny 16-vocab only via a bigger model; use
-        # a 64-vocab model instead
-        cfg = write_config(tmp_path, TINY_MODEL.replace(
-            "vocab_size = 16", "vocab_size = 64") + TINY_DATA
-            + "[train]\nobjective = mlm\ntotal_steps = 6\n"
-              "warmup_steps = 2\ndecay_steps = 2\n", "pre.ini")
-        pre = str(tmp_path / "pre")
-        assert main(["pretrain", "--config", cfg, "--out", pre]) == 0
-        ckpt = os.path.join(pre, "final.ckpt")
-
+        ckpt = self.checkpoint(tmp_path, vocab=64)
         ds_dir = str(tmp_path / "sc-synth")
         save_task_dataset(gen_task_data("SC", 30, 0), ds_dir)
         out = str(tmp_path / "ft")
@@ -478,14 +475,35 @@ class TestFinetuneAndReport:
         assert "error: seeds must not be empty" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_zero_jobs_refused(self, tmp_path, capsys):
-        ds_dir = str(tmp_path / "sc-synth")
-        save_task_dataset(gen_task_data("SC", 30, 0), ds_dir)
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "3"],
+                                      ["--allow-nonstudy"]])
+    def test_dropped_flags_refused(self, tmp_path, capsys, flag):
+        # finetune reads none of them; --seed and --allow-nonstudy used to
+        # be taken and ignored
         out = str(tmp_path / "ft")
-        assert main(["finetune", self.checkpoint(tmp_path), ds_dir,
-                     "--jobs", "0", "--out", out]) == 1
-        assert capsys.readouterr().err \
-            == "error: jobs must be >= 1, got 0\n"
+        with pytest.raises(SystemExit) as info:
+            main(["finetune", str(tmp_path / "final.ckpt"),
+                  str(tmp_path / "sc-synth"), "--out", out] + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_diverging_cell_fails_naming_it(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(bplm.cli, "GridSearchSpec", functools.partial(
+            GridSearchSpec, learning_rates=(1e6,), batch_size=2))
+        ds_dir = str(tmp_path / "sc-synth")
+        save_task_dataset(gen_task_data("SC", 60, 0), ds_dir)
+        out = str(tmp_path / "ft")
+        with pytest.warns(RuntimeWarning):
+            assert main(["finetune", self.checkpoint(tmp_path, vocab=64),
+                         ds_dir, "--seeds", "1", "--out", out]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert re.fullmatch(r"error: non-finite .* at step \d+ of the "
+                            r"lr=1e\+06, seed=0 cell", errors[0]), errors
         assert not os.path.exists(out)
 
     def test_report_empty_dir(self, tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplm.data import (MAX_MARKOV_STATES, NUM_RESERVED, PAD_ID, Corpus,
-                       CorpusSpec, _markov_table, _stationary, gen_corpus,
-                       gen_task_data, load_jsonl, load_task_dataset,
-                       pack_batches, save_jsonl, save_task_dataset)
+from bplm.data import (MAX_MARKOV_STATES, NUM_RESERVED, PAD_ID, BatchStream,
+                       Corpus, CorpusSpec, _markov_table, _stationary,
+                       gen_corpus, gen_task_data, load_jsonl,
+                       load_task_dataset, save_jsonl, save_task_dataset)
 
 
 def power_iteration_stationary(P, iters=10_000):
@@ -308,7 +308,7 @@ class TestBatchStream:
         defaults = dict(batch_rows=3, min_len=4, max_len=12, pad_id=PAD_ID,
                         seed=0)
         defaults.update(kw)
-        return pack_batches(corpus.sequences, **defaults)
+        return BatchStream(corpus.sequences, **defaults)
 
     def test_random_access_deterministic(self):
         stream = self.make()
@@ -334,8 +334,8 @@ class TestBatchStream:
 
     def test_discard_counter(self):
         seqs = [[5, 6, 7, 8], [5, 6], [7]]
-        stream = pack_batches(seqs, batch_rows=1, min_len=4, max_len=8,
-                              pad_id=PAD_ID, seed=0)
+        stream = BatchStream(seqs, batch_rows=1, min_len=4, max_len=8,
+                             pad_id=PAD_ID, seed=0)
         assert stream.discarded == 2
 
     def test_zero_rows_refused(self):
@@ -344,14 +344,14 @@ class TestBatchStream:
 
     def test_all_discarded(self):
         with pytest.raises(ValueError):
-            pack_batches([[5]], batch_rows=1, min_len=4, max_len=8,
-                         pad_id=PAD_ID, seed=0)
+            BatchStream([[5]], batch_rows=1, min_len=4, max_len=8,
+                        pad_id=PAD_ID, seed=0)
 
     def test_coverage_histogram(self):
         # over many steps every pool sequence should get sampled
-        stream = pack_batches([[5, 6, 7, 8]] * 8 + [[8, 7, 6, 5]] * 8,
-                              batch_rows=4, min_len=4, max_len=8,
-                              pad_id=PAD_ID, seed=0)
+        stream = BatchStream([[5, 6, 7, 8]] * 8 + [[8, 7, 6, 5]] * 8,
+                             batch_rows=4, min_len=4, max_len=8,
+                             pad_id=PAD_ID, seed=0)
         seen = set()
         for step in range(200):
             rng = np.random.default_rng([0, step])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bplm import tensor as T
-from bplm.data import (PAD_ID, TASK_SEQ_LEN, TC_TAGSET, CorpusSpec,
-                       TaskDataset, TaskExample, gen_corpus, gen_task_data,
-                       pack_batches)
+from bplm.data import (PAD_ID, TASK_SEQ_LEN, TC_TAGSET, BatchStream,
+                       CorpusSpec, TaskDataset, TaskExample, gen_corpus,
+                       gen_task_data)
 from bplm.finetune import (EVAL_CHUNK, GridSearchSpec, accuracy, bio_spans,
                            ci95_half_width, encode, entity_f1, evaluate,
                            finetune_one, init_head, ndcg_at_10, qa_f1,
@@ -30,8 +30,8 @@ CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
 def pretrained_base(steps=20, seed=0):
     corpus = gen_corpus(CorpusSpec(num_symbols=40, target_tokens=3000,
                                    min_len=4, max_len=12, seed=seed))
-    stream = pack_batches(corpus.sequences, batch_rows=2, min_len=4,
-                          max_len=12, pad_id=PAD_ID, seed=seed)
+    stream = BatchStream(corpus.sequences, batch_rows=2, min_len=4,
+                         max_len=12, pad_id=PAD_ID, seed=seed)
     cfg = TrainConfig(objective_plan=[(Objective.MLM, steps)],
                       schedule=WsdSchedule(1e-3, 2, steps, 2), seed=seed)
     return run_pfs(cfg, stream, CFG)
@@ -555,16 +555,6 @@ class TestFinetuneEndToEnd:
         assert rows[0]["task"] == "SC" and rows[0]["metric"] == "accuracy"
         assert {r["split"] for r in rows} == {"validation", "test"}
 
-    def test_process_pool_matches_serial(self):
-        base = pretrained_base()
-        ds = gen_task_data("IR", 30, 0)
-        spec = GridSearchSpec(learning_rates=(1e-4, 1e-3), seeds=(0, 1),
-                              max_steps=3, batch_size=8)
-        serial = run_grid_search(base, ds, spec, jobs=1)
-        pooled = run_grid_search(base, ds, spec, jobs=2)
-        assert len(serial.rows) == 4
-        assert pooled.rows == serial.rows
-
     def test_empty_split_rejected(self):
         base = pretrained_base()
         ds = gen_task_data("SC", 30, 0)
@@ -572,10 +562,21 @@ class TestFinetuneEndToEnd:
         with pytest.raises(ValueError, match="validation"):
             run_grid_search(base, ds, GridSearchSpec())
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_refused(self, jobs):
-        # both used to run serially without an error
+    @pytest.mark.parametrize("jobs", [0, -3, 2])
+    def test_jobs_other_than_one_refused(self, jobs):
+        # 0 and -3 used to run serially, and 2 in a process pool
         base = pretrained_base()
         ds = gen_task_data("SC", 30, 0)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        with pytest.raises(ValueError, match=f"jobs must be 1, got {jobs}"):
             run_grid_search(base, ds, GridSearchSpec(), jobs=jobs)
+
+    def test_diverging_cell_names_its_step_lr_and_seed(self):
+        # used to raise a bare "non-finite gradient norm nan"
+        base = pretrained_base()
+        ds = gen_task_data("SC", 60, 0)
+        spec = GridSearchSpec(learning_rates=(1e6,), seeds=(2,),
+                              batch_size=2)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(ValueError, match=r"^non-finite .* at step "
+                              r"\d+ of the lr=1e\+06, seed=2 cell$"):
+            run_grid_search(base, ds, spec)

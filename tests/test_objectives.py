@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bplm import tensor as T
-from bplm.data import PAD_ID, CorpusSpec, gen_corpus, pack_batches
+from bplm.data import PAD_ID, BatchStream, CorpusSpec, gen_corpus
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import (IGNORE_INDEX, LmBatch, MaskingPlan, Objective,
                              clm_loss, mlm_loss, pretrain_loss, select_mask)
@@ -62,13 +62,13 @@ class TestSelectMask:
 class TestMlmLoss:
     def test_uniform(self):
         logits = Tensor(np.zeros((3, 4)))
-        plan = MaskingPlan(0.4, 1, [1], [2])
+        plan = MaskingPlan(1, [1], [2])
         assert abs(mlm_loss(logits, plan).item() - math.log(4)) < 1e-12
 
     def test_perfect_prediction(self):
         logits = np.zeros((2, 4))
         logits[0, 3] = BIG
-        plan = MaskingPlan(0.4, 1, [0], [3])
+        plan = MaskingPlan(1, [0], [3])
         assert mlm_loss(Tensor(logits), plan).item() < 1e-9
 
     def test_masked_mean(self):
@@ -76,17 +76,17 @@ class TestMlmLoss:
         logits = np.full((2, 4), -BIG)
         logits[0, :2] = 0.0          # two-way uniform -> ln 2
         logits[1, :] = 0.0           # four-way uniform -> ln 4
-        plan = MaskingPlan(0.4, 1, [0, 1], [0, 0])
+        plan = MaskingPlan(1, [0, 1], [0, 0])
         expected = (math.log(2) + math.log(4)) / 2
         assert abs(mlm_loss(Tensor(logits), plan).item() - expected) < 1e-12
 
     def test_empty_plan(self):
         with pytest.raises(ValueError):
-            mlm_loss(Tensor(np.zeros((2, 4))), MaskingPlan(0.4, 1, [], []))
+            mlm_loss(Tensor(np.zeros((2, 4))), MaskingPlan(1, [], []))
 
     def test_gradient_zero_at_unmasked(self, rng):
         logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
-        plan = MaskingPlan(0.4, 1, [1, 3], [2, 6])
+        plan = MaskingPlan(1, [1, 3], [2, 6])
         with Tape() as tape:
             loss = mlm_loss(logits, plan)
         backward(loss, tape)
@@ -183,7 +183,7 @@ class TestPretrainLoss:
     def test_empty_plan_rejected(self, tiny_cfg, tiny_params, rng):
         rows = [[3, 4, 5], [6, 7, 8]]
         plans = [select_mask(rows[0], 0.5, rng, 1),
-                 MaskingPlan(0.5, 1, [], [])]
+                 MaskingPlan(1, [], [])]
         with pytest.raises(ValueError, match="empty masking plan"):
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
                           LmBatch(rows, [[True] * 3] * 2, plans))
@@ -200,7 +200,7 @@ class TestPretrainLoss:
         params = init_params(cfg, 0)
         corpus = gen_corpus(CorpusSpec(num_symbols=6, target_tokens=2000,
                                        min_len=16, max_len=48, seed=5))
-        batch = pack_batches(corpus.sequences, 4, 16, 48, PAD_ID, 0).batch(0)
+        batch = BatchStream(corpus.sequences, 4, 16, 48, PAD_ID, 0).batch(0)
         rng = np.random.default_rng(0)
         plans = [select_mask(r, 0.4, rng, 1, p)
                  for r, p in zip(batch.rows, batch.pad_masks)]

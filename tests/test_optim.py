@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -227,6 +228,25 @@ class TestAdamW:
             np.testing.assert_array_equal(fast, ref)
         # one step of lr 0.1 from the replaced value, not from the old one
         np.testing.assert_allclose(runs[0][0], [4.0, 3.0], atol=0.5)
+
+    def test_deep_copy_steps_like_the_original(self):
+        # AdamWState.__getstate__ drops the flat buffers: a deep copy of
+        # them would keep views that no longer share the copied buffers, so
+        # the copy's params would stop moving
+        params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                  "final_norm": Tensor(np.ones(3), requires_grad=True)}
+        state = fresh()
+        grads = {"w": np.array([0.5, 1.0]), "final_norm": np.full(3, 0.25)}
+        adamw_step(params, grads, state, lr=0.1)
+        twin_params, twin_state = copy.deepcopy((params, state))
+        before = params["w"].data.copy()
+        adamw_step(params, grads, state, lr=0.1)
+        adamw_step(twin_params, grads, twin_state, lr=0.1)
+        assert not np.array_equal(params["w"].data, before)
+        for name, p in params.items():
+            assert twin_params[name].data.tobytes() == p.data.tobytes()
+            assert twin_state.m[name].tobytes() == state.m[name].tobytes()
+            assert twin_state.v[name].tobytes() == state.v[name].tobytes()
 
 
 PARAM_NAMES = ("embed", "layer.0.attn_norm", "layer.0.attn.wq",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bplm.data import MASK_ID, PAD_ID, CorpusSpec, gen_corpus, pack_batches
+from bplm.data import MASK_ID, PAD_ID, BatchStream, CorpusSpec, gen_corpus
 from bplm.model import ModelConfig, param_shapes
 from bplm.objectives import Objective
 from bplm.optim import AdamWState, WsdSchedule, rescaled_schedule, wsd_lr
@@ -33,8 +33,8 @@ CFG = ModelConfig(layers=1, embed_dim=16, ffn_dim=32, heads=4, kv_heads=2,
 def make_stream(seed=0):
     corpus = gen_corpus(CorpusSpec(num_symbols=5, target_tokens=3000,
                                    min_len=4, max_len=12, seed=seed))
-    return pack_batches(corpus.sequences, batch_rows=2, min_len=4, max_len=12,
-                        pad_id=PAD_ID, seed=seed)
+    return BatchStream(corpus.sequences, batch_rows=2, min_len=4, max_len=12,
+                       pad_id=PAD_ID, seed=seed)
 
 
 def train_cfg(plan, total, warmup=2, decay=2, **kw):
@@ -174,8 +174,8 @@ class TestRunPfs:
                                        pattern=(0, 1, 2), num_symbols=3,
                                        target_tokens=2000, min_len=8,
                                        max_len=16))
-        stream = pack_batches(corpus.sequences, batch_rows=4, min_len=8,
-                              max_len=16, pad_id=PAD_ID, seed=0)
+        stream = BatchStream(corpus.sequences, batch_rows=4, min_len=8,
+                             max_len=16, pad_id=PAD_ID, seed=0)
         cfg = train_cfg([(Objective.CLM, 60)], total=60, warmup=5, decay=5)
         trace = []
         run_pfs(cfg, stream, CFG, trace=trace)
@@ -187,7 +187,8 @@ class TestRunPfs:
         cfg = TrainConfig([(Objective.CLM, 20)], WsdSchedule(1e6, 2, 20, 2),
                           checkpoint_cadence=5, checkpoint_dir=str(tmp_path))
         trace = []
-        with pytest.raises(ValueError, match="non-finite") as info:
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(ValueError, match="non-finite") as info:
             run_pfs(cfg, make_stream(), CFG, trace=trace)
         failed = len(trace)  # steps 0 .. failed-1 completed
         assert 5 <= failed < 20
@@ -195,7 +196,8 @@ class TestRunPfs:
         assert sorted(os.listdir(tmp_path)) == [
             f"step_{done:08d}.ckpt" for done in range(5, failed + 1, 5)]
         mid = load_checkpoint(tmp_path / "step_00000005.ckpt")
-        with pytest.raises(ValueError, match=f"at step {failed}$"):
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(ValueError, match=f"at step {failed}$"):
             run_pfs(cfg, make_stream(), CFG, resume_from=mid)
         assert all(np.isfinite(p.data).all() for p in mid.params.values())
 
@@ -306,9 +308,10 @@ class TestResume:
         assert ckpt_bytes(full, tmp_path / "after.ckpt") == before
 
     def test_live_checkpoint_pickles_like_a_loaded_one(self, tmp_path):
-        # run_grid_search(jobs > 1) pickles its base once per cell: a live
-        # checkpoint carries no optimizer buffers and no grads beside its
-        # params and moments, and unpickled it resumes to the same bytes
+        # a live checkpoint, as run_pfs returns it, pickles (as deepcopy
+        # copies it) like a loaded one: no optimizer buffers and no grads
+        # beside its params and moments, and unpickled it resumes to the
+        # same bytes
         cfg = train_cfg([(Objective.MLM, 10)], total=10)
         live = run_pfs(cfg, make_stream(), CFG)
         assert all(p.grad is None for p in live.params.values())

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from bplm import tensor as T
 from bplm.model import AttentionMode
-from bplm.tensor import Tape, Tensor, backward, grad_check
+from bplm.tensor import Tape, Tensor, backward
 
 import reference
+from reference import grad_check, mul, sum_all
 
 
 def t(data, grad=False):
@@ -202,7 +203,7 @@ class TestGatherRowsBackward:
         table = t(rng.normal(size=(10, 3)), grad=True)
         g = rng.normal(size=(len(ids), 3))
         with Tape() as tape:
-            loss = T.sum_all(T.mul(T.gather_rows(table, ids), t(g)))
+            loss = sum_all(mul(T.gather_rows(table, ids), t(g)))
         backward(loss, tape)
         want = np.zeros((10, 3))
         np.add.at(want, np.asarray(ids, dtype=np.int64), g)
@@ -214,7 +215,7 @@ class TestReshape:
         x = t(np.arange(6.0).reshape(3, 2), grad=True)
         with Tape() as tape:
             y = T.reshape(x, 2, 3)
-            loss = T.sum_all(T.mul(y, t(np.arange(6.0).reshape(2, 3))))
+            loss = sum_all(mul(y, t(np.arange(6.0).reshape(2, 3))))
         backward(loss, tape)
         np.testing.assert_array_equal(y.data, np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2))
@@ -224,7 +225,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = t(np.arange(6.0).reshape(2, 3), grad=True)
         with Tape() as tape:
-            loss = T.sum_all(x)
+            loss = sum_all(x)
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
@@ -240,7 +241,7 @@ class TestBackward:
     def test_double_backward_rejected(self):
         x = t([1.0, 2.0], grad=True)
         with Tape() as tape:
-            loss = T.sum_all(x)
+            loss = sum_all(x)
         backward(loss, tape)
         with pytest.raises(RuntimeError, match="consumed"):
             backward(loss, tape)
@@ -256,14 +257,14 @@ class TestBackward:
         x = t([1.0], grad=True)
         with Tape() as tape:
             pass
-        loss = T.sum_all(x)  # recorded on no tape
+        loss = sum_all(x)  # recorded on no tape
         with pytest.raises(ValueError, match="not recorded"):
             backward(loss, tape)
 
     def test_grad_accumulates_over_reuse(self):
         x = t([3.0], grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         backward(loss, tape)
         np.testing.assert_allclose(x.grad, [6.0])
 
@@ -275,58 +276,58 @@ class TestGradCheck:
     # Each case adds sum(x) so no coordinate's true gradient sits near zero,
     # where the 1e-8 relative-error floor amplifies finite-difference noise.
     CASES = {
-        "matmul": (lambda x: T.sum_all(
+        "matmul": (lambda x: sum_all(
             T.matmul(x, Tensor(np.linspace(-1, 1, 8 * 3).reshape(8, 3)))),
             (4, 8)),
-        "softmax": (lambda x: T.sum_all(
-            T.mul(T.softmax(x, axis=-1),
+        "softmax": (lambda x: sum_all(
+            mul(T.softmax(x, axis=-1),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
-        "rms_norm": (lambda x: T.sum_all(
+        "rms_norm": (lambda x: sum_all(
             T.rms_norm(x, Tensor(np.linspace(0.5, 1.5, 8)), 1e-5)), (4, 8)),
-        "rms_norm_weight": (lambda w: T.sum_all(
+        "rms_norm_weight": (lambda w: sum_all(
             T.rms_norm(Tensor(np.linspace(-2, 2, 32).reshape(4, 8)), w,
                        1e-5)), (8,)),
-        "swiglu": (lambda x: T.sum_all(
+        "swiglu": (lambda x: sum_all(
             T.swiglu(x, Tensor(np.linspace(-1, 1, 32).reshape(4, 8)))),
             (4, 8)),
-        "swiglu_up": (lambda x: T.sum_all(
+        "swiglu_up": (lambda x: sum_all(
             T.swiglu(Tensor(np.linspace(-2, 2, 32).reshape(4, 8)), x)),
             (4, 8)),
         "cross_entropy": (lambda x: T.cross_entropy_from_logits(
             x, [0, 2, -100, 7]), (4, 8)),
-        "mean_pool": (lambda x: T.sum_all(
-            T.mul(T.mean_pool(x, [[True, False], [True, True]]),
+        "mean_pool": (lambda x: sum_all(
+            mul(T.mean_pool(x, [[True, False], [True, True]]),
                   Tensor(np.arange(16.0).reshape(2, 8)))), (4, 8)),
-        "reshape": (lambda x: T.sum_all(
-            T.mul(T.reshape(x, 8, 4),
+        "reshape": (lambda x: sum_all(
+            mul(T.reshape(x, 8, 4),
                   Tensor(np.arange(32.0).reshape(8, 4)))), (4, 8)),
-        "rope": (lambda x: T.sum_all(
-            T.mul(T.rope_apply(x, [0, 3, 7, 11], 100.0),
+        "rope": (lambda x: sum_all(
+            mul(T.rope_apply(x, [0, 3, 7, 11], 100.0),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
-        "l2_normalize": (lambda x: T.sum_all(
-            T.mul(T.l2_normalize_rows(x),
+        "l2_normalize": (lambda x: sum_all(
+            mul(T.l2_normalize_rows(x),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
-        "slice_concat_transpose": (lambda x: T.sum_all(
+        "slice_concat_transpose": (lambda x: sum_all(
             T.matmul(T.transpose(T.concat_cols(
                 [T.slice_cols(x, 0, 3), T.slice_cols(x, 3, 8)])),
                 Tensor(np.linspace(-1, 1, 4 * 2).reshape(4, 2)))), (4, 8)),
-        "scatter_rows": (lambda x: T.sum_all(
-            T.mul(T.scatter_rows(x, [5, 0, 2, 3], 6),
+        "scatter_rows": (lambda x: sum_all(
+            mul(T.scatter_rows(x, [5, 0, 2, 3], 6),
                   Tensor(np.arange(48.0).reshape(6, 8)))), (4, 8)),
-        "gather_rows": (lambda x: T.sum_all(
-            T.mul(T.gather_rows(x, [0, 2, 2, 3]),
+        "gather_rows": (lambda x: sum_all(
+            mul(T.gather_rows(x, [0, 2, 2, 3]),
                   Tensor(np.arange(32.0).reshape(4, 8)))), (4, 8)),
-        "gather_rows_distinct": (lambda x: T.sum_all(
-            T.mul(T.gather_rows(x, [0, 1, 3]),
+        "gather_rows_distinct": (lambda x: sum_all(
+            mul(T.gather_rows(x, [0, 1, 3]),
                   Tensor(np.arange(24.0).reshape(3, 8)))), (4, 8)),
-        "mul_add_scale": (lambda x: T.sum_all(
-            T.scale(T.add(T.mul(x, x), x), 0.5)), (4, 8)),
+        "mul_add_scale": (lambda x: sum_all(
+            T.scale(T.add(mul(x, x), x), 0.5)), (4, 8)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_op_matches_finite_differences(self, name):
         f, shape = self.CASES[name]
-        anchored = lambda x: T.add(f(x), T.sum_all(x))  # noqa: E731
+        anchored = lambda x: T.add(f(x), sum_all(x))  # noqa: E731
         for seed in range(10):
             x = Tensor(np.random.default_rng(seed).normal(size=shape),
                        requires_grad=True)
@@ -335,11 +336,11 @@ class TestGradCheck:
     def test_linear_exact(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 3)),
                    requires_grad=True)
-        assert grad_check(T.sum_all, x, eps=1e-3) < 1e-12
+        assert grad_check(sum_all, x, eps=1e-3) < 1e-12
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
-            grad_check(T.sum_all, Tensor(np.ones(2), requires_grad=True),
+            grad_check(sum_all, Tensor(np.ones(2), requires_grad=True),
                        eps=1e-2)
 
 
@@ -473,7 +474,7 @@ def check_against_per_head(pad, causal, kv_heads, rng):
         inputs = [t(a, grad=True) for a in args]
         with Tape() as tape:
             out = op(*inputs)
-            loss = T.sum_all(T.mul(out, Tensor(probe[rows])))
+            loss = sum_all(mul(out, Tensor(probe[rows])))
         backward(loss, tape)
         return [out.data] + [x.grad for x in inputs]
 
@@ -532,7 +533,7 @@ class TestGqaAttention:
             with Tape() as tape:
                 out = T.gqa_attention(*inputs, pad, mode is CAUSAL, heads,
                                       kv_heads, 100.0)
-                loss = T.sum_all(T.mul(out, probe))
+                loss = sum_all(mul(out, probe))
             backward(loss, tape)
             return [out.data] + [x.grad for x in inputs]
 
@@ -588,7 +589,7 @@ class TestWeightedCrossEntropy:
 
     def test_weighted_gradient(self):
         anchored = lambda x: T.add(T.cross_entropy_from_logits(  # noqa: E731
-            x, [0, 2, -100, 7], weights=[0.1, 0.7, 5.0, 0.2]), T.sum_all(x))
+            x, [0, 2, -100, 7], weights=[0.1, 0.7, 5.0, 0.2]), sum_all(x))
         for seed in range(10):
             x = t(np.random.default_rng(seed).normal(size=(4, 8)), grad=True)
             assert grad_check(anchored, x, eps=1e-5) < 1e-6, f"seed {seed}"
