@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import sys
@@ -261,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bplm",
         description="Deterministic desk-scale CLM/MLM pretraining study")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no subcommand takes abbreviated flags: with them, a command line that
+    # names a dropped flag can be read as another the name is a prefix of,
+    # as finetune's dropped --seed would be read as --seeds
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def out(p):
         p.add_argument("--out", help="output directory "
@@ -272,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-nonstudy", action="store_true",
                        help="permit values outside the study grid")
 
-    p = sub.add_parser("pretrain", help="run PFS or biphasic pretraining")
+    p = command("pretrain", help="run PFS or biphasic pretraining")
     p.add_argument("--config", required=True)
     common(p)
     p.set_defaults(fn=_train)
 
-    p = sub.add_parser("cpt", help="continued pretraining from a checkpoint")
+    p = command("cpt", help="continued pretraining from a checkpoint")
     p.add_argument("base", help="path to the base checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--force", action="store_true",
@@ -285,16 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_train)
 
-    # no abbreviations, so --seed is refused rather than read as --seeds
-    p = sub.add_parser("finetune", help="grid-search fine-tune and evaluate",
-                       allow_abbrev=False)
+    p = command("finetune", help="grid-search fine-tune and evaluate")
     p.add_argument("checkpoint")
     p.add_argument("task_data", help="task dataset directory")
     p.add_argument("--seeds", type=int, default=5)
     out(p)
     p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("report", help="aggregate run CSVs into a summary")
+    p = command("report", help="aggregate run CSVs into a summary")
     p.add_argument("runs_dir")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)

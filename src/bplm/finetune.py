@@ -321,7 +321,8 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
     params = {name: Tensor(p.data, requires_grad=True)
               for name, p in base.params.items()}
     head = init_head(dataset.task, cfg, dataset, seed)
-    trainable = dict(params)
+    # encode never reaches the LM head, so it stays as the base has it
+    trainable = {name: p for name, p in params.items() if name != "head"}
     trainable.update({f"__head.{k}": v for k, v in head.items()})
 
     rng = np.random.default_rng([seed, 13])
@@ -334,7 +335,7 @@ def finetune_one(base: Checkpoint, dataset: TaskDataset, lr: float, seed: int,
     cell = f"the lr={lr:g}, seed={seed} cell"  # names a diverging cell
 
     for step in range(total_steps):
-        lo = (step % steps_per_epoch) * spec.batch_size
+        lo = step * spec.batch_size
         batch = [dataset.train[i] for i in order[lo: lo + spec.batch_size]]
         with Tape() as tape:
             loss = task_loss(dataset.task, head, params, cfg, batch, dataset)

@@ -11,6 +11,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9         # AdamW's first-moment decay
+BETA2 = 0.95        # and its second-moment decay
+ADAM_EPS = 1e-5     # added to the root of the second moment
 WEIGHT_DECAY = 0.1  # decoupled, as in AdamW
 CLIP_NORM = 1.0     # global L2 norm the gradients are clipped to
 ADAMW_CHUNK = 32_768  # elements per pass; five such arrays fit a 2 MiB cache
@@ -65,9 +68,6 @@ def rescaled_schedule(peak_lr: float, steps: int,
 
 @dataclass
 class AdamWState:
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-5
     step_count: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -133,20 +133,20 @@ def clip_global_norm(grads: Dict[str, np.ndarray]) -> float:
 
 def adamw_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
                state: AdamWState, lr: float) -> None:
-    """One decoupled-weight-decay Adam update, in place; a missing gradient
-    is zero, and a misshapen one raises before anything changes."""
+    """One decoupled-weight-decay Adam update, in place; a missing or
+    misshapen gradient raises before anything changes."""
     for name, p in params.items():
-        if grads.get(name) is not None and grads[name].shape != p.data.shape:
+        if grads.get(name) is None:
+            raise ValueError(f"missing gradient for {name}")
+        if grads[name].shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
     flat = state.flat
     if flat is None or not flat.holds(params, state):
         flat = state.flat = _FlatLayout(params, state)
     state.step_count += 1
-    bc1 = 1.0 - state.beta1 ** state.step_count
-    bc2 = 1.0 - state.beta2 ** state.step_count
-    grad = np.concatenate([np.zeros(p.shape) if grads.get(name) is None
-                           else grads[name]
-                           for name, (p, _, _) in flat.views.items()],
+    bc1 = 1.0 - BETA1 ** state.step_count
+    bc2 = 1.0 - BETA2 ** state.step_count
+    grad = np.concatenate([grads[name] for name in flat.views],
                           axis=None, dtype=np.float64)
     scratch = np.empty(min(grad.size, ADAMW_CHUNK))
     # per element, in this order: m = b1*m + (1-b1)*g, v = b2*v +
@@ -155,14 +155,14 @@ def adamw_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         p, m, v, g = (a[lo:lo + ADAMW_CHUNK]
                       for a in (flat.p, flat.m, flat.v, grad))
         s = scratch[:g.size]
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=s)
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=s)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=s)
         v += np.multiply(s, g, out=s)
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += state.eps
+        s += ADAM_EPS
         np.divide(m, bc1, out=g)
         g *= lr
         g /= s  # the update

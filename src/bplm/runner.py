@@ -31,7 +31,7 @@ from .optim import (AdamWState, WsdSchedule, adamw_step, clip_global_norm,
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"BPLM"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 CPT_DECAY_SHARE = 0.05  # of the CPT steps, after a 10% warmup
 
@@ -252,6 +252,10 @@ def write_trace(trace: Sequence[dict], directory) -> None:
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
+_BLOCK_KEYS = {"model_config", "schedule", "step", "objective_history",
+               "seed", "mask_ratio", "opt"}
+
+
 def _config_block(ckpt: Checkpoint) -> bytes:
     cfg = {
         "model_config": asdict(ckpt.model_config),
@@ -260,11 +264,7 @@ def _config_block(ckpt: Checkpoint) -> bytes:
         "objective_history": ckpt.objective_history,
         "seed": ckpt.seed,
         "mask_ratio": ckpt.mask_ratio,
-        "opt": {
-            "beta1": ckpt.opt_state.beta1, "beta2": ckpt.opt_state.beta2,
-            "eps": ckpt.opt_state.eps,
-            "step_count": ckpt.opt_state.step_count,
-        },
+        "opt": {"step_count": ckpt.opt_state.step_count},
     }
     return json.dumps(cfg, sort_keys=True).encode("utf-8")
 
@@ -323,33 +323,6 @@ class _Reader:
         return struct.unpack("<I", self.read(4))[0]
 
 
-def _check_tensors(model_cfg: ModelConfig, params: Parameters,
-                   opt: AdamWState) -> None:
-    """Parameters must be exactly the config's set, at the config's shapes;
-    optimizer moments must come in (m, v) pairs for known parameters."""
-    expected = param_shapes(model_cfg)
-    missing = sorted(set(expected) - set(params))
-    unknown = sorted(set(params) - set(expected))
-    if missing or unknown:
-        raise CheckpointError("parameters do not match the model config: "
-                              f"missing {missing}, unknown {unknown}")
-    for name, t in params.items():
-        if t.data.shape != expected[name]:
-            raise CheckpointError(f"parameter {name!r} has shape {t.data.shape}, "
-                                  f"the model config expects {expected[name]}")
-    if set(opt.m) != set(opt.v):
-        raise CheckpointError("optimizer m and v moments name different parameters")
-    for kind, moments in (("m", opt.m), ("v", opt.v)):
-        for name, arr in moments.items():
-            if name not in expected:
-                raise CheckpointError(
-                    f"optimizer {kind} moment for unknown parameter {name!r}")
-            if arr.shape != expected[name]:
-                raise CheckpointError(
-                    f"optimizer {kind} moment {name!r} has shape {arr.shape}, "
-                    f"the parameter has {expected[name]}")
-
-
 def _typed(cls, **values):
     """cls(**values), once each int field given holds an int (not a bool)
     and each float field an int or a float."""
@@ -369,6 +342,9 @@ def _parse_config_block(block: bytes) -> Checkpoint:
     is a CheckpointError."""
     try:
         cfg = json.loads(block.decode("utf-8"))
+        unknown = sorted(set(cfg) - _BLOCK_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         for entry in cfg["objective_history"]:  # resume checks read these
             if type(entry["steps"]) is not int:
                 raise TypeError(f"history steps {entry['steps']!r}")
@@ -399,32 +375,39 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     ckpt = _parse_config_block(r.read(r.u32()))
-    n_tensors = r.u32()
-    tensors = {}
-    for _ in range(n_tensors):
-        # a name that is not UTF-8 keeps a U+FFFD, so matches no parameter
-        name = r.read(r.u32()).decode("utf-8", "replace")
+    # the block fixes the records: every parameter in sorted-name order,
+    # then, once the optimizer has stepped, each one's m and v moments
+    shapes = sorted(param_shapes(ckpt.model_config).items())
+    layout = [(f"param.{name}", shape) for name, shape in shapes]
+    if ckpt.opt_state.step_count > 0:
+        layout += [(f"opt.{kind}.{name}", shape)
+                   for name, shape in shapes for kind in "mv"]
+    count = r.u32()
+    arrays = []
+    for name, shape in layout[:count]:
+        # name and rank are checked before the shape words are read, the
+        # shape before the payload; a name that is not UTF-8 keeps a U+FFFD
+        held = r.read(r.u32()).decode("utf-8", "replace")
         ndim = r.u32()
-        shape = struct.unpack(f"<{ndim}Q", r.read(8 * ndim))
-        count = math.prod(shape)  # exact, so a huge shape reads as truncation
-        payload = r.read(8 * count)
-        crc = r.u32()
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        expects = f"the config block expects {name!r} of shape {shape}"
+        if held != name or ndim != len(shape):
+            raise CheckpointError(f"{expects}, the file holds {held!r} of "
+                                  f"rank {ndim}")
+        held_shape = struct.unpack(f"<{ndim}Q", r.read(8 * ndim))
+        if held_shape != shape:
+            raise CheckpointError(f"{expects}, the file holds shape "
+                                  f"{held_shape}")
+        payload = r.read(8 * math.prod(shape))
+        if zlib.crc32(payload) & 0xFFFFFFFF != r.u32():
             raise CheckpointError(f"payload CRC mismatch for tensor {name!r}")
-        try:  # no elements, yet a dim or ndim past numpy's limits
-            tensors[name] = np.frombuffer(payload, "<f8").reshape(shape).copy()
-        except ValueError as err:
-            raise CheckpointError(f"tensor {name!r}: {err}") from None
-
-    opt = ckpt.opt_state
-    for name, arr in tensors.items():
-        if name.startswith("param."):
-            ckpt.params[name[len("param."):]] = Tensor(arr, requires_grad=True)
-        elif name.startswith("opt.m."):
-            opt.m[name[len("opt.m."):]] = arr
-        elif name.startswith("opt.v."):
-            opt.v[name[len("opt.v."):]] = arr
-        else:
-            raise CheckpointError(f"unknown tensor record {name!r}")
-    _check_tensors(ckpt.model_config, ckpt.params, opt)
+        arrays.append(np.frombuffer(payload, "<f8").reshape(shape).copy())
+    if count != len(layout):  # each record it holds matched: too few or many
+        raise CheckpointError(f"the file holds {count} tensor records, its "
+                              f"config block implies {len(layout)}")
+    names = [name for name, _ in shapes]
+    ckpt.params.update((name, Tensor(arr, requires_grad=True))
+                       for name, arr in zip(names, arrays))
+    moments = arrays[len(names):]
+    ckpt.opt_state.m.update(zip(names, moments[0::2]))
+    ckpt.opt_state.v.update(zip(names, moments[1::2]))
     return ckpt

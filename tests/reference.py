@@ -7,33 +7,30 @@ from typing import Callable
 import numpy as np
 
 from bplm import tensor as T
-from bplm.optim import WEIGHT_DECAY, AdamWState
+from bplm.optim import ADAM_EPS, BETA1, BETA2, WEIGHT_DECAY, AdamWState
 from bplm.tensor import Tape, Tensor, backward
 
 
 def adamw_step(params, grads, state: AdamWState, lr: float) -> None:
     """One decoupled-weight-decay Adam update, parameter by parameter: each
-    moment is updated in place and each .data replaced by a new array. A
-    parameter with no gradient takes a zero one."""
+    moment is updated in place and each .data replaced by a new array."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[name]
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         if name not in state.m:
             state.m[name] = np.zeros(p.data.shape)
             state.v[name] = np.zeros(p.data.shape)
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         # RMSNorm gains (the names holding "norm") never decay
         if "norm" not in name:
             update = update + lr * WEIGHT_DECAY * p.data

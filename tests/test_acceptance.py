@@ -18,7 +18,7 @@ from bplm.finetune import (GridSearchSpec, accuracy, ci95_half_width,
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import (MaskingPlan, LmBatch, Objective, mlm_loss,
                              pretrain_loss, select_mask)
-from bplm.optim import (AdamWState, WsdSchedule, adamw_step,
+from bplm.optim import (ADAM_EPS, AdamWState, WsdSchedule, adamw_step,
                         clip_global_norm, wsd_lr)
 from bplm.runner import Checkpoint, TrainConfig, load_checkpoint, run_pfs
 from bplm.tensor import Tape, Tensor, backward
@@ -190,11 +190,10 @@ class TestC3ScheduleExactness:
 class TestC4OptimizerOracle:
     def test_c4(self):
         # unit gradient, fresh state, zero params (so no decay term): update
-        # is -lr/(1+eps) ~ -lr
+        # is -lr/(1+ADAM_EPS)
         p = {"w": Tensor(np.zeros(3), requires_grad=True)}
-        state = AdamWState(eps=1e-12)
-        adamw_step(p, {"w": np.ones(3)}, state, lr=0.01)
-        step_err = float(np.abs(p["w"].data + 0.01).max())
+        adamw_step(p, {"w": np.ones(3)}, AdamWState(), lr=0.01)
+        step_err = float(np.abs(p["w"].data + 0.01 / (1 + ADAM_EPS)).max())
 
         # decoupled decay, zero gradient: exact (1 - lr*wd) factor
         p2 = {"w": Tensor(np.array([1.5, -2.0]), requires_grad=True)}

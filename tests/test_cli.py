@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ import bplm.cli
 from bplm.cli import CliError, expand_config, main
 from bplm.data import (MASK_ID, PAD_ID, BatchStream, CorpusSpec, gen_corpus,
                        gen_task_data, save_task_dataset)
-from bplm.finetune import GridSearchSpec
+from bplm.finetune import REPORT_FIELDS, GridSearchSpec
 from bplm.objectives import Objective
 from bplm.optim import rescaled_schedule
 from bplm.runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
@@ -165,8 +166,8 @@ class TestPretrain:
             assert main(["pretrain", "--config", cfg, "--out", out]) == 0
             outs.append(out)
         for name in ("metrics.csv", "final.ckpt"):  # wall_ms is in timing.csv
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
+            a = Path(outs[0], name).read_bytes()
+            b = Path(outs[1], name).read_bytes()
             assert a == b
 
     def test_nonstudy_mask_ratio_rejected(self, tmp_path, capsys):
@@ -251,7 +252,7 @@ class TestPretrain:
                             "--config", cfg, "--out", outs[-1]],
                            env=env, check=True, capture_output=True)
         for name in ("final.ckpt", "metrics.csv"):
-            a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+            a, b = (Path(out, name).read_bytes() for out in outs)
             assert a == b, name
 
     def test_seed_override(self, tmp_path):
@@ -261,8 +262,8 @@ class TestPretrain:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["pretrain", "--config", cfg, "--out", a, "--seed", "1"])
         main(["pretrain", "--config", cfg, "--out", b, "--seed", "2"])
-        assert open(os.path.join(a, "final.ckpt"), "rb").read() \
-            != open(os.path.join(b, "final.ckpt"), "rb").read()
+        assert Path(a, "final.ckpt").read_bytes() \
+            != Path(b, "final.ckpt").read_bytes()
 
 
 class TestCpt:
@@ -354,8 +355,8 @@ class TestCpt:
         for name, seed in (("a", []), ("b", ["--seed", "0"])):
             out = str(tmp_path / name)
             assert main(["cpt", base, "--config", cfg, "--out", out] + seed) == 0
-            assert open(os.path.join(out, "final.ckpt"), "rb").read() \
-                == open(base, "rb").read()
+            assert Path(out, "final.ckpt").read_bytes() \
+                == Path(base).read_bytes()
             recorded = configparser.ConfigParser()
             recorded.read(os.path.join(out, "config.ini"))
             assert recorded["train"]["seed"] == "0"
@@ -401,19 +402,21 @@ class TestCpt:
             self, tmp_path, capsys):
         # a CRC-valid base whose param.head record claims 201 dims
         pre = self.pretrain(tmp_path)
-        body = bytearray(open(os.path.join(pre, "final.ckpt"), "rb").read())
+        body = bytearray(Path(pre, "final.ckpt").read_bytes())
         del body[-4:]
         body[body.index(b"param.head") + len(b"param.head")] = 201
         base = tmp_path / "huge.ckpt"
         base.write_bytes(bytes(body) + struct.pack(
             "<I", zlib.crc32(body) & 0xFFFFFFFF))
-        with pytest.raises(CheckpointError, match="truncated"):
+        message = ("the config block expects 'param.head' of shape (16, 16), "
+                   "the file holds 'param.head' of rank 201")
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(base)
+        assert str(info.value) == message
         out = str(tmp_path / "cpt")
         assert main(["cpt", str(base), "--config", self.cpt_config(tmp_path),
                      "--out", out]) == 1
-        assert capsys.readouterr().err \
-            == "error: truncated checkpoint file\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
 
     def test_non_decayed_base_refused(self, tmp_path, capsys):
@@ -509,3 +512,40 @@ class TestFinetuneAndReport:
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "no runs.csv" in capsys.readouterr().err
+
+
+class TestNoAbbreviations:
+    @pytest.mark.parametrize("args, error", [
+        (["pretrain", "--conf", "{cfg}", "--out", "{out}"],
+         "the following arguments are required: --config"),
+        (["pretrain", "--config", "{cfg}", "--allow", "--out", "{out}"],
+         "unrecognized arguments: --allow"),
+        (["pretrain", "--config", "{cfg}", "--se", "1", "--out", "{out}"],
+         "unrecognized arguments: --se 1"),
+        (["cpt", "{base}", "--config", "{cfg}", "--fo", "--out", "{out}"],
+         "unrecognized arguments: --fo"),
+        (["report", "{runs}", "--o", "{out}"],
+         "unrecognized arguments: --o"),
+    ], ids=["pretrain_conf", "pretrain_allow", "pretrain_se", "cpt_fo",
+            "report_o"])
+    def test_abbreviated_flag_refused(self, tmp_path, capsys, args, error):
+        # each line would run, and write, if its flag were read as the one
+        # it abbreviates
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\ntotal_steps = 4\nwarmup_steps = 1\n"
+                             "decay_steps = 1\n[cpt]\nsteps = 2\n")
+        base = tmp_path / "base"
+        assert main(["pretrain", "--config", cfg, "--out", str(base)]) == 0
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "runs.csv").write_text(",".join(REPORT_FIELDS)
+                                       + "\nSC,d,0.001,0,test,accuracy,0.5\n")
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        paths = {"cfg": cfg, "base": str(base / "final.ckpt"),
+                 "runs": str(runs), "out": str(tmp_path / "out")}
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(**paths) for arg in args])
+        assert info.value.code == 2
+        assert error in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before

@@ -502,6 +502,20 @@ class TestFinetuneEndToEnd:
         for name in before:
             np.testing.assert_array_equal(base.params[name].data, before[name])
 
+    @pytest.mark.parametrize("task", ["SC", "TC", "QA", "IR"])
+    def test_lm_head_kept_from_the_base(self, task):
+        # no task loss reaches the LM head, so the optimizer never sees it;
+        # every other parameter gets a gradient, as adamw_step requires
+        base = pretrained_base()
+        spec = GridSearchSpec(max_steps=3, batch_size=8)
+        params, _ = finetune_one(base, gen_task_data(task, 30, 0), 1e-3, 0,
+                                 spec)
+        assert params["head"].data.tobytes() \
+            == base.params["head"].data.tobytes()
+        for name in params.keys() - {"head"}:
+            assert not np.array_equal(params[name].data,
+                                      base.params[name].data), name
+
     def test_reference_optimizer_gives_the_same_params(self, monkeypatch):
         base = pretrained_base()
         ds = gen_task_data("QA", 30, 0)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bplm.optim
-from bplm.optim import (ADAMW_CHUNK, WEIGHT_DECAY, AdamWState, WsdSchedule,
-                        adamw_step, clip_global_norm, rescaled_schedule,
-                        wsd_lr)
+from bplm.optim import (ADAM_EPS, ADAMW_CHUNK, WEIGHT_DECAY, AdamWState,
+                        WsdSchedule, adamw_step, clip_global_norm,
+                        rescaled_schedule, wsd_lr)
 from bplm.tensor import Tensor
 
 import reference
@@ -139,21 +139,20 @@ class TestClipGlobalNorm:
             assert (np.abs(grads[k]) <= before[k] + 1e-15).all()
 
 
-def fresh(eps=1e-12):
-    return AdamWState(beta1=0.9, beta2=0.95, eps=eps)
-
-
 class TestAdamW:
     def test_closed_form_single_step(self):
-        # m-hat = v-hat = 1 for unit gradient from a fresh state, and the
-        # decoupled decay adds lr * WEIGHT_DECAY * w
+        # m-hat = v-hat = 1 for unit gradient from a fresh state, so the
+        # step is lr/(1 + ADAM_EPS), and the decoupled decay adds
+        # lr * WEIGHT_DECAY * w
         params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        adamw_step(params, {"w": np.ones(2)}, fresh(), lr=0.1)
-        np.testing.assert_allclose(params["w"].data, [0.89, -2.08], atol=1e-9)
+        adamw_step(params, {"w": np.ones(2)}, AdamWState(), lr=0.1)
+        step = 0.1 / (1 + ADAM_EPS)
+        np.testing.assert_allclose(params["w"].data,
+                                   [0.99 - step, -1.98 - step], atol=1e-9)
 
     def test_zero_gradient_identity(self):
         params = {"w": Tensor(np.array([3.0]), requires_grad=True)}
-        state = fresh()
+        state = AdamWState()
         adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1)
         # only the decoupled decay moves w
         np.testing.assert_array_equal(params["w"].data,
@@ -164,18 +163,18 @@ class TestAdamW:
 
     def test_decoupled_decay(self):
         params = {"w": Tensor(np.array([2.0]), requires_grad=True)}
-        adamw_step(params, {"w": np.zeros(1)}, fresh(), lr=0.1)
+        adamw_step(params, {"w": np.zeros(1)}, AdamWState(), lr=0.1)
         np.testing.assert_allclose(params["w"].data, [2.0 * 0.99], atol=1e-15)
 
     def test_norm_gains_skip_decay(self):
         params = {"final_norm": Tensor(np.array([2.0]), requires_grad=True)}
-        adamw_step(params, {"final_norm": np.zeros(1)}, fresh(), lr=0.1)
+        adamw_step(params, {"final_norm": np.zeros(1)}, AdamWState(), lr=0.1)
         np.testing.assert_array_equal(params["final_norm"].data, [2.0])
 
     def test_bit_identical_twins(self, rng):
         def run():
             params = {"w": Tensor(np.linspace(-1, 1, 8), requires_grad=True)}
-            state = fresh(eps=1e-5)
+            state = AdamWState()
             g = np.random.default_rng(5)
             for step in range(20):
                 adamw_step(params, {"w": g.normal(size=8)}, state, lr=1e-3)
@@ -185,28 +184,30 @@ class TestAdamW:
     def test_shape_mismatch(self):
         params = {"w": Tensor(np.zeros(3), requires_grad=True)}
         with pytest.raises(ValueError):
-            adamw_step(params, {"w": np.zeros(2)}, fresh(), lr=0.1)
+            adamw_step(params, {"w": np.zeros(2)}, AdamWState(), lr=0.1)
 
     def test_step_count_increments(self):
         params = {"w": Tensor(np.zeros(1), requires_grad=True)}
-        state = fresh()
+        state = AdamWState()
         for expected in (1, 2, 3):
             adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1)
             assert state.step_count == expected
 
     def test_bad_gradient_changes_nothing(self):
-        # "a" comes before the mismatched "b", so a check made while
-        # updating would already have moved it
+        # "a" comes before the mismatched or missing "b", so a check made
+        # while updating would already have moved it
         params = {"a": Tensor(np.array([1.0, -2.0]), requires_grad=True),
                   "b": Tensor(np.ones((2, 2)), requires_grad=True)}
-        state = fresh()
+        state = AdamWState()
         adamw_step(params, {"a": np.ones(2), "b": np.ones((2, 2))}, state,
                    lr=0.1)
         before = [(name, p.data.copy(), state.m[name].copy(),
                    state.v[name].copy()) for name, p in params.items()]
-        with pytest.raises(ValueError, match="mismatch for b"):
-            adamw_step(params, {"a": np.ones(2), "b": np.ones(4)}, state,
-                       lr=0.1)
+        for grads, message in (({"a": np.ones(2), "b": np.ones(4)},
+                                "gradient shape mismatch for b"),
+                               ({"a": np.ones(2)}, "missing gradient for b")):
+            with pytest.raises(ValueError, match=message):
+                adamw_step(params, grads, state, lr=0.1)
         assert state.step_count == 1
         for name, p, m, v in before:
             np.testing.assert_array_equal(params[name].data, p)
@@ -219,7 +220,7 @@ class TestAdamW:
         runs = []
         for step in (adamw_step, reference.adamw_step):
             params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-            state = fresh()
+            state = AdamWState()
             step(params, {"w": np.array([0.5, 1.0])}, state, lr=0.1)
             params["w"].data = np.array([4.0, 3.0])
             step(params, {"w": np.array([-1.0, 2.0])}, state, lr=0.1)
@@ -235,7 +236,7 @@ class TestAdamW:
         # the copy's params would stop moving
         params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True),
                   "final_norm": Tensor(np.ones(3), requires_grad=True)}
-        state = fresh()
+        state = AdamWState()
         grads = {"w": np.array([0.5, 1.0]), "final_norm": np.full(3, 0.25)}
         adamw_step(params, grads, state, lr=0.1)
         twin_params, twin_state = copy.deepcopy((params, state))
@@ -260,13 +261,12 @@ class TestMatchesReference:
     def test_params_and_moments_match(self, data):
         """The flat update equals the per-parameter reference bit for bit,
         over several steps: norm gains and decayed parameters, 1-D and 2-D
-        shapes, a parameter with no gradient, moments present at the start
-        as load_checkpoint leaves them, and chunks that end inside a
-        parameter and inside the decayed prefix."""
+        shapes, moments present at the start as load_checkpoint leaves
+        them, and chunks that end inside a parameter and inside the decayed
+        prefix."""
         names = data.draw(st.lists(st.sampled_from(PARAM_NAMES), min_size=1,
                                    max_size=6, unique=True))
         shapes = {name: data.draw(SHAPES) for name in names}
-        missing = data.draw(st.sampled_from(names))
         loaded = data.draw(st.booleans())
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
         chunk = data.draw(st.sampled_from([1, 2, 5, 7, ADAMW_CHUNK]))
@@ -275,7 +275,7 @@ class TestMatchesReference:
             rng = np.random.default_rng(seed)
             params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
                       for name, shape in shapes.items()}
-            state = fresh(eps=1e-5)
+            state = AdamWState()
             if loaded:
                 state.step_count = 7
                 state.m = {name: rng.normal(size=shape)
@@ -288,7 +288,7 @@ class TestMatchesReference:
         rng = np.random.default_rng([seed, 1])
         for step in range(4):
             grads = {name: rng.normal(scale=10.0 ** (step - 2), size=shape)
-                     for name, shape in shapes.items() if name != missing}
+                     for name, shape in shapes.items()}
             lr = 1e-3 * (step + 1)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(bplm.optim, "ADAMW_CHUNK", chunk)

@@ -470,6 +470,17 @@ class TestCheckpointIo:
                            match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
+    def test_version_3_refused(self, tmp_path):
+        # version 3 blocks also held AdamW's beta1, beta2 and eps
+        def v3_keys(cfg):
+            cfg["opt"].update(beta1=0.9, beta2=0.95, eps=1e-5)
+        path = tmp_path / "v3.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        rewrite_config_block(path, edit_json(v3_keys), version=3)
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 3"):
+            load_checkpoint(path)
+
     def test_config_block_keys_are_the_fields(self, tmp_path):
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
@@ -498,11 +509,12 @@ class TestCheckpointIo:
         edit_json(lambda c: c.update(objective_history=[1])),
         edit_json(lambda c: c["objective_history"][0].update(steps="4")),
         edit_json(lambda c: c["objective_history"][0].update(objective="x")),
+        edit_json(lambda c: c.update(rng_state={})),
     ], ids=["missing_seed", "unknown_model_key", "not_json", "not_utf8",
             "warmup_exceeds_total", "zero_kv_heads", "str_layers",
             "float_layers", "bool_layers", "str_step", "str_step_count",
             "str_peak_lr", "int_history_entry", "str_history_steps",
-            "unknown_history_objective"])
+            "unknown_history_objective", "unknown_top_level_key"])
     def test_malformed_config_block_refused(self, tmp_path, edit):
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
@@ -518,12 +530,13 @@ class TestCheckpointIo:
         raw[12 + size + 8] = 0xFF  # first byte of the first tensor's name
         path.write_bytes(bytes(raw)
                          + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
-        with pytest.raises(CheckpointError, match="unknown tensor record"):
+        with pytest.raises(CheckpointError, match="expects 'param.embed' of "
+                           "shape [(]16, 16[)], the file holds '\ufffdaram"):
             load_checkpoint(path)
 
     def test_huge_shape_reads_as_truncation(self, tmp_path):
-        # ndim 2 -> 201 reads 201 shape words from the payload; their product
-        # used to overflow np.prod into an OverflowError
+        # ndim 2 -> 201 is refused on the rank, before any of the 201 shape
+        # words, which would be read from the payload, is read
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
         body = bytearray(path.read_bytes()[:-4])
@@ -531,7 +544,9 @@ class TestCheckpointIo:
         assert body[at] == 2
         body[at] = 201
         write_with_crc(path, body)
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match="expects 'param.head' of "
+                           "shape [(]16, 16[)], the file holds 'param.head' "
+                           "of rank 201$"):
             load_checkpoint(path)
 
     def test_empty_shape_past_numpy_limits_refused(self, tmp_path):
@@ -545,7 +560,9 @@ class TestCheckpointIo:
         body += struct.pack("<I", len(name)) + name + struct.pack(
             "<I2QI", 2, 0, 2 ** 63, 0)
         write_with_crc(path, body)
-        with pytest.raises(CheckpointError, match="'param.huge'"):
+        n = 3 * len(param_shapes(CFG))  # params, then m and v of each
+        with pytest.raises(CheckpointError, match=f"the file holds {n + 1} "
+                           f"tensor records, its config block implies {n}$"):
             load_checkpoint(path)
 
     @settings(max_examples=400, deadline=None,
@@ -592,21 +609,27 @@ class TestCheckpointIo:
     def test_missing_param_rejected(self, tmp_path):
         path = self.save_altered(
             tmp_path, lambda c: c.params.pop("layer.0.ffn.w_down"))
-        with pytest.raises(CheckpointError, match="missing.*w_down"):
+        with pytest.raises(CheckpointError, match="expects "
+                           "'param.layer.0.ffn.w_down' of shape [(]32, 16[)], "
+                           "the file holds 'param.layer.0.ffn.w_gate'"):
             load_checkpoint(path)
 
     def test_unknown_param_rejected(self, tmp_path):
         def alter(c):
             c.params["layer.7.attn.wq"] = c.params["layer.0.attn.wq"]
         path = self.save_altered(tmp_path, alter)
-        with pytest.raises(CheckpointError, match="unknown.*layer.7"):
+        with pytest.raises(CheckpointError, match="expects 'opt.m.embed' of "
+                           "shape [(]16, 16[)], the file holds "
+                           "'param.layer.7.attn.wq'"):
             load_checkpoint(path)
 
     def test_param_shape_rejected(self, tmp_path):
         def alter(c):
             c.params["embed"] = Tensor(c.params["embed"].data[:-1])
         path = self.save_altered(tmp_path, alter)
-        with pytest.raises(CheckpointError, match="'embed' has shape"):
+        with pytest.raises(CheckpointError, match="expects 'param.embed' of "
+                           "shape [(]16, 16[)], the file holds shape "
+                           "[(]15, 16[)]$"):
             load_checkpoint(path)
 
     def test_moment_for_unknown_param_rejected(self, tmp_path):
@@ -614,14 +637,18 @@ class TestCheckpointIo:
             c.opt_state.m["nope"] = c.opt_state.m["embed"]
             c.opt_state.v["nope"] = c.opt_state.v["embed"]
         path = self.save_altered(tmp_path, alter)
-        with pytest.raises(CheckpointError, match="unknown parameter 'nope'"):
+        n = 3 * len(param_shapes(CFG))  # the (m, v) of nope come last
+        with pytest.raises(CheckpointError, match=f"the file holds {n + 2} "
+                           f"tensor records, its config block implies {n}$"):
             load_checkpoint(path)
 
     def test_moment_shape_rejected(self, tmp_path):
         def alter(c):
             c.opt_state.v["final_norm"] = c.opt_state.v["final_norm"][:-1]
         path = self.save_altered(tmp_path, alter)
-        with pytest.raises(CheckpointError, match="v moment 'final_norm'"):
+        with pytest.raises(CheckpointError, match="expects 'opt.v.final_norm' "
+                           "of shape [(]16,[)], the file holds shape "
+                           "[(]15,[)]$"):
             load_checkpoint(path)
 
     def test_unpaired_moment_rejected(self, tmp_path, monkeypatch):
@@ -635,29 +662,44 @@ class TestCheckpointIo:
         monkeypatch.setattr(runner, "_tensor_record", renamed)
         save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")
         monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="moments name different"):
+        with pytest.raises(CheckpointError, match="expects 'opt.v.embed' of "
+                           "shape [(]16, 16[)], the file holds 'opt.m.embed'"):
             load_checkpoint(tmp_path / "a.ckpt")
 
-    def test_legacy_rng_state_key_loads(self, tmp_path, monkeypatch):
-        # older files carry an always-empty "rng_state" entry in the header
-        import json
-        from bplm import runner
-        plain = runner._config_block
-
-        def legacy_block(ckpt):
-            cfg = json.loads(plain(ckpt))
-            cfg["rng_state"] = {}
-            return json.dumps(cfg, sort_keys=True).encode("utf-8")
+    def test_swapped_records_refused(self, tmp_path):
+        # the first two parameter records swapped, both intact, with the
+        # file CRC recomputed: the records are read in the block's order
         ckpt = self.make_ckpt()
-        monkeypatch.setattr(runner, "_config_block", legacy_block)
-        save_checkpoint(ckpt, tmp_path / "old.ckpt")
-        monkeypatch.undo()
-        assert b'"rng_state": {}' in (tmp_path / "old.ckpt").read_bytes()
-        loaded = load_checkpoint(tmp_path / "old.ckpt")
-        assert_params_equal(ckpt.params, loaded.params)
-        assert loaded.step == ckpt.step
-        save_checkpoint(loaded, tmp_path / "new.ckpt")
-        assert b"rng_state" not in (tmp_path / "new.ckpt").read_bytes()
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        first, second = (bplm.runner._tensor_record(f"param.{name}",
+                                                    ckpt.params[name].data)
+                         for name in ("embed", "final_norm"))
+        at = raw.index(first + second)
+        write_with_crc(path, raw[:at] + second + first
+                       + raw[at + len(first + second):-4])
+        with pytest.raises(CheckpointError, match="expects 'param.embed' of "
+                           "shape [(]16, 16[)], the file holds "
+                           "'param.final_norm'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("step_count, moments", [(3, False), (0, True)])
+    def test_moments_only_once_the_optimizer_stepped(self, tmp_path,
+                                                     step_count, moments):
+        # a stepped optimizer's moments are in the file, a fresh one's not
+        def alter(c):
+            c.opt_state.step_count = step_count
+            if not moments:
+                c.opt_state.m.clear()
+                c.opt_state.v.clear()
+        path = self.save_altered(tmp_path, alter)
+        n = len(param_shapes(CFG))
+        held, implied = (3 * n, n) if moments else (n, 3 * n)
+        with pytest.raises(CheckpointError, match=f"the file holds {held} "
+                           f"tensor records, its config block implies "
+                           f"{implied}$"):
+            load_checkpoint(path)
 
     def test_bytes_pinned(self, tmp_path):
         # a fixed tiny checkpoint; the digest moves only if the layout does
@@ -674,7 +716,7 @@ class TestCheckpointIo:
                           [{"objective": "clm", "steps": 4}], 7, 0.4)
         save_checkpoint(ckpt, tmp_path / "a.ckpt")
         assert hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest() \
-            == "d13f17a993f7a63cc31321894a7a8e273e78310ea4f4c1c053f19a54f359fa53"
+            == "3816669c3f113d6ea584fd1fade77c004c33cd094b07407ae306c9d0a71b0aca"
 
     def test_no_tmp_file_left(self, tmp_path):
         save_checkpoint(self.make_ckpt(), tmp_path / "a.ckpt")
