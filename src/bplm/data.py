@@ -9,7 +9,6 @@ floor instead of opaque reference numbers.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -96,11 +95,12 @@ def _lengths(spec: CorpusSpec,
         total += length
 
 
-def _cdf(p: np.ndarray) -> List[float]:
-    """The CDF Generator.choice(a, p=p) builds before its searchsorted."""
-    c = np.cumsum(p)
-    c /= c[-1]
-    return c.tolist()
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice(a, p=p) builds before its searchsorted;
+    one per row of a 2-D p."""
+    c = np.cumsum(p, axis=-1)
+    c /= c[..., -1:]
+    return c
 
 
 def gen_corpus(spec: CorpusSpec) -> Corpus:
@@ -109,8 +109,10 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     Symbols occupy ids NUM_RESERVED .. NUM_RESERVED+num_symbols-1 so that
     pad/mask ids never collide with corpus tokens. The output is the one a
     per-token rng.choice(n, p=P[state]) walk gives: each choice maps one
-    random() double through searchsorted(cdf, side="right"), so the doubles
-    are drawn in one call and searched with bisect_right.
+    random() double through searchsorted(cdf, side="right"). So all lengths
+    are drawn in one call, all doubles in another, and every sequence steps
+    at once: at each step a live sequence's symbol is the count of its CDF
+    row's entries <= its double, which is searchsorted's answer.
     """
     rng = np.random.default_rng(spec.seed)
     lengths_rng = np.random.default_rng(spec.seed + 1)
@@ -140,32 +142,52 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
             raise ValueError("transition table has negative entries")
     else:
         P = _markov_table(spec, rng)
-    # state-to-state chain for the stationary distribution
+    # state-to-state chain for the stationary distribution; add.at sums in
+    # index order, as a loop over (state, symbol) would
     Q = np.zeros((n_states, n_states))
-    for s in range(n_states):
-        for sym in range(n):
-            Q[s, (s * n + sym) % n_states] += P[s, sym]
+    src = np.repeat(np.arange(n_states), n)
+    np.add.at(Q, (src, (src * n + np.tile(np.arange(n), n_states))
+                  % n_states), P.ravel())
     pi = _stationary(Q)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(P > 0, np.log(P), 0.0)
     entropy = float(-(pi[:, None] * P * logs).sum())
 
-    lengths = list(_lengths(spec, lengths_rng))
-    # one double for the start state, one per emitted symbol
-    u = iter(rng.random(sum(1 + max(0, length - k)
-                            for length in lengths)).tolist())
-    start, rows = _cdf(pi), [_cdf(row) for row in P]
-    sequences = []
-    for length in lengths:
-        # start from a stationary state so the sequence has no transient;
-        # its k symbols come oldest first
-        state = bisect_right(start, next(u))
-        seq = [state // n ** (k - 1 - j) % n for j in range(k)]
-        for _ in range(length - k):
-            sym = bisect_right(rows[state], next(u))
-            seq.append(sym)
-            state = (state * n + sym) % n_states
-        sequences.append([NUM_RESERVED + s for s in seq[:length]])
+    # one call of size m gives the values of m single draws; cut after the
+    # first prefix that reaches the target
+    lengths = lengths_rng.integers(spec.min_len, spec.max_len + 1,
+                                   size=-(-spec.target_tokens // spec.min_len))
+    lengths = lengths[:np.searchsorted(np.cumsum(lengths),
+                                       spec.target_tokens) + 1]
+    emits = np.maximum(lengths - k, 0)
+    # one double for the start state, then one per emitted symbol
+    first = np.cumsum(1 + emits) - (1 + emits)
+    u = rng.random(int(first[-1] + 1 + emits[-1]))
+
+    # longest first (stable), so the sequences live at step t are a prefix;
+    # start from a stationary state so no sequence has a transient, its k
+    # symbols oldest first
+    order = np.argsort(-emits, kind="stable")
+    first, emits = first[order], emits[order]
+    width = int(emits[0])
+    state = np.searchsorted(_cdf(pi), u[first], side="right")
+    # one row per step, one column per sequence; so are the doubles, whose
+    # entries past a sequence's end go unread
+    out = np.empty((k + width, len(order)), dtype=np.int64)
+    out[:k] = state // n ** np.arange(k - 1, -1, -1)[:, None] % n
+    U = u[np.minimum(first + np.arange(1, width + 1)[:, None], len(u) - 1)]
+    cols = np.ascontiguousarray(_cdf(P).T)  # one row per symbol
+    # live[t]: how many sequences emit a symbol at step t
+    live = np.searchsorted(-emits, -np.arange(width), side="left")
+    for t, m in enumerate(live.tolist()):
+        s = state[:m]
+        sym = (cols.take(s, axis=1) <= U[t, :m]).sum(axis=0)
+        out[k + t, :m] = sym
+        state[:m] = (s * n + sym) % n_states
+    tokens = np.empty_like(out.T)
+    tokens[order] = out.T + NUM_RESERVED
+    sequences = [row[:length] for row, length
+                 in zip(tokens.tolist(), lengths.tolist())]
     return Corpus(sequences, entropy, n, P)
 
 
@@ -241,16 +263,17 @@ TASK_SEQ_LEN = 16  # tokens per sequence (each IR document)
 IR_NEGATIVES = 3  # documents per IR example besides the positive
 
 # token-id layout for synthetic tasks (all < 64 so tiny vocabs work)
-_FILLER = list(range(8, 24))
+_FILLER = np.arange(8, 24)
 _SC_KEYWORDS = (24, 25, 26)          # one per class
 _TC_ENTITY = {"PER": (28, 31), "LOC": (32, 35)}  # inclusive id ranges
 _QA_MARKER = 36
-_IR_RARE = list(range(40, 56))
+_IR_RARE = np.arange(40, 56)
 _BOS = 7
 
 
 def _rand_filler(rng, n) -> List[int]:
-    return [int(x) for x in rng.choice(_FILLER, size=n)]
+    # the draw Generator.choice(_FILLER, size=n) makes
+    return _FILLER[rng.integers(0, len(_FILLER), size=n)].tolist()
 
 
 def _gen_sc(rng) -> TaskExample:
@@ -290,7 +313,7 @@ def _gen_qa(rng) -> TaskExample:
 
 
 def _gen_ir(rng) -> TaskExample:
-    rare = int(rng.choice(_IR_RARE))
+    rare = int(_IR_RARE[rng.integers(0, len(_IR_RARE))])
     query = _rand_filler(rng, 4) + [rare]
     positive = _rand_filler(rng, TASK_SEQ_LEN)
     positive[int(rng.integers(0, TASK_SEQ_LEN))] = rare

@@ -42,12 +42,13 @@ class WsdSchedule:
 def wsd_lr(s: WsdSchedule, step: int) -> float:
     """Linear warmup to peak, constant plateau, linear decay to zero.
 
-    Warmup uses (step + 1) / warmup_steps so step 0 already trains.
+    Warmup uses (step + 1) / warmup_steps so step 0 already trains. Both
+    ramps are clamped to the peak, which their rounding can pass by an ulp.
     """
     if not 0 <= step < s.total_steps:
         raise ValueError(f"step {step} outside [0, {s.total_steps})")
     if s.warmup_steps and step < s.warmup_steps:
-        return s.peak_lr * (step + 1) / s.warmup_steps
+        return min(s.peak_lr * (step + 1) / s.warmup_steps, s.peak_lr)
     if s.decay_steps and step >= s.decay_start:
         return min(max(s.peak_lr * (s.total_steps - step) / s.decay_steps, 0.0),
                    s.peak_lr)

@@ -339,7 +339,7 @@ def _parse_config_block(block: bytes) -> Checkpoint:
     """The checkpoint a config block describes, with no params or moments
     yet. A block that is not UTF-8 JSON, or that lacks a key, has an unknown
     one, holds a value of the wrong type or one the config classes refuse,
-    is a CheckpointError."""
+    or a negative step or step_count, is a CheckpointError."""
     try:
         cfg = json.loads(block.decode("utf-8"))
         unknown = sorted(set(cfg) - _BLOCK_KEYS)
@@ -349,13 +349,19 @@ def _parse_config_block(block: bytes) -> Checkpoint:
             if type(entry["steps"]) is not int:
                 raise TypeError(f"history steps {entry['steps']!r}")
             Objective(entry["objective"])
-        return _typed(Checkpoint,
+        ckpt = _typed(Checkpoint,
                       model_config=_typed(ModelConfig, **cfg["model_config"]),
                       params={}, opt_state=_typed(AdamWState, **cfg["opt"]),
                       schedule=_typed(WsdSchedule, **cfg["schedule"]),
                       step=cfg["step"],
                       objective_history=cfg["objective_history"],
                       seed=cfg["seed"], mask_ratio=cfg["mask_ratio"])
+        # from step_count -1, the next adamw_step divides by 1 - BETA1 ** 0
+        for name, value in (("step", ckpt.step),
+                            ("opt.step_count", ckpt.opt_state.step_count)):
+            if value < 0:
+                raise ValueError(f"negative {name} {value}")
+        return ckpt
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise CheckpointError(
             f"malformed config block: {type(err).__name__}: {err}") from None
@@ -404,6 +410,9 @@ def load_checkpoint(path) -> Checkpoint:
     if count != len(layout):  # each record it holds matched: too few or many
         raise CheckpointError(f"the file holds {count} tensor records, its "
                               f"config block implies {len(layout)}")
+    if r.at != len(r.data):
+        raise CheckpointError(f"the file holds {len(r.data) - r.at} bytes "
+                              f"after its last tensor record")
     names = [name for name, _ in shapes]
     ckpt.params.update((name, Tensor(arr, requires_grad=True))
                        for name, arr in zip(names, arrays))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -224,6 +225,35 @@ class TestGenCorpusMatchesReference:
         else:
             np.testing.assert_array_equal(got.transition, want.transition)
 
+    # beyond the strategy's 300 tokens: many sequences end at every step
+    # of the all-sequences walk
+    ZERO_TABLE = ((0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 1.0, 0.0),
+                  (0.25, 0.25, 0.0, 0.5), (0.0, 0.7, 0.0, 0.3))
+    LARGER = {
+        # some sequences no longer than the order emit nothing
+        "order2-lengths-2-64": dict(order=2, num_symbols=5, seed=21,
+                                    target_tokens=4_000, min_len=2,
+                                    max_len=64),
+        # the cut lands exactly on the target
+        "fixed-length": dict(num_symbols=3, seed=22, target_tokens=1_200,
+                             min_len=24, max_len=24),
+        # zero entries repeat CDF values
+        "zero-entries": dict(num_symbols=4, seed=23, target_tokens=5_000,
+                             min_len=2, max_len=40, transition=ZERO_TABLE),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LARGER))
+    def test_larger_corpus_as_per_token_sampler(self, name):
+        spec = CorpusSpec(**self.LARGER[name])
+        got = gen_corpus(spec)
+        assert got.sequences == reference_gen_corpus(spec).sequences
+        lengths = [len(s) for s in got.sequences]
+        if name == "fixed-length":
+            assert sum(lengths) == spec.target_tokens
+        else:
+            assert min(lengths) <= max(spec.order, 2)
+            assert len(set(lengths)) > (spec.max_len - spec.min_len) * 0.9
+
     # SHA-256 of the sequences, taken from the per-token sampler
     PINNED = {
         "c7-order1": (dict(num_symbols=6, seed=5, target_tokens=60_000,
@@ -431,6 +461,25 @@ class TestGenTaskData:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             gen_task_data("NLI", 50, 0)
+
+    # SHA-256 of every field of every split, taken from the per-call
+    # Generator.choice draws
+    PINNED = {
+        "SC": "ce2b7f918079e283997ba058c21d978ef47876217d8859f801002a53e201ec63",
+        "TC": "0d0f7a5642763a8064197ba68e87527c04f1d59d4e27fc02f8dba8b3526898d1",
+        "QA": "b3d001da868bff6ba8510acb9dddc04a4be7203de928637d98500857e799e2c7",
+        "IR": "0b4a590381d14cc17295b3fc8072eeae637ec2ed4d376fca8af4a9334b903fe5",
+    }
+
+    @pytest.mark.parametrize("task", sorted(PINNED))
+    def test_pinned_task_data_bytes(self, task):
+        ds = gen_task_data(task, 72, 11)
+        payload = {split: [dataclasses.asdict(ex) for ex in examples]
+                   for split, examples in ds.splits().items()}
+        payload["meta"] = [ds.task, ds.num_classes, list(ds.tagset)]
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PINNED[task]
 
     def test_deterministic(self):
         a = gen_task_data("QA", 40, 7)

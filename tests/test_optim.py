@@ -98,6 +98,11 @@ class TestFinetuneLr:
         assert 1e-4 * (1000 - 100) / 900 > 1e-4
         assert finetune_lr(1e-4, 1000, 100) == 1e-4
 
+    def test_last_warmup_step_is_peak(self):
+        # unclamped, 5e-5 * 26 / 26 lands one ulp above the peak
+        assert 5e-5 * 26 / 26 > 5e-5
+        assert finetune_lr(5e-5, 251, 25) == 5e-5
+
 
 class TestRescaledSchedule:
     @pytest.mark.parametrize("steps, share, warmup, decay", [

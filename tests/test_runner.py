@@ -510,11 +510,14 @@ class TestCheckpointIo:
         edit_json(lambda c: c["objective_history"][0].update(steps="4")),
         edit_json(lambda c: c["objective_history"][0].update(objective="x")),
         edit_json(lambda c: c.update(rng_state={})),
+        edit_json(lambda c: c.update(step=-1)),
+        edit_json(lambda c: c["opt"].update(step_count=-1)),
     ], ids=["missing_seed", "unknown_model_key", "not_json", "not_utf8",
             "warmup_exceeds_total", "zero_kv_heads", "str_layers",
             "float_layers", "bool_layers", "str_step", "str_step_count",
             "str_peak_lr", "int_history_entry", "str_history_steps",
-            "unknown_history_objective", "unknown_top_level_key"])
+            "unknown_history_objective", "unknown_top_level_key",
+            "negative_step", "negative_step_count"])
     def test_malformed_config_block_refused(self, tmp_path, edit):
         path = tmp_path / "a.ckpt"
         save_checkpoint(self.make_ckpt(), path)
@@ -682,6 +685,16 @@ class TestCheckpointIo:
         with pytest.raises(CheckpointError, match="expects 'param.embed' of "
                            "shape [(]16, 16[)], the file holds "
                            "'param.final_norm'"):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_record_refused(self, tmp_path):
+        # 16 zero bytes between the last tensor record and the file CRC,
+        # with the CRC recomputed
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(self.make_ckpt(), path)
+        write_with_crc(path, path.read_bytes()[:-4] + bytes(16))
+        with pytest.raises(CheckpointError, match="the file holds 16 bytes "
+                           "after its last tensor record"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("step_count, moments", [(3, False), (0, True)])
