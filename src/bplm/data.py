@@ -191,6 +191,18 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     return Corpus(sequences, entropy, n, P)
 
 
+def pad_rows(seqs: Sequence[Sequence[int]], pad_id: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """B sequences padded at the end with pad_id to the longest, W: the
+    [B, W] int64 tokens and the [B, W] mask, True at each sequence's own."""
+    lengths = [len(s) for s in seqs]
+    tokens = np.full((len(seqs), max(lengths, default=0)), pad_id,
+                     dtype=np.int64)
+    for row, seq in zip(tokens, seqs):
+        row[:len(seq)] = seq
+    return tokens, np.arange(tokens.shape[1]) < np.array(lengths)[:, None]
+
+
 class BatchStream:
     """Deterministic, randomly-accessible stream of LmBatch values.
 
@@ -214,14 +226,7 @@ class BatchStream:
     def batch(self, step: int) -> LmBatch:
         rng = np.random.default_rng([self.seed, step])
         idx = rng.integers(0, len(self.pool), size=self.batch_rows)
-        width = max(len(self.pool[i]) for i in idx)
-        rows, pads = [], []
-        for i in idx:
-            seq = self.pool[i]
-            pad = len(seq) * [True] + (width - len(seq)) * [False]
-            rows.append(seq + [self.pad_id] * (width - len(seq)))
-            pads.append(pad)
-        return LmBatch(rows, pads)
+        return LmBatch(*pad_rows([self.pool[i] for i in idx], self.pad_id))
 
 
 pack_batches = BatchStream  # alias: benchmark/workloads.py calls this name
@@ -372,6 +377,29 @@ _REQUIRED_FIELDS = {
 _NONEMPTY_FIELDS = ("tokens", "tags", "query", "positive")
 
 
+def _token_list(value) -> bool:
+    # JSON true is a Python bool, which isinstance(..., int) would take
+    return isinstance(value, list) and bool(value) \
+        and all(type(t) is int and t >= 0 for t in value)
+
+
+# what each field must hold, and the test of it
+_FIELD_TYPES = {
+    **dict.fromkeys(("tokens", "query", "positive"),
+                    ("a list of non-negative ints", _token_list)),
+    "label": ("an int", lambda v: type(v) is int),
+    "tags": ("a list of strings",
+             lambda v: isinstance(v, list)
+             and all(isinstance(t, str) for t in v)),
+    "span": ("null or a list of two ints",
+             lambda v: v is None or (isinstance(v, list) and len(v) == 2
+                                     and all(type(i) is int for i in v))),
+    "negatives": ("null or a list of non-empty token lists",
+                  lambda v: v is None
+                  or (isinstance(v, list) and all(map(_token_list, v)))),
+}
+
+
 def save_jsonl(examples: Sequence[TaskExample], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
@@ -407,6 +435,9 @@ def _read_jsonl(path, task: str):
                 value = rec[name]
                 if name in _NONEMPTY_FIELDS and not value:
                     raise ValueError(f"{where}: empty {name!r}")
+                kind, holds = _FIELD_TYPES[name]
+                if not holds(value):
+                    raise ValueError(f"{where}: {name!r} must be {kind}")
                 if name == "span" and value is not None:
                     value = tuple(value)
                 setattr(ex, name, value)
@@ -451,8 +482,7 @@ def load_task_dataset(directory) -> TaskDataset:
     for split, examples in ds.splits().items():
         path = os.path.join(directory, f"{split}.jsonl")
         for where, ex in _read_jsonl(path, ds.task):
-            if ex.task == "SC" and not (isinstance(ex.label, int)
-                                        and 0 <= ex.label < ds.num_classes):
+            if ex.task == "SC" and not 0 <= ex.label < ds.num_classes:
                 raise ValueError(f"{where}: label {ex.label} outside "
                                  f"[0, {ds.num_classes})")
             if ex.task == "TC" and not set(ex.tags) <= set(ds.tagset):

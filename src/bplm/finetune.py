@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID, TaskDataset, TaskExample
+from .data import PAD_ID, TaskDataset, TaskExample, pad_rows
 # forward is not called here; benchmark/probes.py wraps bplm.finetune.forward
 from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
                     forward_batch)
@@ -154,12 +154,7 @@ def encode(params: Parameters, cfg: ModelConfig,
     sequences padded at the end with PAD_ID to the longest, W, as one
     batched forward. Returns the hidden states [B*W, d], sequence b at rows
     b*W .. b*W+W-1 and zero at pads, and the [B, W] real-token mask."""
-    if not seqs:
-        raise ValueError("empty batch")
-    lengths = np.array([len(s) for s in seqs])
-    width = int(lengths.max())
-    real = np.arange(width)[None, :] < lengths[:, None]
-    rows = [list(s) + [PAD_ID] * (width - len(s)) for s in seqs]
+    rows, real = pad_rows(seqs, PAD_ID)
     return forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL,
                          real), real
 
@@ -230,11 +225,8 @@ def task_loss(task: str, head: Dict[str, Tensor], params: Parameters,
         return T.cross_entropy_from_logits(scores, [ex.label for ex in batch])
     if task == "TC":
         tag_ids = {t: i for i, t in enumerate(dataset.tagset)}
-        targets = np.full((len(batch), scores.data.shape[0] // len(batch)),
-                          IGNORE_INDEX, dtype=np.int64)
-        for row, ex in zip(targets, batch):
-            row[:len(ex.tags)] = [tag_ids[t] for t in ex.tags]
-        kept = targets != IGNORE_INDEX
+        targets, kept = pad_rows([[tag_ids[t] for t in ex.tags]
+                                  for ex in batch], IGNORE_INDEX)
         weights = kept / (kept.sum(axis=1, keepdims=True) * len(batch))
         return T.cross_entropy_from_logits(scores, targets.reshape(-1),
                                            weights.reshape(-1))

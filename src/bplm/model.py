@@ -34,6 +34,11 @@ class ModelConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
+        for name, least in (("layers", 0), ("embed_dim", 1), ("ffn_dim", 1),
+                            ("heads", 1), ("kv_heads", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
         if self.heads % self.kv_heads != 0:
             raise ValueError("heads must be divisible by kv_heads")
         if self.embed_dim % self.heads != 0:
@@ -109,32 +114,29 @@ def _ffn(hidden: Tensor, params: Parameters, layer: int) -> Tensor:
     return T.matmul(T.swiglu(gate, up), params[f"{p}.w_down"])
 
 
-def forward_batch(params: Parameters, cfg: ModelConfig,
-                  rows: Sequence[Sequence[int]], mode: AttentionMode,
-                  pad_masks: Optional[Sequence[Sequence[bool]]] = None
+def forward_batch(params: Parameters, cfg: ModelConfig, rows: np.ndarray,
+                  mode: AttentionMode, pad_masks: Optional[np.ndarray] = None
                   ) -> Tensor:
-    """Run the model on B rows of one length T, returning the final hidden
-    states [B*T, d], row after row and zero at pads. pad_masks (True where
-    real) mark the pads; None means no padding. Every op but attention runs
-    on the real tokens alone."""
-    if not rows:
+    """Run the model on the [B, T] token ids rows (a list of B rows of one
+    length is converted), returning the final hidden states [B*T, d], row
+    after row and zero at pads. The [B, T] pad_masks (True where real) mark
+    the pads; None means no padding. Every op but attention runs on the real
+    tokens alone."""
+    tokens = np.asarray(rows, dtype=np.int64)
+    if not len(tokens):
         raise ValueError("empty batch")
-    seq_len = len(rows[0])
-    if any(len(r) != seq_len for r in rows):
-        raise ValueError("rows of one batch must share one length")
-    if seq_len > cfg.max_seq_len:
+    if tokens.shape[1] > cfg.max_seq_len:
         raise ValueError("sequence longer than max_seq_len")
-    tokens = np.asarray(rows, dtype=np.int64).reshape(-1)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError("token id out of range")
     if pad_masks is None:
-        pad = np.ones((len(rows), seq_len), dtype=bool)
+        pad = np.ones(tokens.shape, dtype=bool)
     else:
         pad = np.asarray(pad_masks, dtype=bool)
-        if pad.shape != (len(rows), seq_len):
+        if pad.shape != tokens.shape:
             raise ValueError("pad masks must match the rows' shape")
 
-    x = T.gather_rows(params["embed"], tokens[pad.reshape(-1)])
+    x = T.gather_rows(params["embed"], tokens[pad])
     for i in range(cfg.layers):
         normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], RMSNORM_EPS)
         x = T.add(x, attention(normed, params, i, cfg, pad, mode))

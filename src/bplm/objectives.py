@@ -46,18 +46,17 @@ class MaskingPlan:
 
 @dataclass
 class LmBatch:
-    rows: List[List[int]]
-    pad_masks: List[List[bool]]  # True where real token
+    rows: np.ndarray       # [B, T] int64 token ids, pads included
+    pad_masks: np.ndarray  # [B, T] bool, True where real token
     plans: Optional[List[MaskingPlan]] = None  # MLM only
 
     def __post_init__(self):
-        if len(self.rows) != len(self.pad_masks):
-            raise ValueError("rows/pad_masks length mismatch")
-        for r, m in zip(self.rows, self.pad_masks):
-            if len(r) != len(m):
-                raise ValueError("row/pad mask length mismatch")
-        if len({len(r) for r in self.rows}) > 1:
-            raise ValueError("rows of one batch must share one length")
+        # lists of rows are converted; numpy refuses rows of mixed length
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.pad_masks = np.asarray(self.pad_masks, dtype=bool)
+        if self.rows.ndim != 2 or self.pad_masks.shape != self.rows.shape:
+            raise ValueError("rows and pad_masks must be [B, T] arrays of "
+                             "one shape")
 
 
 def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
@@ -70,18 +69,17 @@ def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
     """
     if not 0 < ratio <= 1:
         raise ValueError("ratio must lie in (0, 1]")
-    tokens = list(tokens)
-    if pad_mask is None:
-        pad_mask = [True] * len(tokens)
-    eligible = np.nonzero(np.asarray(pad_mask, dtype=bool))[0]
+    tokens = np.asarray(tokens)
+    eligible = (np.arange(len(tokens)) if pad_mask is None
+                else np.flatnonzero(np.asarray(pad_mask, dtype=bool)))
     if eligible.size == 0:
         raise ValueError("no non-pad tokens to mask")
     for _ in range(MASK_ATTEMPTS):
+        # eligible is increasing, so sel is too
         sel = eligible[rng.random(eligible.size) < ratio]
         if sel.size:
-            positions = sorted(int(i) for i in sel)
-            return MaskingPlan(mask_token_id, positions,
-                               [tokens[i] for i in positions])
+            return MaskingPlan(mask_token_id, sel.tolist(),
+                               tokens[sel].tolist())
     raise RuntimeError(f"no positions selected after {MASK_ATTEMPTS} attempts")
 
 
@@ -126,7 +124,7 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
     clm_loss / mlm_loss, computed as one batched forward, the LM head on the
     positions that have a target only, and one cross-entropy weighted
     1 / (rows * predicted positions in the row)."""
-    if not batch.rows:
+    if not batch.rows.size:
         raise ValueError("empty batch")
     if objective is Objective.CLM:
         mode = AttentionMode.CAUSAL
@@ -136,10 +134,11 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
         if batch.plans is None or len(batch.plans) != len(batch.rows):
             raise ValueError("MLM batch must carry one masking plan per row")
         mode = AttentionMode.BIDIRECTIONAL
-        inputs = [plan.apply(tokens)
-                  for plan, tokens in zip(batch.plans, batch.rows)]
-        targets = np.stack([_mlm_targets(plan, len(tokens))
-                            for plan, tokens in zip(batch.plans, batch.rows)])
+        inputs = batch.rows.copy()
+        for row, plan in zip(inputs, batch.plans):
+            row[plan.masked_positions] = plan.mask_token_id
+        targets = np.stack([_mlm_targets(plan, inputs.shape[1])
+                            for plan in batch.plans])
     kept = targets != IGNORE_INDEX
     counts = kept.sum(axis=1, keepdims=True)
     if not counts.all():

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .data import BatchStream
+from .data import MASK_ID, BatchStream
 from .model import ModelConfig, Parameters, init_params, param_shapes
 from .objectives import LmBatch, Objective, pretrain_loss, select_mask
 from .optim import (AdamWState, WsdSchedule, adamw_step, clip_global_norm,
@@ -119,8 +119,7 @@ def _masked_fraction(batch: LmBatch) -> float:
     if batch.plans is None:
         return 0.0
     masked = sum(len(p.masked_positions) for p in batch.plans)
-    real = sum(sum(m) for m in batch.pad_masks)
-    return masked / real if real else 0.0
+    return masked / int(batch.pad_masks.sum())  # > 0: the loss ran
 
 
 def _check_start(start: Checkpoint, cfg: TrainConfig,
@@ -141,7 +140,7 @@ def _check_start(start: Checkpoint, cfg: TrainConfig,
 
 
 def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
-            mask_id: int = 1,
+            mask_id: int = MASK_ID,
             resume_from: Optional[Checkpoint] = None,
             trace: Optional[List[dict]] = None) -> Checkpoint:
     """Train under cfg's objective plan from a start checkpoint: resume_from,
@@ -212,7 +211,7 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
 
 
 def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
-            stream: BatchStream, mask_id: int = 1, force: bool = False,
+            stream: BatchStream, mask_id: int = MASK_ID, force: bool = False,
             trace: Optional[List[dict]] = None) -> Checkpoint:
     """Continue a decayed checkpoint with MLM under the rescaled schedule
     (CPT_DECAY_SHARE) at cfg's peak lr; optimizer moments restart. Of cfg's
@@ -362,7 +361,7 @@ def _parse_config_block(block: bytes) -> Checkpoint:
             if value < 0:
                 raise ValueError(f"negative {name} {value}")
         return ckpt
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(
             f"malformed config block: {type(err).__name__}: {err}") from None
 

@@ -1,12 +1,22 @@
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")  # before numpy loads, as bplm does
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from bplm.model import ModelConfig, init_params
+
+
+def pytest_report_header(config):
+    """The BLAS setup the suite ran under: reruns give the same bytes only
+    at one BLAS thread count."""
+    threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
+    return (f"bplm: numpy {np.__version__}, {threads}, "
+            f"cpu_count={os.cpu_count()}")
 
 
 @pytest.fixture

@@ -223,6 +223,19 @@ class TestPretrain:
         assert re.fullmatch(rf"error: [^\n]*{key}[^\n]*\n", err), err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("key", ["heads", "kv_heads"])
+    def test_zero_heads_refused(self, tmp_path, capsys, key):
+        # heads % kv_heads and embed_dim % heads used to end in a
+        # ZeroDivisionError traceback
+        model = re.sub(rf"^{key} = \d+$", f"{key} = 0", TINY_MODEL,
+                       flags=re.M)
+        cfg = write_config(tmp_path, model + TINY_DATA)
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {key} must be >= 1, got 0\n", err), err
+        assert not os.path.exists(out)
+
     def test_negative_decay_steps_refused(self, tmp_path, capsys):
         # used to train with no decay and save a final.ckpt counted decayed
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA

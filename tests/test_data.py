@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from bplm.data import (MAX_MARKOV_STATES, NUM_RESERVED, PAD_ID, BatchStream,
                        Corpus, CorpusSpec, _markov_table, _stationary,
                        gen_corpus, gen_task_data, load_jsonl,
-                       load_task_dataset, save_jsonl, save_task_dataset)
+                       load_task_dataset, pad_rows, save_jsonl,
+                       save_task_dataset)
 
 
 def power_iteration_stationary(P, iters=10_000):
@@ -331,6 +332,25 @@ class TestCorpusSpecValidation:
                                   transition=((0.5, 0.5 + 1e-6), (0.3, 0.7))))
 
 
+class TestPadRows:
+    @settings(max_examples=60, deadline=None)
+    @given(seqs=st.lists(st.lists(st.integers(0, 2 ** 40), max_size=9),
+                         min_size=1, max_size=6),
+           pad_id=st.integers(-100, 100))
+    def test_matches_per_row_end_padding(self, seqs, pad_id):
+        tokens, real = pad_rows(seqs, pad_id)
+        width = max(map(len, seqs))
+        assert tokens.dtype == np.int64 and real.dtype == bool
+        assert tokens.tolist() == [s + [pad_id] * (width - len(s))
+                                   for s in seqs]
+        assert real.tolist() == [[True] * len(s) + [False] * (width - len(s))
+                                 for s in seqs]
+
+    def test_no_sequences(self):
+        tokens, real = pad_rows([], PAD_ID)
+        assert tokens.shape == real.shape == (0, 0)
+
+
 class TestBatchStream:
     def make(self, **kw):
         corpus = gen_corpus(CorpusSpec(target_tokens=2000, min_len=4,
@@ -343,11 +363,12 @@ class TestBatchStream:
     def test_random_access_deterministic(self):
         stream = self.make()
         a, b = stream.batch(17), stream.batch(17)
-        assert a.rows == b.rows and a.pad_masks == b.pad_masks
+        assert np.array_equal(a.rows, b.rows) \
+            and np.array_equal(a.pad_masks, b.pad_masks)
 
     def test_steps_differ(self):
         stream = self.make()
-        assert stream.batch(0).rows != stream.batch(1).rows
+        assert not np.array_equal(stream.batch(0).rows, stream.batch(1).rows)
 
     def test_padding_consistent(self):
         batch = self.make().batch(3)
@@ -361,6 +382,35 @@ class TestBatchStream:
         stream = self.make(max_len=6)
         for step in range(10):
             assert all(len(r) <= 6 for r in stream.batch(step).rows)
+
+    # SHA-256 of steps 0-9, rows and pad masks in list form; taken from the
+    # list-of-lists batches that preceded the [B, T] arrays
+    PINNED = {
+        "small": ("64e55ce3421cbf4af8855270e88c036e"
+                  "73ae6ef4d0ada9ed487f52bc0ac1559b"),
+        "desk": ("0b5b0b617dbfe54cd23dddd874596efe"
+                 "2436eabe810e1b942d0d61b3a7643783"),
+    }
+
+    @pytest.mark.parametrize("name, spec, rows, min_len, max_len, seed", [
+        ("small", CorpusSpec(target_tokens=2000, min_len=4, max_len=12),
+         3, 4, 12, 0),
+        ("desk", CorpusSpec(num_symbols=6, target_tokens=4000, min_len=16,
+                            max_len=48, seed=5), 8, 16, 40, 7),
+    ])
+    def test_batches_pinned(self, name, spec, rows, min_len, max_len, seed):
+        stream = BatchStream(gen_corpus(spec).sequences, rows, min_len,
+                             max_len, PAD_ID, seed)
+        out = [[np.asarray(b.rows).tolist(), np.asarray(b.pad_masks).tolist()]
+               for b in map(stream.batch, range(10))]
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == self.PINNED[name]
+
+    def test_batch_layout(self):
+        batch = self.make().batch(5)
+        assert batch.rows.dtype == np.int64 and batch.pad_masks.dtype == bool
+        assert batch.rows.shape == batch.pad_masks.shape
+        assert batch.pad_masks[:, 0].all()  # every row has real tokens
 
     def test_discard_counter(self):
         seqs = [[5, 6, 7, 8], [5, 6], [7]]
@@ -565,6 +615,62 @@ class TestJsonl:
         path.write_text(json.dumps(dict(record, task=task)) + "\n")
         with pytest.raises(ValueError, match=f"line 1: empty '{field}'"):
             load_jsonl(path, task)
+
+
+    GOOD = {
+        "SC": {"tokens": [8, 9], "label": 0},
+        "TC": {"tokens": [8, 9], "tags": ["O", "B-PER"]},
+        "QA": {"tokens": [8, 9], "span": [0, 1]},
+        "IR": {"query": [8], "positive": [9], "negatives": [[10], [11]]},
+    }
+
+    @pytest.mark.parametrize("task, field, value", [
+        ("SC", "label", True),
+        ("SC", "label", 1.0),
+        ("SC", "label", "1"),
+        ("SC", "tokens", [8.5, 9]),
+        ("SC", "tokens", "abc"),
+        ("SC", "tokens", [8, True]),
+        ("SC", "tokens", [8, -1]),
+        ("SC", "tokens", {"8": 9}),
+        ("TC", "tags", "OO"),
+        ("TC", "tags", ["O", 1]),
+        ("QA", "span", [0.5, 1]),
+        ("QA", "span", [0]),
+        ("QA", "span", [0, 1, 1]),
+        ("QA", "span", [False, 1]),
+        ("QA", "span", "0,1"),
+        ("IR", "query", [8.0]),
+        ("IR", "positive", "x"),
+        ("IR", "negatives", [[]]),
+        ("IR", "negatives", "x"),
+        ("IR", "negatives", [[10], 11]),
+        ("IR", "negatives", [[10.5]]),
+    ])
+    def test_wrong_type_refused(self, tmp_path, task, field, value):
+        # the good record first, so the error must name line 2
+        path = tmp_path / "bad.jsonl"
+        good = dict(self.GOOD[task], task=task)
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps(dict(good, **{field: value})) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"bad.jsonl: line 2: '{field}' must be"):
+            load_jsonl(path, task)
+
+    @pytest.mark.parametrize("task", sorted(GOOD))
+    def test_good_records_load(self, tmp_path, task):
+        path = tmp_path / "good.jsonl"
+        path.write_text(json.dumps(dict(self.GOOD[task], task=task)) + "\n")
+        assert len(load_jsonl(path, task)) == 1
+
+    def test_null_span_and_negatives_load(self, tmp_path):
+        path = tmp_path / "good.jsonl"
+        path.write_text(
+            json.dumps({"task": "QA", "tokens": [8], "span": None}) + "\n")
+        assert load_jsonl(path, "QA")[0].span is None
+        path.write_text(json.dumps({"task": "IR", "query": [8],
+                                    "positive": [9], "negatives": None}) + "\n")
+        assert load_jsonl(path, "IR")[0].negatives is None
 
 
 class TestTaskDatasetLabels:

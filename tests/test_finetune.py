@@ -250,6 +250,19 @@ class TestEncode:
         with pytest.raises(ValueError, match="empty batch"):
             encode(init_params(CFG, 0), CFG, [])
 
+    def test_tc_batch_of_mixed_lengths_pinned(self):
+        # encode pads the tokens and task_loss the tag targets; both values
+        # are pinned from the per-row padding that preceded pad_rows
+        params = init_params(CFG, 0)
+        ds = gen_task_data("TC", 40, 0)
+        batch = [TaskExample("TC", tokens=ex.tokens[:n], tags=ex.tags[:n])
+                 for ex, n in zip(ds.train, (16, 3, 9, 1, 12))]
+        head = init_head("TC", CFG, ds, 0)
+        loss = task_loss("TC", head, params, CFG, batch, ds).item()
+        assert loss.hex() == "0x1.98a296b92ecbbp+0"
+        score = evaluate("TC", head, params, CFG, batch, ds)
+        assert score.hex() == "0x1.8618618618619p-4"
+
 
 @st.composite
 def ragged_examples(draw):

@@ -47,6 +47,18 @@ class TestModelConfig:
     def test_roundtrip(self, tiny_cfg):
         assert ModelConfig(**asdict(tiny_cfg)) == tiny_cfg
 
+    @pytest.mark.parametrize("field, value", [
+        ("heads", 0), ("kv_heads", 0), ("heads", -4), ("embed_dim", 0),
+        ("ffn_dim", 0), ("layers", -1)])
+    def test_sizes_below_their_bound_refused(self, field, value):
+        # checked before the divisibility checks, which divide by heads
+        # and kv_heads
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            ModelConfig(**{field: value})
+
+    def test_zero_layers_allowed(self):
+        assert ModelConfig(layers=0).layers == 0
+
 
 class TestInitParams:
     def test_deterministic(self, tiny_cfg):
@@ -225,7 +237,8 @@ class TestForwardBatch:
             atol=0)
 
     def test_ragged_rows_rejected(self, tiny_cfg, tiny_params):
-        with pytest.raises(ValueError, match="one length"):
+        # numpy refuses to make one [B, T] array of them
+        with pytest.raises(ValueError, match="inhomogeneous"):
             forward_batch(tiny_params, tiny_cfg, [[3, 4, 5], [3, 4]],
                           AttentionMode.CAUSAL)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bplm import tensor as T
-from bplm.data import PAD_ID, BatchStream, CorpusSpec, gen_corpus
+from bplm.data import PAD_ID, BatchStream, CorpusSpec, gen_corpus, pad_rows
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import (IGNORE_INDEX, LmBatch, MaskingPlan, Objective,
                              clm_loss, mlm_loss, pretrain_loss, select_mask)
@@ -176,9 +176,31 @@ class TestPretrainLoss:
                                   [[True, True], [True, False]]))
 
     def test_ragged_rows_rejected(self):
-        # pretrain_loss builds its targets as one [B, T] array
-        with pytest.raises(ValueError, match="share one length"):
+        # an LmBatch holds one [B, T] array; numpy refuses to make one
+        with pytest.raises(ValueError, match="inhomogeneous"):
             LmBatch([[3, 4, 5], [3, 4]], [[True] * 3, [True] * 2])
+
+    def test_pad_mask_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            LmBatch([[3, 4, 5], [3, 4, 0]], [[True] * 2] * 2)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_list_and_array_batches_agree(self, tiny_cfg, tiny_params,
+                                          objective):
+        # padded rows as lists, against pad_rows' arrays of the same rows
+        seqs = [[3, 4, 5, 6, 7], [8, 9, 2], [4, 5, 6, 7, 8, 9]]
+        rows = [s + [PAD_ID] * (6 - len(s)) for s in seqs]
+        pads = [[True] * len(s) + [False] * (6 - len(s)) for s in seqs]
+        tokens, real = pad_rows(seqs, PAD_ID)
+        plans = [select_mask(r, 0.4, np.random.default_rng(i), 1, p)
+                 for i, (r, p) in enumerate(zip(rows, pads))]
+        from_lists = LmBatch(rows, pads, plans)
+        from_arrays = LmBatch(tokens, real, plans)
+        assert from_arrays.rows.dtype == np.int64
+        assert from_arrays.pad_masks.dtype == bool
+        losses = [pretrain_loss(objective, tiny_params, tiny_cfg, b).item()
+                  for b in (from_lists, from_arrays)]
+        assert losses[0].hex() == losses[1].hex()
 
     def test_empty_plan_rejected(self, tiny_cfg, tiny_params, rng):
         rows = [[3, 4, 5], [6, 7, 8]]

@@ -1,10 +1,14 @@
 """The suite's own pytest settings: a failing property test reports its
 falsifying example under the warning filters in pyproject.toml and lets the
-session go on."""
+session go on, and the session header names the BLAS setup."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +38,27 @@ def test_failing_property_reports_its_example(tmp_path):
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_header_names_the_blas_setup(tmp_path):
+    # the suite's conftest.py, run from a copy so only its test is collected
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    (tmp_path / "conftest.py").write_text(conftest)
+    (tmp_path / "test_nothing.py").write_text("def test_ok():\n    pass\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="3")
+    env.pop("OMP_NUM_THREADS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "test_nothing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300, env=env)
+    out = run.stdout + run.stderr
+    assert run.returncode == 0, out
+    header = re.search(r"^bplm: numpy (\S+), (.*), cpu_count=(\S+)$", out,
+                       re.M)
+    assert header, out
+    assert header[1] == numpy.__version__
+    # a variable the caller set is shown as set, an unset one as conftest
+    # sets it
+    assert header[2] == ("OPENBLAS_NUM_THREADS=3, OMP_NUM_THREADS=1, "
+                         f"MKL_NUM_THREADS={env.get('MKL_NUM_THREADS', '1')}")
+    assert header[3] == str(os.cpu_count())
