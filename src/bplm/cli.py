@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import (BatchStream, CorpusSpec, MASK_ID, PAD_ID, gen_corpus,
                    load_task_dataset)
-from .finetune import (GridSearchSpec, ci95_half_width, run_grid_search,
-                       write_report)
+from .finetune import (REPORT_FIELDS, GridSearchSpec, ci95_half_width,
+                       run_grid_search, write_report)
 from .model import ModelConfig
 from .objectives import Objective, STUDY_MASK_RATIOS
 from .optim import WsdSchedule, rescaled_schedule
@@ -56,8 +56,8 @@ DEFAULTS = {
         "checkpoint_cadence": 0,
     },
     "data": {
-        "generator": "markov_k", "order": 1, "num_symbols": 6,
-        "target_tokens": 20000, "min_len": 8, "max_len": 64, "seed": 0,
+        "order": 1, "num_symbols": 6, "target_tokens": 20000,
+        "min_len": 8, "max_len": 64, "seed": 0,
     },
     "cpt": {"steps": 2000, "mask_ratio": 0.40},
 }
@@ -229,19 +229,35 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Aggregate per-run CSVs (runs.csv files) into one summary table."""
-    rows = []
+    """Aggregate per-run CSVs (runs.csv files) into one summary table. A
+    file whose header is not REPORT_FIELDS, or a row without one field per
+    column and a numeric value, raises CliError naming the file and line."""
+    groups: dict = {}
     for root, _dirs, files in os.walk(args.runs_dir):
         for name in files:
-            if name == "runs.csv":
-                with open(os.path.join(root, name), newline="") as f:
-                    rows.extend(csv.DictReader(f))
-    if not rows:
+            if name != "runs.csv":
+                continue
+            path = os.path.join(root, name)
+            with open(path, newline="") as f:
+                reader = csv.reader(f)
+                if tuple(next(reader, ())) != REPORT_FIELDS:
+                    raise CliError(f"{path}: header is not "
+                                   f"{','.join(REPORT_FIELDS)}")
+                for row in filter(None, reader):  # skip blank lines
+                    where = f"{path}: line {reader.line_num}"
+                    if len(row) != len(REPORT_FIELDS):
+                        raise CliError(f"{where}: {len(row)} fields, not "
+                                       f"{len(REPORT_FIELDS)}")
+                    task, dataset, lr, _seed, split, metric, value = row
+                    try:
+                        value = float(value)
+                    except ValueError:
+                        raise CliError(f"{where}: value {value!r} is not "
+                                       f"a number") from None
+                    groups.setdefault((task, dataset, lr, split, metric),
+                                      []).append(value)
+    if not groups:
         raise CliError(f"no runs.csv files under {args.runs_dir}")
-    groups: dict = {}
-    for r in rows:
-        key = (r["task"], r["dataset"], r["lr"], r["split"], r["metric"])
-        groups.setdefault(key, []).append(float(r["value"]))
     out = args.out or os.path.join(args.runs_dir, "summary.csv")
     with open(out, "w", newline="") as f:
         writer = csv.writer(f)

@@ -1,16 +1,16 @@
 """Reserved token ids, synthetic corpora with known entropy rates,
 variable-length batch packing, and synthetic fine-tuning datasets.
 
-Corpora come from generators whose exact conditional entropy is computable,
-so trained-model losses can be checked against an information-theoretic
-floor instead of opaque reference numbers.
+Every corpus comes from an order-k Markov table, whose exact conditional
+entropy is computable, so trained-model losses can be checked against an
+information-theoretic floor instead of opaque reference numbers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,14 +25,12 @@ PEAKEDNESS = 8.0  # added to one entry per Markov row; higher, lower entropy
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    generator: str = "markov_k"  # or "repeated_pattern"
     order: int = 1
     num_symbols: int = 6
     seed: int = 0
     target_tokens: int = 50_000
     min_len: int = 8
     max_len: int = 128
-    pattern: Tuple[int, ...] = ()          # repeated_pattern only
     transition: Optional[Tuple[Tuple[float, ...], ...]] = None  # explicit P
 
     def __post_init__(self):
@@ -40,29 +38,22 @@ class CorpusSpec:
             raise ValueError("min_len must be >= 2")
         if self.max_len < self.min_len:
             raise ValueError("max_len < min_len")
-        if self.generator not in ("markov_k", "repeated_pattern"):
-            raise ValueError(f"unknown generator {self.generator!r}")
         if self.target_tokens < 1:
             raise ValueError("target_tokens must be >= 1")
         if self.order < 0:
             raise ValueError("order must be >= 0")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be >= 1")
-        if self.generator == "markov_k" \
-                and self.num_symbols ** self.order > MAX_MARKOV_STATES:
+        if self.num_symbols ** self.order > MAX_MARKOV_STATES:
             raise ValueError(f"num_symbols ** order = {self.num_symbols} ** "
                              f"{self.order} exceeds {MAX_MARKOV_STATES} states")
-        if self.generator == "repeated_pattern" and not all(
-                0 <= p < self.num_symbols for p in self.pattern or (0, 1)):
-            raise ValueError("pattern entries must lie in [0, num_symbols)")
 
 
 @dataclass
 class Corpus:
     sequences: List[List[int]]
     entropy_rate: float  # nats per token, exact for the generating chain
-    num_symbols: int
-    transition: Optional[np.ndarray] = None  # [states x symbols], markov only
+    transition: np.ndarray  # [states x symbols]
 
 
 def _stationary(P: np.ndarray) -> np.ndarray:
@@ -83,16 +74,6 @@ def _markov_table(spec: CorpusSpec, rng: np.random.Generator) -> np.ndarray:
     P[np.arange(n_states), boost] += PEAKEDNESS
     P /= P.sum(axis=1, keepdims=True)
     return P
-
-
-def _lengths(spec: CorpusSpec,
-             lengths_rng: np.random.Generator) -> Iterator[int]:
-    """Sequence lengths, one draw each, until target_tokens is reached."""
-    total = 0
-    while total < spec.target_tokens:
-        length = int(lengths_rng.integers(spec.min_len, spec.max_len + 1))
-        yield length
-        total += length
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -116,16 +97,6 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     """
     rng = np.random.default_rng(spec.seed)
     lengths_rng = np.random.default_rng(spec.seed + 1)
-
-    if spec.generator == "repeated_pattern":
-        pattern = list(spec.pattern) or [0, 1]
-        sequences = []
-        for length in _lengths(spec, lengths_rng):
-            # the phase is drawn right after its length, on the same stream
-            phase = int(lengths_rng.integers(0, len(pattern)))
-            sequences.append([NUM_RESERVED + pattern[(phase + i) % len(pattern)]
-                              for i in range(length)])
-        return Corpus(sequences, 0.0, spec.num_symbols)
 
     n = spec.num_symbols
     k = spec.order
@@ -151,7 +122,8 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     pi = _stationary(Q)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(P > 0, np.log(P), 0.0)
-    entropy = float(-(pi[:, None] * P * logs).sum())
+    # + 0.0: a deterministic table sums to -0.0, which reads as 0.0
+    entropy = float(-(pi[:, None] * P * logs).sum()) + 0.0
 
     # one call of size m gives the values of m single draws; cut after the
     # first prefix that reaches the target
@@ -188,7 +160,7 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     tokens[order] = out.T + NUM_RESERVED
     sequences = [row[:length] for row, length
                  in zip(tokens.tolist(), lengths.tolist())]
-    return Corpus(sequences, entropy, n, P)
+    return Corpus(sequences, entropy, P)
 
 
 def pad_rows(seqs: Sequence[Sequence[int]], pad_id: int

@@ -8,15 +8,19 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from bplm import _OPENBLAS
 from bplm.model import ModelConfig, init_params
 
 
 def pytest_report_header(config):
     """The BLAS setup the suite ran under: reruns give the same bytes only
-    at one BLAS thread count."""
+    at one BLAS thread count. openblas_threads is the count OpenBLAS
+    reports, or unknown where bplm found no OpenBLAS to ask."""
     threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
+    count = "unknown" if _OPENBLAS is None \
+        else _OPENBLAS.scipy_openblas_get_num_threads64_()
     return (f"bplm: numpy {np.__version__}, {threads}, "
-            f"cpu_count={os.cpu_count()}")
+            f"cpu_count={os.cpu_count()}, openblas_threads={count}")
 
 
 @pytest.fixture

@@ -97,6 +97,7 @@ class TestExpandConfig:
         ("[model]\nembed_dims = 32\n", "[model] embed_dims: unknown key"),
         ("[train]\ntotl_steps = 8\n", "[train] totl_steps: unknown key"),
         ("[data]\nsymbols = 4\n", "[data] symbols: unknown key"),
+        ("[data]\ngenerator = markov_k\n", "[data] generator: unknown key"),
         ("[cpt]\nstep = 4\n", "[cpt] step: unknown key"),
         ("[experiment]\npreset = pfs-clm\nname = x\n",
          "[experiment] name: unknown key"),
@@ -113,7 +114,7 @@ class TestExpandConfig:
         ("[model]\nrmsnorm_eps = 1e-6\n",
          "[model] rmsnorm_eps: unknown key"),
     ], ids=["section", "default-section", "model-key", "train-key",
-            "data-key", "cpt-key", "experiment-key", "int-given-float",
+            "data-key", "generator-dropped", "cpt-key", "experiment-key", "int-given-float",
             "inf", "no-header", "duplicate-key", "stray-percent",
             "clip-norm-constant", "weight-decay-constant",
             "rope-theta-constant", "rmsnorm-eps-constant"])
@@ -525,6 +526,33 @@ class TestFinetuneAndReport:
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "no runs.csv" in capsys.readouterr().err
+
+    HEADER = ",".join(REPORT_FIELDS) + "\n"
+
+    @pytest.mark.parametrize("body, named", [
+        ("a,b\n1,2\n", "header is not task,dataset,"),
+        ("", "header is not task,dataset,"),
+        (HEADER.replace("seed,", "") + "SC,d,0.001,test,accuracy,0.5\n",
+         "header is not task,dataset,"),
+        (HEADER + "SC,d,0.001,0,test,accuracy,\n",
+         "line 2: value '' is not a number"),
+        (HEADER + "SC,d,0.001,0,test,accuracy,0.5\n"
+                  "SC,d,0.001,1,test,accuracy,high\n",
+         "line 3: value 'high' is not a number"),
+        (HEADER + "SC,d,0.001,0,test\n", "line 2: 5 fields, not 7"),
+        (HEADER + "SC,d,0.001,0,test,accuracy,0.5,x\n",
+         "line 2: 8 fields, not 7"),
+    ], ids=["foreign-header", "empty-file", "missing-column", "empty-value",
+            "word-value", "short-row", "long-row"])
+    def test_report_malformed_runs_csv(self, tmp_path, capsys, body, named):
+        runs = tmp_path / "cell"
+        runs.mkdir()
+        (runs / "runs.csv").write_text(body)
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
+        assert f"{runs / 'runs.csv'}: {named}" in err
+        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestNoAbbreviations:

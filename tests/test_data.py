@@ -33,47 +33,36 @@ def reference_gen_corpus(spec: CorpusSpec) -> Corpus:
     rng = np.random.default_rng(spec.seed)
     lengths_rng = np.random.default_rng(spec.seed + 1)
 
-    table = None
-    if spec.generator == "repeated_pattern":
-        pattern = list(spec.pattern) or [0, 1]
-        entropy = 0.0
-
-        def sample_seq(length):
-            phase = int(lengths_rng.integers(0, len(pattern)))
-            return [NUM_RESERVED + pattern[(phase + i) % len(pattern)]
-                    for i in range(length)]
+    if spec.transition is not None:
+        P = np.asarray(spec.transition, dtype=np.float64)
     else:
-        if spec.transition is not None:
-            P = np.asarray(spec.transition, dtype=np.float64)
-        else:
-            P = _markov_table(spec, rng)
-        table = P
-        n = spec.num_symbols
-        n_states = n ** spec.order
-        Q = np.zeros((n_states, n_states))
-        for s in range(n_states):
-            for sym in range(n):
-                Q[s, (s * n + sym) % n_states] += P[s, sym]
-        pi = _stationary(Q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(P > 0, np.log(P), 0.0)
-        entropy = float(-(pi[:, None] * P * logs).sum())
+        P = _markov_table(spec, rng)
+    n = spec.num_symbols
+    n_states = n ** spec.order
+    Q = np.zeros((n_states, n_states))
+    for s in range(n_states):
+        for sym in range(n):
+            Q[s, (s * n + sym) % n_states] += P[s, sym]
+    pi = _stationary(Q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(P > 0, np.log(P), 0.0)
+    entropy = float(-(pi[:, None] * P * logs).sum())
 
-        def unpack(state):
-            syms = []
-            for _ in range(spec.order):
-                syms.append(state % n)
-                state //= n
-            return syms[::-1]
+    def unpack(state):
+        syms = []
+        for _ in range(spec.order):
+            syms.append(state % n)
+            state //= n
+        return syms[::-1]
 
-        def sample_seq(length):
-            state = int(rng.choice(n_states, p=pi))
-            seq = unpack(state)
-            while len(seq) < length:
-                sym = int(rng.choice(n, p=P[state]))
-                seq.append(sym)
-                state = (state * n + sym) % n_states
-            return [NUM_RESERVED + s for s in seq[:length]]
+    def sample_seq(length):
+        state = int(rng.choice(n_states, p=pi))
+        seq = unpack(state)
+        while len(seq) < length:
+            sym = int(rng.choice(n, p=P[state]))
+            seq.append(sym)
+            state = (state * n + sym) % n_states
+        return [NUM_RESERVED + s for s in seq[:length]]
 
     sequences = []
     total = 0
@@ -81,25 +70,20 @@ def reference_gen_corpus(spec: CorpusSpec) -> Corpus:
         length = int(lengths_rng.integers(spec.min_len, spec.max_len + 1))
         sequences.append(sample_seq(length))
         total += length
-    return Corpus(sequences, entropy, spec.num_symbols, table)
+    return Corpus(sequences, entropy, P)
 
 
 @st.composite
 def corpus_specs(draw):
-    """Small specs over both generators; some Markov ones carry an explicit
-    table with zero entries."""
-    generator = draw(st.sampled_from(["markov_k", "repeated_pattern"]))
+    """Small specs; some carry an explicit table with zero entries."""
     order = draw(st.integers(0, 3))
     n = draw(st.integers(1, 6))
     lo = draw(st.integers(2, 40))
     hi = draw(st.integers(lo, 40))
-    kw = dict(generator=generator, order=order, num_symbols=n,
+    kw = dict(order=order, num_symbols=n,
               seed=draw(st.integers(0, 2**16)), min_len=lo, max_len=hi,
               target_tokens=draw(st.integers(1, 300)))
-    if generator == "repeated_pattern":
-        kw["pattern"] = tuple(draw(st.lists(st.integers(0, n - 1),
-                                            min_size=1, max_size=5)))
-    elif draw(st.booleans()):
+    if draw(st.booleans()):
         table_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         P = table_rng.dirichlet(np.ones(n), size=n ** order)
         P[table_rng.random(P.shape) < draw(st.floats(0.0, 0.7))] = 0.0
@@ -109,21 +93,16 @@ def corpus_specs(draw):
     return CorpusSpec(**kw)
 
 
+# the deterministic table of the pattern (0, 1, 2): symbol i is followed by
+# i + 1 mod 3
+CYCLE3 = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+
+
 def sequences_sha256(corpus: Corpus) -> str:
     return hashlib.sha256(json.dumps(corpus.sequences).encode()).hexdigest()
 
 
 class TestGenCorpus:
-    def test_repeated_pattern_entropy_zero(self):
-        corpus = gen_corpus(CorpusSpec(generator="repeated_pattern",
-                                       pattern=(0, 1, 2), num_symbols=3,
-                                       target_tokens=500))
-        assert corpus.entropy_rate == 0.0
-        # every sequence really is periodic with period 3
-        for seq in corpus.sequences:
-            for i in range(len(seq) - 3):
-                assert seq[i] == seq[i + 3]
-
     def test_uniform_chain_entropy(self):
         # explicit uniform 4-symbol chain: entropy rate is exactly ln 4
         P = tuple(tuple([0.25] * 4) for _ in range(4))
@@ -132,12 +111,15 @@ class TestGenCorpus:
         assert abs(corpus.entropy_rate - math.log(4)) < 1e-12
 
     def test_deterministic_chain_entropy(self):
-        # cyclic permutation chain: next symbol is certain, entropy 0
-        P = tuple(tuple(1.0 if j == (i + 1) % 3 else 0.0 for j in range(3))
-                  for i in range(3))
-        corpus = gen_corpus(CorpusSpec(num_symbols=3, transition=P,
+        # cyclic permutation chain: next symbol is certain, entropy +0.0
+        corpus = gen_corpus(CorpusSpec(num_symbols=3, transition=CYCLE3,
                                        target_tokens=500))
         assert corpus.entropy_rate == 0.0
+        assert math.copysign(1.0, corpus.entropy_rate) == 1.0
+        # every sequence is the pattern (0, 1, 2), from any phase
+        for seq in corpus.sequences:
+            for a, b in zip(seq, seq[1:]):
+                assert b - NUM_RESERVED == (a - NUM_RESERVED + 1) % 3
 
     def test_entropy_matches_independent_oracle(self):
         corpus = gen_corpus(CorpusSpec(num_symbols=5, seed=3,
@@ -204,10 +186,6 @@ class TestGenCorpus:
             gen_corpus(CorpusSpec(num_symbols=2,
                                   transition=((0.5, 0.4), (0.3, 0.7))))
 
-    def test_bad_generator(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(generator="iid")
-
     def test_min_len_floor(self):
         with pytest.raises(ValueError):
             CorpusSpec(min_len=1)
@@ -220,11 +198,7 @@ class TestGenCorpusMatchesReference:
         got, want = gen_corpus(spec), reference_gen_corpus(spec)
         assert got.sequences == want.sequences
         assert got.entropy_rate == want.entropy_rate
-        assert got.num_symbols == want.num_symbols
-        if want.transition is None:
-            assert got.transition is None
-        else:
-            np.testing.assert_array_equal(got.transition, want.transition)
+        np.testing.assert_array_equal(got.transition, want.transition)
 
     # beyond the strategy's 300 tokens: many sequences end at every step
     # of the all-sequences walk
@@ -274,12 +248,10 @@ class TestGenCorpusMatchesReference:
                                    max_len=10),
                               "3361243d6c8a5ba0a14987b487ccdac6"
                               "23d7b173248d10fbcd03fd9fe6db8e14"),
-        "repeated-pattern": (dict(generator="repeated_pattern",
-                                  pattern=(0, 1, 2), num_symbols=3,
-                                  target_tokens=30_000, min_len=16,
-                                  max_len=48),
-                             "a7f0740cb241b8e7fca7e609129926c3"
-                             "158d98dab7f882a29eb36d145b7fed0a"),
+        "cycle-table": (dict(num_symbols=3, transition=CYCLE3,
+                             target_tokens=30_000, min_len=16, max_len=48),
+                        "59b5f20b28056b994198d565755320d6"
+                        "938efcb199e5cab77a85d8603ea66ef9"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -290,18 +262,12 @@ class TestGenCorpusMatchesReference:
 
 class TestCorpusSpecValidation:
     @pytest.mark.parametrize("kw,field", [
-        (dict(generator="repeated_pattern", pattern=(0, 9), num_symbols=3),
-         "pattern"),
-        (dict(generator="repeated_pattern", pattern=(0, -5), num_symbols=3),
-         "pattern"),
-        (dict(generator="repeated_pattern", num_symbols=1), "pattern"),
         (dict(target_tokens=0), "target_tokens"),
         (dict(target_tokens=-5), "target_tokens"),
         (dict(order=-1), "order"),
         (dict(num_symbols=0), "num_symbols"),
         (dict(order=3, num_symbols=17), r"num_symbols \*\* order"),
-    ], ids=["pattern-above-range", "pattern-negative", "default-pattern",
-            "target-zero", "target-negative", "order-negative",
+    ], ids=["target-zero", "target-negative", "order-negative",
             "no-symbols", "too-many-states"])
     def test_bad_spec_rejected(self, kw, field):
         with pytest.raises(ValueError, match=field):
@@ -310,8 +276,6 @@ class TestCorpusSpecValidation:
     def test_state_bound(self):
         assert 16 ** 3 == MAX_MARKOV_STATES
         CorpusSpec(order=3, num_symbols=16)
-        # a repeated pattern builds no chain
-        CorpusSpec(generator="repeated_pattern", order=3, num_symbols=17)
 
     def test_order_zero_is_iid(self):
         corpus = gen_corpus(CorpusSpec(order=0, num_symbols=4,

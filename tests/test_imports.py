@@ -1,10 +1,16 @@
 """No module in src/bplm or tests imports a name it never uses, every
 top-level name in src/bplm is read somewhere in src/bplm, tests or
-benchmark, and every name the benchmark's probes wrap still exists."""
+benchmark, every name the benchmark's probes wrap still exists, and
+importing bplm pins BLAS whether or not numpy was imported first."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import bplm.data
 import bplm.finetune
@@ -157,3 +163,34 @@ def test_step_clock_sees_one_loss_and_one_update_per_step(monkeypatch):
                                    spec)
     assert len(clock.steps) == len(clock.losses) == 3
     assert all(end > start for start, end in clock.steps)
+
+
+# numpy first, then bplm; the count is read from numpy's bundled OpenBLAS
+# here, not through bplm, so a bplm that finds no OpenBLAS cannot pass
+NUMPY_FIRST = """
+import ctypes, glob, os
+import numpy
+import bplm
+libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+    numpy.__file__)), "numpy.libs", "libscipy_openblas64_*.so"))
+lib = ctypes.CDLL(libs[0]) if libs else None
+print(lib.scipy_openblas_get_num_threads64_()
+      if hasattr(lib, "scipy_openblas_get_num_threads64_") else "missing")
+"""
+
+
+@pytest.mark.parametrize("value, threads", [(None, "1"), ("2", "2")],
+                         ids=["unset", "two"])
+def test_blas_pin_holds_when_numpy_is_imported_first(value, threads):
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    env["PYTHONPATH"] = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "-c", NUMPY_FIRST], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    if run.stdout.strip() == "missing":
+        pytest.skip("numpy bundles no OpenBLAS with "
+                    "scipy_openblas_get_num_threads64_")
+    assert run.stdout.strip() == threads

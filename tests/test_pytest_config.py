@@ -1,6 +1,7 @@
 """The suite's own pytest settings: a failing property test reports its
 falsifying example under the warning filters in pyproject.toml and lets the
-session go on, and the session header names the BLAS setup."""
+session go on, and the session header names the BLAS setup, the thread
+count OpenBLAS reports among it."""
 
 import os
 import re
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import numpy
+
+import bplm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,8 +56,8 @@ def test_header_names_the_blas_setup(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300, env=env)
     out = run.stdout + run.stderr
     assert run.returncode == 0, out
-    header = re.search(r"^bplm: numpy (\S+), (.*), cpu_count=(\S+)$", out,
-                       re.M)
+    header = re.search(r"^bplm: numpy (\S+), (.*), cpu_count=(\S+), "
+                       r"openblas_threads=(\S+)$", out, re.M)
     assert header, out
     assert header[1] == numpy.__version__
     # a variable the caller set is shown as set, an unset one as conftest
@@ -62,3 +65,5 @@ def test_header_names_the_blas_setup(tmp_path):
     assert header[2] == ("OPENBLAS_NUM_THREADS=3, OMP_NUM_THREADS=1, "
                          f"MKL_NUM_THREADS={env.get('MKL_NUM_THREADS', '1')}")
     assert header[3] == str(os.cpu_count())
+    # the count OpenBLAS itself reports: the one the caller set
+    assert header[4] == ("unknown" if bplm._OPENBLAS is None else "3")

@@ -170,10 +170,10 @@ class TestRunPfs:
         assert ckpt.step == 6 and ckpt.decayed
 
     def test_loss_decreases_on_pattern_corpus(self):
-        corpus = gen_corpus(CorpusSpec(generator="repeated_pattern",
-                                       pattern=(0, 1, 2), num_symbols=3,
-                                       target_tokens=2000, min_len=8,
-                                       max_len=16))
+        # the pattern (0, 1, 2) as a deterministic table
+        corpus = gen_corpus(CorpusSpec(
+            num_symbols=3, transition=((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+            target_tokens=2000, min_len=8, max_len=16))
         stream = BatchStream(corpus.sequences, batch_rows=4, min_len=8,
                              max_len=16, pad_id=PAD_ID, seed=0)
         cfg = train_cfg([(Objective.CLM, 60)], total=60, warmup=5, decay=5)
