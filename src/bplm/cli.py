@@ -11,6 +11,7 @@ import argparse
 import configparser
 import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -31,14 +32,14 @@ from .runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
                      write_trace)
 
 PRESETS = {
-    "pfs-clm": {"train": {"objective": "clm"}},
-    "pfs-mlm-20": {"train": {"objective": "mlm", "mask_ratio": 0.20}},
-    "pfs-mlm-30": {"train": {"objective": "mlm", "mask_ratio": 0.30}},
-    "pfs-mlm-40": {"train": {"objective": "mlm", "mask_ratio": 0.40}},
-    "pfs-mlm-50": {"train": {"objective": "mlm", "mask_ratio": 0.50}},
-    "biphasic-25-75": {"train": {"objective": "biphasic", "clm_fraction": 0.25}},
-    "biphasic-50-50": {"train": {"objective": "biphasic", "clm_fraction": 0.50}},
-    "biphasic-75-25": {"train": {"objective": "biphasic", "clm_fraction": 0.75}},
+    "pfs-clm": {"train": {"clm_fraction": 1.0}},
+    "pfs-mlm-20": {"train": {"clm_fraction": 0.0, "mask_ratio": 0.20}},
+    "pfs-mlm-30": {"train": {"clm_fraction": 0.0, "mask_ratio": 0.30}},
+    "pfs-mlm-40": {"train": {"clm_fraction": 0.0, "mask_ratio": 0.40}},
+    "pfs-mlm-50": {"train": {"clm_fraction": 0.0, "mask_ratio": 0.50}},
+    "biphasic-25-75": {"train": {"clm_fraction": 0.25}},
+    "biphasic-50-50": {"train": {"clm_fraction": 0.50}},
+    "biphasic-75-25": {"train": {"clm_fraction": 0.75}},
     "cpt-from-clm-2k": {"cpt": {"steps": 2000}},
     "cpt-from-clm-12k": {"cpt": {"steps": 12000}},
     "cpt-from-clm-22k": {"cpt": {"steps": 22000}},
@@ -50,16 +51,15 @@ DEFAULTS = {
     "experiment": {"preset": ""},
     "model": asdict(ModelConfig()),
     "train": {
-        "objective": "clm", "total_steps": 100, "warmup_steps": 10,
-        "decay_steps": 5, "peak_lr": 5e-4, "mask_ratio": 0.40,
-        "clm_fraction": 0.5, "batch_rows": 4, "seed": 0,
-        "checkpoint_cadence": 0,
+        "total_steps": 100, "warmup_steps": 10, "decay_steps": 5,
+        "peak_lr": 5e-4, "mask_ratio": 0.40, "clm_fraction": 1.0,
+        "batch_rows": 4, "seed": 0, "checkpoint_cadence": 0,
     },
     "data": {
         "order": 1, "num_symbols": 6, "target_tokens": 20000,
         "min_len": 8, "max_len": 64, "seed": 0,
     },
-    "cpt": {"steps": 2000, "mask_ratio": 0.40},
+    "cpt": {"steps": 2000},
 }
 
 
@@ -118,10 +118,11 @@ def _out_dir(args, default_name: str) -> str:
 
 def _train(args) -> int:
     """bplm pretrain and bplm cpt. --seed is written into cfg, so config.ini
-    records the seed the run used. CPT continues its base checkpoint with its
-    own plan, [cpt] steps of MLM at its [cpt] ratio, under the rescaled CPT
-    schedule at [train] peak_lr; the [train] plan and schedule are
-    pretraining's only. Cadence checkpoints, final.ckpt, the trace and the
+    records the seed the run used. Pretraining's plan is int(total_steps *
+    clm_fraction) CLM steps, then MLM, an empty phase left out. CPT's is
+    [cpt] steps of MLM from its base, under the rescaled CPT schedule at
+    [train] peak_lr; [train]'s plan and schedule are not read. Both mask at
+    [train] mask_ratio. Cadence checkpoints, final.ckpt, the trace and the
     expanded config go to the output directory, which the run creates."""
     cfg = expand_config(args.config)
     cpt = args.command == "cpt"
@@ -130,13 +131,6 @@ def _train(args) -> int:
     t = cfg["train"]
     if args.seed is not None:
         t["seed"] = args.seed
-    objective = "mlm" if cpt else t["objective"]
-    mask_ratio = cfg["cpt" if cpt else "train"]["mask_ratio"]
-    if objective in ("mlm", "biphasic") and not args.allow_nonstudy:
-        if not any(abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
-            raise CliError(
-                f"masking ratio {mask_ratio} outside the study set "
-                f"{STUDY_MASK_RATIOS}; pass --allow-nonstudy to override")
     if cpt:
         steps = cfg["cpt"]["steps"]
         if steps < 0:
@@ -152,17 +146,21 @@ def _train(args) -> int:
         steps = t["total_steps"]
         if steps < 1:
             raise ValueError("[train] total_steps must be >= 1")
-        if objective in ("clm", "mlm"):
-            plan = [(Objective(objective), steps)]
-        elif objective == "biphasic":
-            clm_steps = int(steps * t["clm_fraction"])
-            plan = [(Objective.CLM, clm_steps),
-                    (Objective.MLM, steps - clm_steps)]
-        else:
-            raise CliError(f"unknown objective {objective!r}")
+        if not 0 <= t["clm_fraction"] <= 1:
+            raise CliError(f"[train] clm_fraction must lie in [0, 1], "
+                           f"got {t['clm_fraction']}")
+        clm_steps = int(steps * t["clm_fraction"])
+        plan = [(o, n) for o, n in ((Objective.CLM, clm_steps),
+                                    (Objective.MLM, steps - clm_steps)) if n]
         schedule = WsdSchedule(
             peak_lr=t["peak_lr"], warmup_steps=t["warmup_steps"],
             total_steps=steps, decay_steps=t["decay_steps"])
+    mask_ratio = t["mask_ratio"]
+    if Objective.MLM in dict(plan) and not args.allow_nonstudy:
+        if not any(abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
+            raise CliError(
+                f"masking ratio {mask_ratio} outside the study set "
+                f"{STUDY_MASK_RATIOS}; pass --allow-nonstudy to override")
     out = _out_dir(args, "cpt" if cpt
                    else cfg["experiment"]["preset"] or "pretrain")
     train_cfg = TrainConfig(
@@ -230,36 +228,46 @@ def cmd_finetune(args) -> int:
 
 def cmd_report(args) -> int:
     """Aggregate per-run CSVs (runs.csv files) into one summary table. A
-    file whose header is not REPORT_FIELDS, or a row without one field per
-    column and a numeric value, raises CliError naming the file and line."""
+    file that is not UTF-8 or whose header is not REPORT_FIELDS, or a row
+    without one field per column and a finite numeric value, raises CliError
+    naming the file and line."""
     groups: dict = {}
     for root, _dirs, files in os.walk(args.runs_dir):
         for name in files:
             if name != "runs.csv":
                 continue
             path = os.path.join(root, name)
-            with open(path, newline="") as f:
-                reader = csv.reader(f)
-                if tuple(next(reader, ())) != REPORT_FIELDS:
-                    raise CliError(f"{path}: header is not "
-                                   f"{','.join(REPORT_FIELDS)}")
-                for row in filter(None, reader):  # skip blank lines
-                    where = f"{path}: line {reader.line_num}"
-                    if len(row) != len(REPORT_FIELDS):
-                        raise CliError(f"{where}: {len(row)} fields, not "
-                                       f"{len(REPORT_FIELDS)}")
-                    task, dataset, lr, _seed, split, metric, value = row
-                    try:
-                        value = float(value)
-                    except ValueError:
-                        raise CliError(f"{where}: value {value!r} is not "
-                                       f"a number") from None
-                    groups.setdefault((task, dataset, lr, split, metric),
-                                      []).append(value)
+            with open(path, "rb") as f:
+                raw = f.read()
+            try:  # as write_report writes it
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                line = raw.count(b"\n", 0, e.start) + 1
+                raise CliError(f"{path}: line {line}: byte "
+                               f"{raw[e.start]:#04x} is not UTF-8") from None
+            reader = csv.reader(io.StringIO(text, newline=""))
+            if tuple(next(reader, ())) != REPORT_FIELDS:
+                raise CliError(f"{path}: header is not "
+                               f"{','.join(REPORT_FIELDS)}")
+            for row in filter(None, reader):  # skip blank lines
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != len(REPORT_FIELDS):
+                    raise CliError(f"{where}: {len(row)} fields, not "
+                                   f"{len(REPORT_FIELDS)}")
+                task, dataset, lr, _seed, split, metric, value = row
+                try:
+                    value = float(value)
+                except ValueError:
+                    raise CliError(f"{where}: value {value!r} is not "
+                                   f"a number") from None
+                if not math.isfinite(value):
+                    raise CliError(f"{where}: value {value} is not finite")
+                groups.setdefault((task, dataset, lr, split, metric),
+                                  []).append(value)
     if not groups:
         raise CliError(f"no runs.csv files under {args.runs_dir}")
     out = args.out or os.path.join(args.runs_dir, "summary.csv")
-    with open(out, "w", newline="") as f:
+    with open(out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["task", "dataset", "lr", "split", "metric",
                          "mean", "ci95", "n"])

@@ -216,8 +216,6 @@ def task_loss(task: str, head: Dict[str, Tensor], params: Parameters,
     label, of each TC tag (the example's mean over its tokens), of the QA
     start and end positions (their mean; no-answer targets position 0), or
     InfoNCE of each IR query against every document in the batch."""
-    if not batch:
-        raise ValueError("empty batch")
     if any(ex.task != task for ex in batch):
         raise ValueError("batch task mismatch")
     scores = _scores(task, head, params, cfg, batch)
@@ -280,8 +278,10 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
             preds += [[dataset.tagset[i] for i in row[:len(ex.tokens)]]
                       for row, ex in zip(ids, chunk)]
         elif task == "QA":
-            preds += [_predict_span(scores[b], scores[n + b])
-                      for b in range(n)]
+            for b, ex in enumerate(chunk):
+                span = _predict_span(scores[b], scores[n + b])
+                preds.append(qa_f1(_span_tokens(ex.tokens, span),
+                                   _span_tokens(ex.tokens, ex.span)))
         else:
             at = n  # the chunk's negatives follow its positives
             for b, ex in enumerate(chunk):
@@ -294,10 +294,6 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
         return accuracy(preds, [ex.label for ex in examples])
     if task == "TC":
         return entity_f1(preds, [ex.tags for ex in examples])
-    if task == "QA":
-        preds = [qa_f1(_span_tokens(ex.tokens, span),
-                       _span_tokens(ex.tokens, ex.span))
-                 for span, ex in zip(preds, examples)]
     return float(np.mean(preds))
 
 

@@ -60,7 +60,7 @@ class TestExpandConfig:
     def test_preset_expansion(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\npreset = pfs-mlm-30\n")
         cfg = expand_config(path)
-        assert cfg["train"]["objective"] == "mlm"
+        assert cfg["train"]["clm_fraction"] == 0.0
         assert cfg["train"]["mask_ratio"] == 0.30
         assert cfg["model"]["layers"] == 2  # defaults filled in
 
@@ -98,6 +98,8 @@ class TestExpandConfig:
         ("[train]\ntotl_steps = 8\n", "[train] totl_steps: unknown key"),
         ("[data]\nsymbols = 4\n", "[data] symbols: unknown key"),
         ("[data]\ngenerator = markov_k\n", "[data] generator: unknown key"),
+        ("[train]\nobjective = clm\n", "[train] objective: unknown key"),
+        ("[cpt]\nmask_ratio = 0.40\n", "[cpt] mask_ratio: unknown key"),
         ("[cpt]\nstep = 4\n", "[cpt] step: unknown key"),
         ("[experiment]\npreset = pfs-clm\nname = x\n",
          "[experiment] name: unknown key"),
@@ -114,7 +116,9 @@ class TestExpandConfig:
         ("[model]\nrmsnorm_eps = 1e-6\n",
          "[model] rmsnorm_eps: unknown key"),
     ], ids=["section", "default-section", "model-key", "train-key",
-            "data-key", "generator-dropped", "cpt-key", "experiment-key", "int-given-float",
+            "data-key", "generator-dropped", "objective-dropped",
+            "cpt-mask-ratio-dropped", "cpt-key", "experiment-key",
+            "int-given-float",
             "inf", "no-header", "duplicate-key", "stray-percent",
             "clip-norm-constant", "weight-decay-constant",
             "rope-theta-constant", "rmsnorm-eps-constant"])
@@ -131,7 +135,7 @@ class TestExpandConfig:
 class TestPretrain:
     def test_artifacts_written(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = clm\ntotal_steps = 8\n"
+                           + "[train]\nclm_fraction = 1\ntotal_steps = 8\n"
                              "warmup_steps = 2\ndecay_steps = 2\n")
         out = str(tmp_path / "out")
         assert main(["pretrain", "--config", cfg, "--out", out]) == 0
@@ -157,9 +161,28 @@ class TestPretrain:
         assert [r["objective"] for r in rows[:3]] == ["clm"] * 3
         assert [r["objective"] for r in rows[3:]] == ["mlm"] * 9
 
+    @pytest.mark.parametrize("preset", [
+        "pfs-clm", "pfs-mlm-20", "pfs-mlm-30", "pfs-mlm-40", "pfs-mlm-50",
+        "biphasic-25-75", "biphasic-50-50", "biphasic-75-25"])
+    def test_preset_plan(self, tmp_path, preset):
+        # int(10 * 0.25) and int(10 * 0.75) round down
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + f"[experiment]\npreset = {preset}\n"
+                             "[train]\ntotal_steps = 10\nwarmup_steps = 2\n"
+                             "decay_steps = 2\n")
+        out = str(tmp_path / "out")
+        assert main(["pretrain", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(os.path.join(out, "metrics.csv"))
+        clm_steps = {"pfs-clm": 10, "biphasic-25-75": 2, "biphasic-50-50": 5,
+                     "biphasic-75-25": 7}.get(preset, 0)
+        mlm_phase = "1" if clm_steps else "0"  # no empty CLM phase
+        assert [(r["phase"], r["objective"]) for r in rows] == (
+            [("0", "clm")] * clm_steps
+            + [(mlm_phase, "mlm")] * (10 - clm_steps))
+
     def test_rerun_identical_modulo_wall_ms(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = mlm\ntotal_steps = 6\n"
+                           + "[train]\nclm_fraction = 0\ntotal_steps = 6\n"
                              "warmup_steps = 2\ndecay_steps = 2\n")
         outs = []
         for name in ("a", "b"):
@@ -173,7 +196,7 @@ class TestPretrain:
 
     def test_nonstudy_mask_ratio_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = mlm\nmask_ratio = 0.70\n"
+                           + "[train]\nclm_fraction = 0\nmask_ratio = 0.70\n"
                              "total_steps = 4\nwarmup_steps = 1\n"
                              "decay_steps = 1\n")
         out = str(tmp_path / "out")
@@ -184,7 +207,7 @@ class TestPretrain:
 
     def test_diverging_run_fails_naming_the_step(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = clm\ntotal_steps = 20\n"
+                           + "[train]\nclm_fraction = 1\ntotal_steps = 20\n"
                              "warmup_steps = 2\ndecay_steps = 2\n"
                              "peak_lr = 1e6\n")
         out = str(tmp_path / "out")
@@ -213,7 +236,8 @@ class TestPretrain:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key, value", [
-        ("total_steps", 0), ("checkpoint_cadence", -1), ("batch_rows", 0)])
+        ("total_steps", 0), ("checkpoint_cadence", -1), ("batch_rows", 0),
+        ("clm_fraction", 1.5), ("clm_fraction", -0.25)])
     def test_run_bounds_refused(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
                            + "[train]\nwarmup_steps = 0\ndecay_steps = 0\n"
@@ -251,7 +275,7 @@ class TestPretrain:
     def test_blas_threads_unset_or_one_write_same_bytes(self, tmp_path):
         # bplm pins BLAS to one thread unless the caller set these
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = mlm\ntotal_steps = 6\n"
+                           + "[train]\nclm_fraction = 0\ntotal_steps = 6\n"
                              "warmup_steps = 2\ndecay_steps = 2\n")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         outs = []
@@ -271,7 +295,7 @@ class TestPretrain:
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nobjective = clm\ntotal_steps = 4\n"
+                           + "[train]\nclm_fraction = 1\ntotal_steps = 4\n"
                              "warmup_steps = 1\ndecay_steps = 1\n")
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["pretrain", "--config", cfg, "--out", a, "--seed", "1"])
@@ -283,7 +307,7 @@ class TestPretrain:
 class TestCpt:
     def pretrain(self, tmp_path, total=6, cadence=0):
         body = (TINY_MODEL + TINY_DATA
-                + f"[train]\nobjective = clm\ntotal_steps = {total}\n"
+                + f"[train]\nclm_fraction = 1\ntotal_steps = {total}\n"
                   f"warmup_steps = 2\ndecay_steps = 2\n"
                   f"checkpoint_cadence = {cadence}\n")
         cfg = write_config(tmp_path, body, "pre.ini")
@@ -341,6 +365,19 @@ class TestCpt:
         assert len(read_csv(os.path.join(out, "metrics.csv"))) == 4
         assert load_checkpoint(os.path.join(out, "final.ckpt")).schedule \
             == rescaled_schedule(1e-3, 4, CPT_DECAY_SHARE)
+
+    def test_masks_at_train_mask_ratio(self, tmp_path, capsys):
+        pre = self.pretrain(tmp_path)
+        base = os.path.join(pre, "final.ckpt")
+        out = str(tmp_path / "cpt")
+        for ratio, code in ((0.70, 1), (0.20, 0)):
+            cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                               + f"[train]\nmask_ratio = {ratio}\n"
+                                 "[cpt]\nsteps = 4\n", "cpt.ini")
+            assert main(["cpt", base, "--config", cfg, "--out", out]) == code
+        assert "outside the study set" in capsys.readouterr().err
+        assert load_checkpoint(os.path.join(out, "final.ckpt")).mask_ratio \
+            == 0.20
 
     def test_malformed_base_fails_without_traceback(self, tmp_path, capsys):
         base = tmp_path / "bad.ckpt"
@@ -404,7 +441,7 @@ class TestCpt:
         cpt_cfg = TrainConfig(
             [(Objective.MLM, 8)],
             rescaled_schedule(ran["train"]["peak_lr"], 8, CPT_DECAY_SHARE),
-            mask_ratio=ran["cpt"]["mask_ratio"], seed=ran["train"]["seed"])
+            mask_ratio=ran["train"]["mask_ratio"], seed=ran["train"]["seed"])
         mid = load_checkpoint(out / "step_00000004.ckpt")
         resumed = run_pfs(cpt_cfg, stream, mid.model_config, MASK_ID,
                           resume_from=mid)
@@ -451,7 +488,7 @@ class TestFinetuneAndReport:
         # SC token ids need a 64-vocab model; the tiny one has 16
         cfg = write_config(tmp_path, TINY_MODEL.replace(
             "vocab_size = 16", f"vocab_size = {vocab}") + TINY_DATA
-            + "[train]\nobjective = mlm\ntotal_steps = 6\n"
+            + "[train]\nclm_fraction = 0\ntotal_steps = 6\n"
               "warmup_steps = 2\ndecay_steps = 2\n", "pre.ini")
         out = str(tmp_path / "pre")
         assert main(["pretrain", "--config", cfg, "--out", out]) == 0
@@ -542,12 +579,22 @@ class TestFinetuneAndReport:
         (HEADER + "SC,d,0.001,0,test\n", "line 2: 5 fields, not 7"),
         (HEADER + "SC,d,0.001,0,test,accuracy,0.5,x\n",
          "line 2: 8 fields, not 7"),
+        (HEADER + "SC,d,0.001,0,test,accuracy,nan\n",
+         "line 2: value nan is not finite"),
+        (HEADER + "SC,d,0.001,0,test,accuracy,0.5\n"
+                  "SC,d,0.001,1,test,accuracy,-inf\n",
+         "line 3: value -inf is not finite"),
+        ((HEADER + "SC,d,0.001,0,test,accuracy,0.5\n").encode()
+         + b"SC,d\xff,0.001,1,test,accuracy,0.5\n",
+         "line 3: byte 0xff is not UTF-8"),
     ], ids=["foreign-header", "empty-file", "missing-column", "empty-value",
-            "word-value", "short-row", "long-row"])
+            "word-value", "short-row", "long-row", "nan-value", "inf-value",
+            "not-utf8"])
     def test_report_malformed_runs_csv(self, tmp_path, capsys, body, named):
         runs = tmp_path / "cell"
         runs.mkdir()
-        (runs / "runs.csv").write_text(body)
+        (runs / "runs.csv").write_bytes(
+            body if isinstance(body, bytes) else body.encode())
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]+\n", err), err

@@ -212,10 +212,12 @@ class TestTaskLoss:
         loss = task_loss("IR", {}, params, CFG, [ex], ds)
         assert loss.item() == 0.0  # one candidate, trivially correct
 
-    def test_empty_batch(self):
-        ds = gen_task_data("SC", 30, 0)
-        with pytest.raises(ValueError):
-            task_loss("SC", {}, init_params(CFG, 0), CFG, [], ds)
+    @pytest.mark.parametrize("task", ["SC", "TC", "QA", "IR"])
+    def test_empty_batch(self, task):
+        ds = gen_task_data(task, 30, 0)
+        head = init_head(task, CFG, ds, 0)
+        with pytest.raises(ValueError, match="empty batch"):
+            task_loss(task, head, init_params(CFG, 0), CFG, [], ds)
 
     def test_task_mismatch(self):
         ds = gen_task_data("SC", 30, 0)
