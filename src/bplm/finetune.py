@@ -145,7 +145,8 @@ def ndcg_at_10(ranked_ids: Sequence, relevance: Dict) -> Optional[float]:
 # encoding and task heads
 # ---------------------------------------------------------------------------
 
-EVAL_CHUNK = 16  # examples per encode in evaluate; bounds peak memory
+EVAL_CHUNK = 16  # examples per encode in evaluate (an IR chunk's queries
+                 # and documents share it); bounds peak memory
 
 
 def encode(params: Parameters, cfg: ModelConfig,
@@ -180,22 +181,23 @@ def init_head(task: str, cfg: ModelConfig, dataset: TaskDataset,
 
 def _scores(task: str, head: Dict[str, Tensor], params: Parameters,
             cfg: ModelConfig, batch: Sequence[TaskExample]) -> Tensor:
-    """The task head's scores for a batch of B examples, from one encode
-    (two for IR), as task_loss and evaluate both read them:
+    """The task head's scores for a batch of B examples, from one encode,
+    as task_loss and evaluate both read them:
     - SC: class logits [B, classes];
     - TC: tag logits [B*W, tags], one row per position, pads included;
     - QA: position logits [2B, W], the B start rows then the B end rows,
       NEG_INF at pads;
     - IR: cosine similarities [B, D] of each query to every document: the
       B positives in batch order, then each example's negatives in turn.
+      The B queries and the D documents are encoded together, queries first.
     """
     if task == "IR":
-        docs = ([ex.positive for ex in batch]
+        seqs = ([ex.query for ex in batch] + [ex.positive for ex in batch]
                 + [neg for ex in batch for neg in ex.negatives or ()])
-        q = T.mean_pool(*encode(params, cfg, [ex.query for ex in batch]))
-        d = T.mean_pool(*encode(params, cfg, docs))
-        return T.matmul(T.l2_normalize_rows(q),
-                        T.transpose(T.l2_normalize_rows(d)))
+        unit = T.l2_normalize_rows(T.mean_pool(*encode(params, cfg, seqs)))
+        b = len(batch)
+        return T.matmul(T.gather_rows(unit, range(b)), T.transpose(
+            T.gather_rows(unit, range(b, len(seqs)))))
     if task not in ("SC", "TC", "QA"):
         raise ValueError(f"unknown task {task!r}")
     hidden, real = encode(params, cfg, [ex.tokens for ex in batch])
@@ -288,7 +290,9 @@ def evaluate(task: str, head: Dict[str, Tensor], params: Parameters,
                 n_neg = len(ex.negatives or ())
                 row = [scores[b, b]] + list(scores[b, at: at + n_neg])
                 at += n_neg
-                ranked = sorted(range(len(row)), key=lambda i: -row[i])
+                # a negative tied with the positive ranks above it
+                ranked = sorted(range(len(row)),
+                                key=lambda i: (-row[i], i == 0))
                 preds.append(ndcg_at_10(ranked, {0: 1}))
     if task == "SC":
         return accuracy(preds, [ex.label for ex in examples])

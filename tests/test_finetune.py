@@ -265,6 +265,46 @@ class TestEncode:
         score = evaluate("TC", head, params, CFG, batch, ds)
         assert score.hex() == "0x1.8618618618619p-4"
 
+    def test_ir_batch_of_ragged_queries_and_negatives_pinned(self):
+        # queries and documents share one encode; both values are pinned
+        # from the separate query and document encodes that preceded it
+        params = init_params(CFG, 0)
+        ds = gen_task_data("IR", 40, 0)
+        shape = [(5, 16, (16, 7, 11)), (2, 9, ()), (4, 12, (5, 14)),
+                 (1, 3, (16,))]  # query, positive and negative lengths
+        batch = [TaskExample("IR", query=ex.query[:q], positive=ex.positive[:p],
+                             negatives=[neg[:n] for neg, n
+                                        in zip(ex.negatives, negs)])
+                 for ex, (q, p, negs) in zip(ds.train, shape)]
+        loss = task_loss("IR", {}, params, CFG, batch, ds).item()
+        assert loss.hex() == "0x1.5e4dac02db1f7p+3"
+        score = evaluate("IR", {}, params, CFG, batch, ds)
+        assert score.hex() == "0x1.a1849cc1a9aa0p-1"
+
+
+class TestIrTies:
+    """A negative that scores equal to the positive ranks above it, so a
+    collapsed encoder does not get a perfect NDCG."""
+
+    def test_negatives_equal_to_the_positive(self):
+        ds = gen_task_data("IR", 30, 0)
+        ex = ds.train[0]
+        tied = TaskExample("IR", query=ex.query, positive=ex.positive,
+                           negatives=[ex.positive] * 3)
+        score = evaluate("IR", {}, init_params(CFG, 0), CFG, [tied], ds)
+        assert score == 1 / math.log2(5)  # the positive ranks fourth of four
+
+    def test_collapsed_encoder(self):
+        # every weight but final_norm zero: every embedding is zero, so
+        # every similarity is zero and the positive ranks last
+        params = {name: Tensor(p.data if name == "final_norm"
+                               else np.zeros_like(p.data))
+                  for name, p in init_params(CFG, 0).items()}
+        ds = gen_task_data("IR", 30, 0)
+        expected = np.mean([1 / math.log2(len(ex.negatives) + 2)
+                            for ex in ds.test])
+        assert evaluate("IR", {}, params, CFG, ds.test, ds) == expected < 1
+
 
 @st.composite
 def ragged_examples(draw):
@@ -383,7 +423,7 @@ class TestBatchedMatchesPerExample:
                 d = cls.pooled(params, cfg, doc).data[0]
                 sims.append(float(q @ d / (np.linalg.norm(q) * np.linalg.norm(d)
                                            + 1e-12)))
-            ranked = sorted(range(len(sims)), key=lambda i: -sims[i])
+            ranked = sorted(range(len(sims)), key=lambda i: (-sims[i], i == 0))
             scores.append(ndcg_at_10(ranked, {0: 1}))
         return float(np.mean(scores))
 
@@ -434,8 +474,11 @@ class TestBatchedMatchesPerExample:
         sizes.clear()
         ir = gen_task_data("IR", 60, 0)
         evaluate("IR", {}, params, CFG, ir.train[:EVAL_CHUNK + 1], ir)
-        # per chunk one encode of the queries, one of every document
-        assert sizes == [EVAL_CHUNK, 4 * EVAL_CHUNK, 1, 4]
+        # per chunk one encode of the queries and every document together
+        assert sizes == [5 * EVAL_CHUNK, 5]
+        sizes.clear()
+        task_loss("IR", {}, params, CFG, ir.train[:3], ir)
+        assert sizes == [15]
 
 
 class TestInitHead:
