@@ -189,7 +189,10 @@ def _scores(task: str, head: Dict[str, Tensor], params: Parameters,
       NEG_INF at pads;
     - IR: cosine similarities [B, D] of each query to every document: the
       B positives in batch order, then each example's negatives in turn.
-      The B queries and the D documents are encoded together, queries first.
+      The B queries and the D documents are encoded together, queries first,
+      so the queries are padded to the documents' width: one forward saves
+      per-call overhead but costs those pad positions, a loss once documents
+      are several times longer than queries.
     """
     if task == "IR":
         seqs = ([ex.query for ex in batch] + [ex.positive for ex in batch]

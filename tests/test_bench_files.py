@@ -53,6 +53,18 @@ def test_bench_file_names_what_the_benchmark_lists(path):
         assert key in report["host"]
 
 
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_summary_is_the_tools_summary_of_its_rows(path):
+    tool = load_tool()
+    report = json.loads(path.read_text(encoding="utf-8"))
+    metrics = {"workloads": {m["name"]: m for m in SPEC["end_to_end"]},
+               "per_layer": {m["name"]: m for m in SPEC["per_layer"]}}
+    for section in ("workloads", "per_layer"):
+        for workload, entry in report.get(section, {}).items():
+            assert entry["summary"] == tool.summarize(
+                entry["rows"], metrics[section]), (section, workload)
+
+
 def test_summary_of_made_up_rows():
     tool = load_tool()
 
@@ -72,6 +84,15 @@ def test_summary_of_made_up_rows():
     assert entry["base"] == {"median": 4.0, "q1": 4.0, "q3": 4.1}
     assert entry["head"]["median"] == 3.6
     assert not entry["gain_rule_met"]  # 3 of 5 pairs is short of 9 in 10
+
+    # one pair won by a wide gap, as a traced pair is: the rule needs 10
+    one = tool.summarize([row(0, 4.0, 3.0)],
+                         {"step_ms_p90": {"unit": "ms", "better": "lower"}})
+    assert one["step_ms_p90"]["head_wins"] == 1
+    assert not one["step_ms_p90"]["gain_rule_met"]
+    ten = tool.summarize([row(s, 4.0 + s / 100, 3.0) for s in range(10)],
+                         {"step_ms_p90": {"unit": "ms", "better": "lower"}})
+    assert ten["step_ms_p90"]["gain_rule_met"]
 
 
 def test_seed_ranges():

@@ -1,8 +1,7 @@
 """A/B benchmark of two trees: a base revision against this checkout.
 
     python3 tools/bench_ab.py --base <rev> --label X \\
-        --workloads finetune-grid pretrain-clm --seeds 901-910 --seconds 30 \\
-        [--trace 1]
+        --workloads finetune-grid pretrain-clm --seeds 901-910 [--trace 1]
 
 Exports two trees side by side into one temporary directory with ``git
 archive``: the base revision's committed files, and, as the head side, the
@@ -11,10 +10,13 @@ stash create``; untracked files are left out). Both sides run from such a
 copy: in an A/A test on pretrain-clm the same code read 1-2% slower run
 from the checkout than from an export. Runs each tree's own
 ``benchmark/run.py`` on every workload and seed, alternating which side
-runs first from one seed to the next, and removes the copies at the end.
+runs first from one seed to the next, for BENCHMARK.json's ``run_seconds``
+each, and removes the copies at the end.
 Writes ``BENCH_<label>.json`` at the root of this checkout: per-seed rows
 for both sides and, per end-to-end metric, each side's median and
-quartiles and the pairs each side won. With ``--trace 1`` it adds one
+quartiles, the pairs each side won and whether the head side meets the
+gain rule (at least 10 pairs, 9 in 10 of them won, and a median gap wider
+than the base's q1-q3 spread). With ``--trace 1`` it adds one
 traced pair per workload, on the first seed, under ``per_layer``.
 
 Standard library only; numbers come from the runs, none from this process.
@@ -38,8 +40,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 LIMITS = (
     "clm-cpt's final_loss amplifies ulp changes to about 2.3e-10 relative, "
     "so bit-drift claims go through cmp of CLI outputs, not this file",
-    "eval_examples_per_s on pretrain-clm flips sign on 10 s runs, so "
-    "--seconds stays >= 30",
     "a metric's wins count pairs where the head side is strictly better; "
     "ties count for neither side",
 )
@@ -61,7 +61,6 @@ def parse_args(argv=None):
     p.add_argument("--workloads", nargs="+", required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True,
                    help="inclusive range a-b")
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     if not args.label.replace("-", "").replace("_", "").isalnum():
@@ -79,7 +78,10 @@ def export(rev, dest):
     tar = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        # extraction filters came in 3.10.12 and 3.11.4; the archive is
+        # git's own, so older versions extract it unfiltered
+        kwargs = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(dest, **kwargs)
 
 
 def run_once(tree, workload, seed, seconds, trace):
@@ -142,10 +144,11 @@ def summarize(rows, metrics):
         entry["relative_change"] = ((head["median"] - base["median"])
                                     / base["median"]
                                     if base["median"] else None)
-        # the gain rule: 9 of 10 pairs won and a median gap wider than the
-        # base's own q1-q3 spread
+        # the gain rule: at least 10 pairs, 9 in 10 of them won, and a
+        # median gap wider than the base's own q1-q3 spread
         entry["gain_rule_met"] = (
-            10 * entry["head_wins"] >= 9 * len(pairs)
+            len(pairs) >= 10
+            and 10 * entry["head_wins"] >= 9 * len(pairs)
             and sign * (head["median"] - base["median"])
             > base["q3"] - base["q1"])
         out[name] = entry
@@ -161,9 +164,7 @@ def main(argv=None):
     if unknown:
         sys.exit(f"bench_ab: unknown workloads {unknown}; known: "
                  f"{sorted(known)}")
-    if args.seconds < 30:
-        print("bench_ab: warning: --seconds below 30 (see limits)",
-              file=sys.stderr)
+    seconds = spec["run_seconds"]
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     per_layer = {m["name"]: m for m in spec["per_layer"]}
 
@@ -180,14 +181,14 @@ def main(argv=None):
         for workload in args.workloads:
             rows = []
             for i, seed in enumerate(args.seeds):
-                env, row = run_pair(trees, workload, seed, args.seconds, 0,
+                env, row = run_pair(trees, workload, seed, seconds, 0,
                                     base_first=i % 2 == 0)
                 rows.append(row)
             workloads[workload] = {"rows": rows,
                                    "summary": summarize(rows, end_to_end)}
             if args.trace:
-                _, row = run_pair(trees, workload, args.seeds[0],
-                                  args.seconds, 1, base_first=True)
+                _, row = run_pair(trees, workload, args.seeds[0], seconds,
+                                  1, base_first=True)
                 traced[workload] = {"rows": [row],
                                     "summary": summarize([row], per_layer)}
     finally:
@@ -199,7 +200,7 @@ def main(argv=None):
         "base": {"rev": revs["base"]},
         "head": {"rev": head_rev,
                  "src_or_benchmark_modified": dirty},
-        "seconds": args.seconds, "seeds": args.seeds,
+        "seconds": seconds, "seeds": args.seeds,
         "host": {"platform": platform.platform(),
                  "python": platform.python_version(),
                  "cpu_count": os.cpu_count(),
