@@ -265,6 +265,34 @@ class TestEncode:
         score = evaluate("TC", head, params, CFG, batch, ds)
         assert score.hex() == "0x1.8618618618619p-4"
 
+    def test_sc_batch_of_mixed_lengths_pinned(self):
+        # both values are pinned from the encode that returned the padded
+        # [B*W, d] grid
+        params = init_params(CFG, 0)
+        ds = gen_task_data("SC", 40, 0)
+        batch = [TaskExample("SC", tokens=ex.tokens[:n], label=ex.label)
+                 for ex, n in zip(ds.train, (16, 3, 9, 1, 12))]
+        head = init_head("SC", CFG, ds, 0)
+        loss = task_loss("SC", head, params, CFG, batch, ds).item()
+        assert loss.hex() == "0x1.15d5c46611f9bp+0"
+        score = evaluate("SC", head, params, CFG, batch, ds)
+        assert score.hex() == "0x1.999999999999ap-3"
+
+    def test_qa_batch_of_mixed_lengths_pinned(self):
+        # both values are pinned from the encode that returned the padded
+        # [B*W, d] grid; spans cut off by the shortening become no-answer
+        params = init_params(CFG, 0)
+        ds = gen_task_data("QA", 40, 0)
+        batch = [TaskExample("QA", tokens=ex.tokens[:n],
+                             span=ex.span if ex.span and ex.span[1] < n
+                             else None)
+                 for ex, n in zip(ds.train, (16, 6, 11, 2, 13, 4))]
+        head = init_head("QA", CFG, ds, 0)
+        loss = task_loss("QA", head, params, CFG, batch, ds).item()
+        assert loss.hex() == "0x1.ef5b564a52481p+0"
+        score = evaluate("QA", head, params, CFG, batch, ds)
+        assert score.hex() == "0x1.e79e79e79e79fp-2"
+
     def test_ir_batch_of_ragged_queries_and_negatives_pinned(self):
         # queries and documents share one encode; both values are pinned
         # from the separate query and document encodes that preceded it

@@ -215,6 +215,27 @@ class TestPretrainLoss:
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
                           LmBatch([[3, 4], [3, 99]], [[True] * 2] * 2))
 
+    @pytest.mark.parametrize("objective, loss_hex, grad_hex", [
+        (Objective.CLM, "0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509efp-1"),
+        (Objective.MLM, "0x1.c533af9f792e8p+1", "-0x1.397ce52e28ad3p+2"),
+    ])
+    def test_padded_batch_pinned(self, tiny_cfg, tiny_params, objective,
+                                 loss_hex, grad_hex):
+        # the loss and the sum of the embedding gradient on a padded batch;
+        # both are pinned from the forward that returned the padded
+        # [B*T, d] grid
+        rows = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3, 0, 0, 0, 0],
+                [4, 4, 5, 6, 10, 0, 0], [7, 6, 0, 0, 0, 0, 0]]
+        pads = [[t != 0 for t in r] for r in rows]
+        plans = [select_mask(r, 0.5, np.random.default_rng(i), 1, p)
+                 for i, (r, p) in enumerate(zip(rows, pads))]
+        with Tape() as tape:
+            loss = pretrain_loss(objective, tiny_params, tiny_cfg,
+                                 LmBatch(rows, pads, plans))
+        backward(loss, tape)
+        assert loss.item().hex() == loss_hex
+        assert float(tiny_params["embed"].grad.sum()).hex() == grad_hex
+
     def test_desk_step_records_at_most_40_tape_nodes(self):
         # the C7 configuration: one batched pass, not one pass per row/head
         cfg = ModelConfig(layers=2, embed_dim=32, ffn_dim=64, heads=4,
