@@ -118,8 +118,8 @@ def forward_batch(params: Parameters, cfg: ModelConfig, rows: np.ndarray,
                   mode: AttentionMode, pad_masks: Optional[np.ndarray] = None
                   ) -> Tensor:
     """Run the model on the [B, T] token ids rows (a list of B rows of one
-    length is converted), returning the final hidden states [B*T, d], row
-    after row and zero at pads. The [B, T] pad_masks (True where real) mark
+    length is converted), returning the final hidden states [N, d] of the N
+    real tokens, row after row. The [B, T] pad_masks (True where real) mark
     the pads; None means no padding. Every op but attention runs on the real
     tokens alone."""
     tokens = np.asarray(rows, dtype=np.int64)
@@ -142,8 +142,7 @@ def forward_batch(params: Parameters, cfg: ModelConfig, rows: np.ndarray,
         x = T.add(x, attention(normed, params, i, cfg, pad, mode))
         normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], RMSNORM_EPS)
         x = T.add(x, _ffn(normed, params, i))
-    x = T.rms_norm(x, params["final_norm"], RMSNORM_EPS)
-    return x if pad.all() else T.scatter_rows(x, np.flatnonzero(pad), pad.size)
+    return T.rms_norm(x, params["final_norm"], RMSNORM_EPS)
 
 
 def lm_head(params: Parameters, hidden: Tensor) -> Tensor:

@@ -135,8 +135,14 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
             raise ValueError("MLM batch must carry one masking plan per row")
         mode = AttentionMode.BIDIRECTIONAL
         inputs = batch.rows.copy()
-        for row, plan in zip(inputs, batch.plans):
-            row[plan.masked_positions] = plan.mask_token_id
+        for i, (row, real, plan) in enumerate(zip(inputs, batch.pad_masks,
+                                                  batch.plans)):
+            pos = np.asarray(plan.masked_positions, dtype=np.int64)
+            if pos.size and (pos.min() < 0 or pos.max() >= len(row)
+                             or not real[pos].all()):
+                raise ValueError(f"row {i}: masking plan selects a pad or a "
+                                 "position outside the row")
+            row[pos] = plan.mask_token_id
         targets = np.stack([_mlm_targets(plan, inputs.shape[1])
                             for plan in batch.plans])
     kept = targets != IGNORE_INDEX
@@ -145,7 +151,6 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
         raise ValueError("empty loss: all positions ignored")
     weights = kept / (counts * len(targets))
     hidden = forward_batch(params, cfg, inputs, mode, batch.pad_masks)
-    rows = np.flatnonzero(kept)
-    logits = lm_head(params, T.gather_rows(hidden, rows))
-    return T.cross_entropy_from_logits(logits, targets.reshape(-1)[rows],
-                                       weights.reshape(-1)[rows])
+    logits = lm_head(params, T.gather_rows(
+        hidden, np.flatnonzero(kept[batch.pad_masks])))
+    return T.cross_entropy_from_logits(logits, targets[kept], weights[kept])

@@ -471,26 +471,19 @@ def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
     return _record(out, (logits,), bw)
 
 
-def mean_pool(hidden: Tensor, keep_mask) -> Tensor:
-    """Per-row mean of the kept positions: hidden is B rows of W positions
-    laid out row after row, [B*W, d], keep_mask is [B, W] (True where
-    kept), and the result is [B, d]."""
-    mask = np.asarray(keep_mask, dtype=bool)
-    if mask.ndim != 2 or mask.size != hidden.data.shape[0]:
-        raise ValueError("keep_mask must be [B, W] with B*W = rows of hidden")
-    counts = mask.sum(axis=1)[:, None]
-    if not counts.all():
-        raise ValueError("mean_pool: no positions kept")
-    rows, width = mask.shape
-    keep = mask[:, :, None]
-    kept = np.where(keep, hidden.data.reshape(rows, width, -1), 0.0)
-    out = Tensor(kept.sum(axis=1) / counts)
-
-    def bw(g):
-        grad = np.where(keep, (g / counts)[:, None, :], 0.0)
-        return (grad.reshape(hidden.data.shape),)
-
-    return _record(out, (hidden,), bw)
+def mean_pool(hidden: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Per-sequence mean: hidden holds B sequences' rows one after another,
+    [sum(lengths), d], and row b of the [B, d] result is the mean of the
+    lengths[b] rows of sequence b."""
+    n = np.asarray(lengths, dtype=np.int64)
+    if n.ndim != 1 or not n.size or n.sum() != hidden.data.shape[0]:
+        raise ValueError("mean_pool: lengths must sum to the rows of hidden")
+    if n.min() < 1:
+        raise ValueError("mean_pool: empty sequence")
+    out = Tensor(np.add.reduceat(hidden.data, np.cumsum(n) - n, axis=0)
+                 / n[:, None])
+    return _record(out, (hidden,),
+                   lambda g: (np.repeat(g / n[:, None], n, axis=0),))
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

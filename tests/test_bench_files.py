@@ -5,6 +5,7 @@ reads or asserts a timing."""
 import argparse
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,21 @@ def test_seed_ranges():
     assert tool.parse_seeds("7") == [7]
     with pytest.raises(argparse.ArgumentTypeError):
         tool.parse_seeds("5-3")
+
+
+def test_a_run_with_incorrect_output_stops_the_tool(tmp_path):
+    # a stub tree whose benchmark/run.py reports one failed check
+    tool = load_tool()
+    (tmp_path / "benchmark").mkdir()
+    (tmp_path / "benchmark" / "run.py").write_text(textwrap.dedent("""\
+        import json
+        print(json.dumps({"correct": False, "attempted": 3, "failed": 1,
+                          "metrics": {"wall_s": {"value": 1.0,
+                                                 "unit": "s"}}}))
+        """), encoding="utf-8")
+    with pytest.raises(SystemExit) as stop:
+        tool.run_pair({"base": str(tmp_path), "head": str(tmp_path)},
+                      "finetune-grid", 7, 30, 0, base_first=True)
+    message = str(stop.value.code)
+    assert "the base side's finetune-grid run, seed 7" in message
+    assert "1 of 3 checks failed" in message

@@ -238,14 +238,15 @@ class TestEncode:
     def test_pads_at_the_end(self):
         params = init_params(CFG, 0)
         hidden, real = encode(params, CFG, [[8, 9], [10, 11, 12, 13], [14]])
-        assert hidden.data.shape == (12, CFG.embed_dim)
+        # the 7 real tokens' rows, sequence after sequence
+        assert hidden.data.shape == (7, CFG.embed_dim)
         np.testing.assert_array_equal(real, [[1, 1, 0, 0], [1, 1, 1, 1],
                                              [1, 0, 0, 0]])
-        # each sequence's real rows equal its own unpadded forward
-        for b, seq in enumerate([[8, 9], [10, 11, 12, 13], [14]]):
+        # each sequence's rows equal its own unpadded forward
+        for at, seq in zip((0, 2, 6), [[8, 9], [10, 11, 12, 13], [14]]):
             alone, _ = forward(params, CFG, seq, AttentionMode.BIDIRECTIONAL)
             np.testing.assert_allclose(
-                hidden.data[4 * b: 4 * b + len(seq)], alone.data,
+                hidden.data[at: at + len(seq)], alone.data,
                 rtol=0, atol=1e-12)
 
     def test_empty_batch(self):
@@ -308,6 +309,40 @@ class TestEncode:
         assert loss.hex() == "0x1.5e4dac02db1f7p+3"
         score = evaluate("IR", {}, params, CFG, batch, ds)
         assert score.hex() == "0x1.a1849cc1a9aa0p-1"
+
+
+class TestPerTokenWork:
+    @pytest.mark.parametrize("task", ["SC", "TC", "QA", "IR"])
+    def test_runs_on_real_tokens_only(self, task):
+        # in a padded step every RMSNorm node holds the N real tokens and no
+        # node holds a row per padded position, but QA's [B*W, 2] grid of
+        # start and end scores
+        ds = gen_task_data(task, 40, 0)
+        if task == "IR":
+            shape = [(5, 16, (16, 7, 11)), (2, 9, ()), (4, 12, (5, 14))]
+            batch = [TaskExample("IR", query=ex.query[:q],
+                                 positive=ex.positive[:p],
+                                 negatives=[neg[:n] for neg, n
+                                            in zip(ex.negatives, negs)])
+                     for ex, (q, p, negs) in zip(ds.train, shape)]
+            lengths = [q for q, _, _ in shape] + [p for _, p, _ in shape] \
+                + [n for _, _, negs in shape for n in negs]
+        else:
+            lengths = [16, 3, 9, 1, 12]
+            batch = [TaskExample(task, tokens=ex.tokens[:n],
+                                 tags=ex.tags and ex.tags[:n],
+                                 label=ex.label, span=None)
+                     for ex, n in zip(ds.train, lengths)]
+        grid_rows = len(lengths) * max(lengths)
+        with Tape() as tape:
+            task_loss(task, init_head(task, CFG, ds, 0), init_params(CFG, 0),
+                      CFG, batch, ds)
+        norms = [node.output.data.shape for node in tape.nodes
+                 if node.backward_fn.__qualname__.startswith("rms_norm")]
+        assert norms == [(sum(lengths), CFG.embed_dim)] * 3
+        grids = [node.output.data.shape for node in tape.nodes
+                 if node.output.data.shape[:1] == (grid_rows,)]
+        assert grids == ([(grid_rows, 2)] if task == "QA" else [])
 
 
 class TestIrTies:
@@ -382,7 +417,7 @@ class TestBatchedMatchesPerExample:
 
     @classmethod
     def pooled(cls, params, cfg, tokens):
-        return T.mean_pool(cls.hidden(params, cfg, tokens), [[True] * len(tokens)])
+        return T.mean_pool(cls.hidden(params, cfg, tokens), [len(tokens)])
 
     @staticmethod
     def mean(losses):

@@ -210,6 +210,19 @@ class TestPretrainLoss:
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
                           LmBatch(rows, [[True] * 3] * 2, plans))
 
+    @pytest.mark.parametrize("position", [4, 7, -1])
+    def test_plan_at_a_pad_or_outside_the_row_rejected(self, tiny_cfg,
+                                                       tiny_params, position):
+        # row 1 holds 3 real tokens of 7: position 4 is a pad, 7 lies past
+        # the row and -1 would index its last position, a pad
+        rows = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3, 0, 0, 0, 0]]
+        pads = [[t != 0 for t in r] for r in rows]
+        plans = [MaskingPlan(1, [0, 2], [3, 5]),
+                 MaskingPlan(1, [1, position], [2, 0])]
+        with pytest.raises(ValueError, match="row 1: masking plan selects"):
+            pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
+                          LmBatch(rows, pads, plans))
+
     def test_token_out_of_range_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError, match="token id"):
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
@@ -256,8 +269,9 @@ class TestPretrainLoss:
     @pytest.mark.parametrize("objective", list(Objective))
     def test_per_token_work_runs_on_real_tokens_only(self, tiny_cfg,
                                                      tiny_params, objective):
-        # every RMSNorm and FFN node holds the N real tokens, and the LM
-        # head holds only the positions that have a target
+        # every RMSNorm and FFN node holds the N real tokens, the LM head
+        # holds only the positions that have a target, and no node holds a
+        # row per padded position (B*T = 18)
         rows = [[3, 4, 5, 6, 7, 8], [9, 2, 3, 0, 0, 0], [4, 4, 5, 6, 0, 0]]
         pads = [[True] * 6, [True] * 3 + [False] * 3, [True] * 4 + [False] * 2]
         plans = [select_mask(r, 0.4, np.random.default_rng(i), 1, p)
@@ -285,6 +299,7 @@ class TestPretrainLoss:
                 kinds["head"] += 1
                 assert rows_out == (targets,) and targets < 13
         assert kinds == {"rms_norm": 5, "swiglu": 2, "ffn": 6, "head": 1}
+        assert all(node.output.data.shape[:1] != (18,) for node in tape.nodes)
 
 
 @st.composite

@@ -137,48 +137,47 @@ class TestCrossEntropy:
 
 class TestMeanPool:
     def test_singleton(self):
-        out = T.mean_pool(t([[1.0, 2.0], [9.0, 9.0]]), [[True, False]])
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
+        out = T.mean_pool(t([[1.0, 2.0], [9.0, 9.0]]), [1, 1])
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [9.0, 9.0]])
 
     def test_arithmetic(self):
-        out = T.mean_pool(t([[1.0, 0.0], [0.0, 1.0]]), [[True, True]])
+        out = T.mean_pool(t([[1.0, 0.0], [0.0, 1.0]]), [2])
         np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
-    def test_padding_excluded(self, rng):
+    def test_other_sequences_excluded(self, rng):
         rows = rng.normal(size=(3, 4))
-        a = T.mean_pool(t(rows), [[True, True, False]]).data
+        a = T.mean_pool(t(rows), [2, 1]).data
         rows2 = rows.copy()
         rows2[2] = 1e6
-        b = T.mean_pool(t(rows2), [[True, True, False]]).data
-        np.testing.assert_array_equal(a, b)
+        b = T.mean_pool(t(rows2), [2, 1]).data
+        np.testing.assert_array_equal(a[0], b[0])
 
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            T.mean_pool(t(np.ones((2, 2))), [[False, False]])
+    def test_no_sequence_is_error(self):
+        with pytest.raises(ValueError, match="sum to the rows"):
+            T.mean_pool(t(np.ones((2, 2))), [])
 
-    def test_rows_pool_independently(self, rng):
-        # two rows of width 3 with 2 and 3 kept positions: each output row
-        # is the mean of its own row's kept positions, exactly as pooled alone
-        hidden = rng.normal(size=(6, 4))
-        keep = [[True, True, False], [True, True, True]]
-        out = T.mean_pool(t(hidden), keep).data
+    def test_sequences_pool_independently(self, rng):
+        # two sequences of 2 and 3 rows: each output row is the mean of its
+        # own sequence's rows, exactly as pooled alone
+        hidden = rng.normal(size=(5, 4))
+        out = T.mean_pool(t(hidden), [2, 3]).data
         assert out.shape == (2, 4)
         np.testing.assert_array_equal(
-            out[0], T.mean_pool(t(hidden[:3]), [keep[0]]).data[0])
+            out[0], T.mean_pool(t(hidden[:2]), [2]).data[0])
         np.testing.assert_array_equal(
-            out[1], T.mean_pool(t(hidden[3:]), [keep[1]]).data[0])
+            out[1], T.mean_pool(t(hidden[2:]), [3]).data[0])
         np.testing.assert_allclose(out[0], hidden[:2].mean(axis=0), rtol=1e-15)
-        np.testing.assert_allclose(out[1], hidden[3:].mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(out[1], hidden[2:].mean(axis=0), rtol=1e-15)
 
-    def test_any_empty_row_is_error(self):
-        with pytest.raises(ValueError, match="no positions kept"):
-            T.mean_pool(t(np.ones((4, 2))), [[True, True], [False, False]])
+    def test_any_empty_sequence_is_error(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            T.mean_pool(t(np.ones((2, 2))), [2, 0])
 
-    def test_mask_shape_checked(self):
-        with pytest.raises(ValueError, match="B, W"):
-            T.mean_pool(t(np.ones((4, 2))), [True, True, True, True])
-        with pytest.raises(ValueError, match="B, W"):
-            T.mean_pool(t(np.ones((4, 2))), [[True, True, True]])
+    def test_lengths_checked(self):
+        with pytest.raises(ValueError, match="sum to the rows"):
+            T.mean_pool(t(np.ones((4, 2))), [2, 1])
+        with pytest.raises(ValueError, match="sum to the rows"):
+            T.mean_pool(t(np.ones((4, 2))), [[2, 2]])
 
 
 class TestScatterRows:
@@ -296,7 +295,7 @@ class TestGradCheck:
         "cross_entropy": (lambda x: T.cross_entropy_from_logits(
             x, [0, 2, -100, 7]), (4, 8)),
         "mean_pool": (lambda x: sum_all(
-            mul(T.mean_pool(x, [[True, False], [True, True]]),
+            mul(T.mean_pool(x, [1, 3]),
                   Tensor(np.arange(16.0).reshape(2, 8)))), (4, 8)),
         "reshape": (lambda x: sum_all(
             mul(T.reshape(x, 8, 4),

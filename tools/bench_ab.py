@@ -11,7 +11,9 @@ copy: in an A/A test on pretrain-clm the same code read 1-2% slower run
 from the checkout than from an export. Runs each tree's own
 ``benchmark/run.py`` on every workload and seed, alternating which side
 runs first from one seed to the next, for BENCHMARK.json's ``run_seconds``
-each, and removes the copies at the end.
+each, and removes the copies at the end. A run that reports
+``"correct": false`` stops the tool with a message naming its side,
+workload and seed.
 Writes ``BENCH_<label>.json`` at the root of this checkout: per-seed rows
 for both sides and, per end-to-end metric, each side's median and
 quartiles, the pairs each side won and whether the head side meets the
@@ -110,6 +112,11 @@ def run_pair(trees, workload, seed, seconds, trace, base_first):
         print(f"bench_ab: {workload} seed {seed} {side}"
               f"{' traced' if trace else ''}", file=sys.stderr, flush=True)
         env, row[side] = run_once(trees[side], workload, seed, seconds, trace)
+        if not row[side]["correct"]:
+            sys.exit(f"bench_ab: the {side} side's {workload} run, seed "
+                     f"{seed}, reported incorrect output "
+                     f"({row[side]['failed']} of {row[side]['attempted']} "
+                     "checks failed)")
     return env, row
 
 
