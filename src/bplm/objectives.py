@@ -137,12 +137,10 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
         inputs = batch.rows.copy()
         for i, (row, real, plan) in enumerate(zip(inputs, batch.pad_masks,
                                                   batch.plans)):
-            pos = np.asarray(plan.masked_positions, dtype=np.int64)
-            if pos.size and (pos.min() < 0 or pos.max() >= len(row)
-                             or not real[pos].all()):
+            if not set(plan.masked_positions) <= set(np.flatnonzero(real)):
                 raise ValueError(f"row {i}: masking plan selects a pad or a "
                                  "position outside the row")
-            row[pos] = plan.mask_token_id
+            row[plan.masked_positions] = plan.mask_token_id
         targets = np.stack([_mlm_targets(plan, inputs.shape[1])
                             for plan in batch.plans])
     kept = targets != IGNORE_INDEX

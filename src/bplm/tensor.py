@@ -480,8 +480,11 @@ def mean_pool(hidden: Tensor, lengths: Sequence[int]) -> Tensor:
         raise ValueError("mean_pool: lengths must sum to the rows of hidden")
     if n.min() < 1:
         raise ValueError("mean_pool: empty sequence")
-    out = Tensor(np.add.reduceat(hidden.data, np.cumsum(n) - n, axis=0)
-                 / n[:, None])
+    # rows are added left to right (np.add.reduceat adds pairwise, rounding
+    # otherwise), in a buffer that is zero past each sequence's end
+    grid = np.zeros((n.size, n.max()) + hidden.data.shape[1:])
+    grid[np.arange(n.max()) < n[:, None]] = hidden.data
+    out = Tensor(grid.sum(axis=1) / n[:, None])
     return _record(out, (hidden,),
                    lambda g: (np.repeat(g / n[:, None], n, axis=0),))
 
