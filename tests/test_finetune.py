@@ -325,8 +325,8 @@ class TestPerTokenWork:
                                  negatives=[neg[:n] for neg, n
                                             in zip(ex.negatives, negs)])
                      for ex, (q, p, negs) in zip(ds.train, shape)]
-            lengths = [q for q, _, _ in shape] + [p for _, p, _ in shape] \
-                + [n for _, _, negs in shape for n in negs]
+            lengths = [len(s) for ex in batch
+                       for s in [ex.query, ex.positive, *ex.negatives]]
         else:
             lengths = [16, 3, 9, 1, 12]
             batch = [TaskExample(task, tokens=ex.tokens[:n],
