@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID, TaskDataset, TaskExample, pad_rows
+from .data import TaskDataset, TaskExample
 # forward is not called here; benchmark/probes.py wraps bplm.finetune.forward
 from .model import (AttentionMode, ModelConfig, Parameters, forward,  # noqa: F401
                     forward_batch)
@@ -152,12 +152,10 @@ EVAL_CHUNK = 16  # examples per encode in evaluate (an IR chunk's queries
 def encode(params: Parameters, cfg: ModelConfig,
            seqs: Sequence[Sequence[int]]) -> Tuple[Tensor, np.ndarray]:
     """Hidden states in Bidirectional mode (the fine-tuning contract) of B
-    sequences as one batched forward, attending over them padded at the end
-    with PAD_ID to the longest, W. Returns the [N, d] hidden states of the N
-    real tokens, sequence after sequence, and the [B, W] real-token mask."""
-    rows, real = pad_rows(seqs, PAD_ID)
-    return forward_batch(params, cfg, rows, AttentionMode.BIDIRECTIONAL,
-                         real), real
+    sequences as one batched forward: the [N, d] hidden states of their N
+    tokens, sequence after sequence, and the B lengths."""
+    return (forward_batch(params, cfg, seqs, AttentionMode.BIDIRECTIONAL),
+            np.array([len(s) for s in seqs]))
 
 
 def init_head(task: str, cfg: ModelConfig, dataset: TaskDataset,
@@ -184,33 +182,33 @@ def _scores(task: str, head: Dict[str, Tensor], params: Parameters,
     """The task head's scores for a batch of B examples, from one encode,
     as task_loss and evaluate both read them:
     - SC: class logits [B, classes];
-    - TC: tag logits [N, tags], one row per real token, example after
+    - TC: tag logits [N, tags], one row per token, example after
       example;
     - QA: position logits [2B, W], the B start rows then the B end rows,
-      NEG_INF at pads;
+      NEG_INF past each example's end;
     - IR: cosine similarities [B, D] of each query to every document: the
       B positives in batch order, then each example's negatives in turn.
       The B queries and the D documents share one encode, queries first.
-      On the benchmark's shape (5-token queries, 16-token documents,
-      d = 32) that is faster than two encodes; an evaluate chunk with
-      64-token documents ran about 1.23x their time.
+      With 5-token queries and d = 32 an evaluate chunk of 16 examples
+      ran 1.00-1.03x the time of two encodes, with 16- or 64-token
+      documents alike.
     """
     if task == "IR":
         seqs = ([ex.query for ex in batch] + [ex.positive for ex in batch]
                 + [neg for ex in batch for neg in ex.negatives or ()])
-        hidden, real = encode(params, cfg, seqs)
-        unit = T.l2_normalize_rows(T.mean_pool(hidden, real.sum(axis=1)))
+        unit = T.l2_normalize_rows(T.mean_pool(*encode(params, cfg, seqs)))
         b = len(batch)
         return T.matmul(T.gather_rows(unit, range(b)), T.transpose(
             T.gather_rows(unit, range(b, len(seqs)))))
     if task not in ("SC", "TC", "QA"):
         raise ValueError(f"unknown task {task!r}")
-    hidden, real = encode(params, cfg, [ex.tokens for ex in batch])
+    hidden, lengths = encode(params, cfg, [ex.tokens for ex in batch])
     if task == "SC":
-        return T.matmul(T.mean_pool(hidden, real.sum(axis=1)), head["w"])
+        return T.matmul(T.mean_pool(hidden, lengths), head["w"])
     scores = T.matmul(hidden, head["w"])
     if task == "TC":
         return scores
+    real = np.arange(lengths.max()) < lengths[:, None]  # [B, W] grid
     rows, width = real.shape
     grid = T.scatter_rows(scores, np.flatnonzero(real), real.size)
     return T.add_const(T.reshape(T.transpose(grid), 2 * rows, width),

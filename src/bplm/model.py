@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -93,16 +93,16 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
 
 
 def attention(hidden: Tensor, params: Parameters, layer: int, cfg: ModelConfig,
-              pad: np.ndarray, mode: AttentionMode) -> Tensor:
+              lengths: Sequence[int], mode: AttentionMode) -> Tensor:
     """Grouped-query attention over a block input (already normalized by the
-    caller): [N, d] for the N real positions of the [B, T] real-token mask
-    pad, row after row (see T.gqa_attention). Query head i uses key/value
-    group floor(i / (heads / kv_heads))."""
+    caller): [N, d] for B sequences of the given lengths, sequence after
+    sequence (see T.gqa_attention). Query head i uses key/value group
+    floor(i / (heads / kv_heads))."""
     p = f"layer.{layer}.attn"
     q = T.matmul(hidden, params[f"{p}.wq"])
     k = T.matmul(hidden, params[f"{p}.wk"])
     v = T.matmul(hidden, params[f"{p}.wv"])
-    heads = T.gqa_attention(q, k, v, pad, mode is AttentionMode.CAUSAL,
+    heads = T.gqa_attention(q, k, v, lengths, mode is AttentionMode.CAUSAL,
                             cfg.heads, cfg.kv_heads, ROPE_THETA)
     return T.matmul(heads, params[f"{p}.wo"])
 
@@ -114,32 +114,24 @@ def _ffn(hidden: Tensor, params: Parameters, layer: int) -> Tensor:
     return T.matmul(T.swiglu(gate, up), params[f"{p}.w_down"])
 
 
-def forward_batch(params: Parameters, cfg: ModelConfig, rows: np.ndarray,
-                  mode: AttentionMode, pad_masks: Optional[np.ndarray] = None
-                  ) -> Tensor:
-    """Run the model on the [B, T] token ids rows (a list of B rows of one
-    length is converted), returning the final hidden states [N, d] of the N
-    real tokens, row after row. The [B, T] pad_masks (True where real) mark
-    the pads; None means no padding. Every op but attention runs on the real
-    tokens alone."""
-    tokens = np.asarray(rows, dtype=np.int64)
-    if not len(tokens):
+def forward_batch(params: Parameters, cfg: ModelConfig,
+                  seqs: Sequence[Sequence[int]], mode: AttentionMode) -> Tensor:
+    """Run the model on B token sequences of any lengths as one residual
+    stream, returning the final hidden states [N, d] of their N tokens,
+    sequence after sequence."""
+    if not len(seqs):
         raise ValueError("empty batch")
-    if tokens.shape[1] > cfg.max_seq_len:
+    lengths = [len(s) for s in seqs]
+    if max(lengths) > cfg.max_seq_len:
         raise ValueError("sequence longer than max_seq_len")
+    tokens = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError("token id out of range")
-    if pad_masks is None:
-        pad = np.ones(tokens.shape, dtype=bool)
-    else:
-        pad = np.asarray(pad_masks, dtype=bool)
-        if pad.shape != tokens.shape:
-            raise ValueError("pad masks must match the rows' shape")
 
-    x = T.gather_rows(params["embed"], tokens[pad])
+    x = T.gather_rows(params["embed"], tokens)
     for i in range(cfg.layers):
         normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], RMSNORM_EPS)
-        x = T.add(x, attention(normed, params, i, cfg, pad, mode))
+        x = T.add(x, attention(normed, params, i, cfg, lengths, mode))
         normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], RMSNORM_EPS)
         x = T.add(x, _ffn(normed, params, i))
     return T.rms_norm(x, params["final_norm"], RMSNORM_EPS)
@@ -152,7 +144,7 @@ def lm_head(params: Parameters, hidden: Tensor) -> Tensor:
 
 def forward(params: Parameters, cfg: ModelConfig, tokens: Sequence[int],
             mode: AttentionMode) -> Tuple[Tensor, Tensor]:
-    """Run the model on one unpadded row, returning (final hidden states
-    [T, d], logits [T, V])."""
-    hidden = forward_batch(params, cfg, [list(tokens)], mode)
+    """Run the model on one sequence, returning (final hidden states [T, d],
+    logits [T, V])."""
+    hidden = forward_batch(params, cfg, [tokens], mode)
     return hidden, lm_head(params, hidden)

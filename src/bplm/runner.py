@@ -108,10 +108,9 @@ class Checkpoint:
 def _mask_batch(batch: LmBatch, ratio: float, mask_id: int, seed: int,
                 step: int) -> LmBatch:
     """Attach one deterministic MaskingPlan per row, keyed on (seed, step)."""
-    plans = []
-    for row_idx, (tokens, pad) in enumerate(zip(batch.rows, batch.pad_masks)):
-        rng = np.random.default_rng([seed, step, row_idx])
-        plans.append(select_mask(tokens, ratio, rng, mask_id, pad))
+    plans = [select_mask(tokens, ratio,
+                         np.random.default_rng([seed, step, row_idx]), mask_id)
+             for row_idx, tokens in enumerate(batch.seqs)]
     return LmBatch(batch.rows, batch.pad_masks, plans)
 
 
@@ -119,7 +118,7 @@ def _masked_fraction(batch: LmBatch) -> float:
     if batch.plans is None:
         return 0.0
     masked = sum(len(p.masked_positions) for p in batch.plans)
-    return masked / int(batch.pad_masks.sum())  # > 0: the loss ran
+    return masked / int(batch.lengths.sum())  # > 0: the loss ran
 
 
 def _check_start(start: Checkpoint, cfg: TrainConfig,

@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 NEG_INF = -1e30  # finite stand-in for -inf in masked attention logits
-IGNORE_INDEX = -100  # cross-entropy target of a position with no loss
 NORMALIZE_EPS = 1e-12  # keeps l2_normalize_rows finite on a zero row
 
 
@@ -340,55 +339,60 @@ def _causal_mask(seq_len: int, group: int):
     return mask
 
 
-def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
-                  heads: int, kv_heads: int, theta: float) -> Tensor:
-    """Grouped-query scaled dot-product attention with RoPE over B rows of T
-    positions, given the [B, T] real-token mask pad (True where real).
+def gqa_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
+                  causal: bool, heads: int, kv_heads: int,
+                  theta: float) -> Tensor:
+    """Grouped-query scaled dot-product attention with RoPE over B sequences
+    of the given lengths.
 
     q is [N, heads*hd] and k and v are [N, kv_heads*hd], one row for each
-    of the N real positions, row after row. A query attends the real keys
-    of its row, and with causal only those at or before it. Queries and
-    keys are rotated by their position 0..T-1 within the row; query head h
-    reads key/value group h // (heads / kv_heads). Returns the head outputs
-    side by side, [N, heads*hd].
+    of the N = sum(lengths) positions, sequence after sequence. A query
+    attends the keys of its sequence, and with causal only those at or
+    before it. Queries and keys are rotated by their position 0..L-1
+    within the sequence; query head h reads key/value group
+    h // (heads / kv_heads). Returns the head outputs side by side,
+    [N, heads*hd].
     """
-    pad = np.asarray(pad, dtype=bool)
-    if pad.ndim != 2:
-        raise ValueError(f"attention: pad must be [B, T], got {pad.shape}")
-    if not pad.any(axis=1).all():
-        raise ValueError("attention: all positions padded")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not lengths.size:
+        raise ValueError("attention: lengths must be a non-empty list, got "
+                         f"shape {lengths.shape}")
+    if lengths.min() < 1:
+        raise ValueError("attention: empty sequence")
     if heads % kv_heads != 0 or q.data.shape[1] % heads != 0:
         raise ValueError("heads must divide the query width and be a "
                          "multiple of kv_heads")
     hd = q.data.shape[1] // heads
     if hd % 2 != 0:
         raise ValueError("rope requires an even head dimension")
-    n = int(pad.sum())
+    n = int(lengths.sum())
     kv_shape = (n, kv_heads * hd)
     if q.data.shape[0] != n or k.data.shape != kv_shape \
             or v.data.shape != kv_shape:
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, "
                          f"k {k.data.shape}, v {v.data.shape}, "
-                         f"{n} real positions")
-    runs, lo = [], 0  # (first packed row, G rows, real length L) per run
-    for length, rows in itertools.groupby(pad.sum(axis=1).tolist()):
-        runs.append((lo, len(list(rows)), length))
+                         f"{n} positions")
+    runs, lo = [], 0  # (first row, G sequences, length L) per run
+    for length, seqs in itertools.groupby(lengths.tolist()):
+        runs.append((lo, len(list(seqs)), length))
         lo += runs[-1][1] * length
 
     group = heads // kv_heads
     scale = 1.0 / np.sqrt(hd)
     # a column per (head, pair): one rotation spans all heads, k's first ones
-    rot = _rope_table(pad.shape[1], hd, theta, heads)
-    lead = pad.shape  # unpadded rows read the table as is
-    if not pad.all():  # else each real position reads its column's row
-        lead, rot = (n,), rot[np.nonzero(pad)[1]]
+    rot = _rope_table(int(lengths.max()), hd, theta, heads)
+    lead = (lengths.size, int(lengths[0]))  # one length reads it as it is
+    if len(runs) > 1:  # else each position reads its own row
+        lead = (n,)
+        rot = rot[np.arange(n) - np.repeat(np.cumsum(lengths) - lengths,
+                                           lengths)]
 
-    def rotate(a, r):  # packed rows [N, width], by position
+    def rotate(a, r):  # rows [N, width], by position
         w = a.shape[1] // 2
         return _rope_rotate(a.reshape(*lead, 2 * w),
                             r[..., :w]).reshape(a.shape)
 
-    def split(a, lo, G, L, width):  # packed rows -> [G*kv, width*L, hd]
+    def split(a, lo, G, L, width):  # rows -> [G*kv, width*L, hd]
         return (a[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)
                 .transpose(0, 2, 3, 1, 4).reshape(G * kv_heads, width * L, hd))
 
@@ -434,38 +438,32 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, pad, causal: bool,
 
 def cross_entropy_from_logits(logits: Tensor, targets: Sequence[int],
                               weights: Optional[Sequence[float]] = None) -> Tensor:
-    """Mean of -log softmax(logits)[target] over the positions whose target
-    is not IGNORE_INDEX, or, given per-position weights, their weighted sum
-    over those positions."""
+    """Mean of -log softmax(logits)[target] over the rows, or, given
+    per-row weights, their weighted sum."""
     tgt = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2 or tgt.shape[0] != logits.data.shape[0]:
+    if logits.data.ndim != 2 or tgt.shape != (logits.data.shape[0],):
         raise ValueError("cross_entropy expects [n, V] logits and n targets")
-    keep = tgt != IGNORE_INDEX
-    n_kept = int(keep.sum())
-    if n_kept == 0:
-        raise ValueError("empty loss: all positions ignored")
-    V = logits.data.shape[1]
-    if tgt[keep].min() < 0 or tgt[keep].max() >= V:
+    n = tgt.size
+    if n == 0:
+        raise ValueError("empty loss: no rows")
+    if tgt.min() < 0 or tgt.max() >= logits.data.shape[1]:
         raise ValueError("target class out of range")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
-    rows = np.nonzero(keep)[0]
+    rows = np.arange(n)
     if weights is None:
-        w = np.full(n_kept, 1.0 / n_kept)
+        w = np.full(n, 1.0 / n)
     else:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != tgt.shape:
             raise ValueError("cross_entropy expects one weight per target")
-        w = w[rows]
-    out = Tensor(-(w * logp[rows, tgt[rows]]).sum())
+    out = Tensor(-(w * logp[rows, tgt]).sum())
 
     def bw(g):
-        row_scale = np.zeros(tgt.shape)  # ignored rows' grad stays +0.0
-        row_scale[rows] = w * float(g)
         grad = np.exp(logp)
-        grad[rows, tgt[rows]] -= 1.0
-        grad *= row_scale[:, None]
+        grad[rows, tgt] -= 1.0
+        grad *= (w * float(g))[:, None]
         return (grad,)
 
     return _record(out, (logits,), bw)

@@ -98,23 +98,22 @@ class TestC1GradientCorrectness:
             assert err < 1e-6, f"op {name}: {err:.2e}"
 
         # the fused attention op through each of q, k and v, two query heads
-        # per kv group, 2 rows of 3 positions in both modes: unpadded, and
-        # packed, with the second row one token short
-        pads = {"": [[True] * 3] * 2,
-                "packed ": [[True, True, True], [True, True, False]]}
+        # per kv group, 2 sequences in both modes: of 3 positions each, and
+        # packed, with the second one token short
+        batches = {"": [3, 3], "packed ": [3, 2]}
         qkv = [rng.normal(size=(6, 8)), rng.normal(size=(6, 4)),
                rng.normal(size=(6, 4))]
         probe = rng.normal(size=(6, 8))
-        for label, pad in pads.items():
-            real = np.flatnonzero(pad)
+        for label, lengths in batches.items():
+            real = np.arange(sum(lengths))
             for mode in AttentionMode:
                 causal = mode is AttentionMode.CAUSAL
                 for i, which in enumerate("qkv"):
-                    def f(x, i=i, pad=pad, real=real, causal=causal):
+                    def f(x, i=i, lengths=lengths, real=real, causal=causal):
                         args = [Tensor(a[real]) for a in qkv]
                         args[i] = x
                         return sum_all(mul(T.gqa_attention(
-                            *args, pad, causal, 4, 2, 100.0),
+                            *args, lengths, causal, 4, 2, 100.0),
                             Tensor(probe[real])))
                     x = Tensor(qkv[i][real], requires_grad=True)
                     err = grad_check(anchored(f), x, eps=1e-5)

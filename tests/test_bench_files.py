@@ -5,7 +5,12 @@ reads or asserts a timing."""
 import argparse
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -120,3 +125,56 @@ def test_a_run_with_incorrect_output_stops_the_tool(tmp_path):
     message = str(stop.value.code)
     assert "the base side's finetune-grid run, seed 7" in message
     assert "1 of 3 checks failed" in message
+
+
+def test_sigterm_removes_the_export_and_stops_the_run(tmp_path):
+    # the tool, with git and the export stubbed, waits on a benchmark/run.py
+    # that writes its pid and sleeps; SIGTERM must end both and leave no
+    # bench_ab-* directory in the tool's TMPDIR
+    pidfile, tmp = tmp_path / "run.pid", tmp_path / "tmp"
+    tmp.mkdir()
+    driver = textwrap.dedent(f"""\
+        import os, sys
+        sys.path.insert(0, {str(ROOT / "tools")!r})
+        import bench_ab
+
+        def export(rev, dest):
+            os.makedirs(os.path.join(dest, "benchmark"))
+            with open(os.path.join(dest, "benchmark", "run.py"), "w") as f:
+                f.write("import os, time\\n"
+                        "with open({str(pidfile)!r}, 'w') as f:\\n"
+                        "    f.write(str(os.getpid()))\\n"
+                        "time.sleep(60)\\n")
+
+        bench_ab.export = export
+        bench_ab.git = lambda *args: "0" * 40
+        bench_ab.main(["--base", "x", "--label", "sigterm", "--workloads",
+                       "pretrain-clm", "--seeds", "1"])
+        """)
+    tool = subprocess.Popen([sys.executable, "-c", driver],
+                            env={**os.environ, "TMPDIR": str(tmp)},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    run = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (pidfile.exists() and pidfile.read_text()):
+            assert tool.poll() is None, tool.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        run = int(pidfile.read_text())
+        tool.send_signal(signal.SIGTERM)
+        _, err = tool.communicate(timeout=60)
+        assert "stopped by signal" in err
+        assert not list(tmp.glob("bench_ab-*"))
+        with pytest.raises(ProcessLookupError):
+            os.kill(run, 0)
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.communicate()
+        if run is not None:
+            try:
+                os.kill(run, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -235,14 +235,13 @@ class TestEncode:
         b = encode(params, CFG, [[8, 9, 11]])[0].data
         assert not np.allclose(a[0], b[0])
 
-    def test_pads_at_the_end(self):
+    def test_sequences_of_mixed_lengths(self):
         params = init_params(CFG, 0)
-        hidden, real = encode(params, CFG, [[8, 9], [10, 11, 12, 13], [14]])
-        # the 7 real tokens' rows, sequence after sequence
+        hidden, lengths = encode(params, CFG, [[8, 9], [10, 11, 12, 13], [14]])
+        # the 7 tokens' rows, sequence after sequence
         assert hidden.data.shape == (7, CFG.embed_dim)
-        np.testing.assert_array_equal(real, [[1, 1, 0, 0], [1, 1, 1, 1],
-                                             [1, 0, 0, 0]])
-        # each sequence's rows equal its own unpadded forward
+        np.testing.assert_array_equal(lengths, [2, 4, 1])
+        # each sequence's rows equal its own forward
         for at, seq in zip((0, 2, 6), [[8, 9], [10, 11, 12, 13], [14]]):
             alone, _ = forward(params, CFG, seq, AttentionMode.BIDIRECTIONAL)
             np.testing.assert_allclose(
@@ -254,8 +253,9 @@ class TestEncode:
             encode(init_params(CFG, 0), CFG, [])
 
     def test_tc_batch_of_mixed_lengths_pinned(self):
-        # encode pads the tokens and task_loss the tag targets; both values
-        # are pinned from the per-row padding that preceded pad_rows
+        # encode takes the sequences as they are and task_loss concatenates
+        # the tag targets; both values are pinned from the per-row padding
+        # that preceded pad_rows
         params = init_params(CFG, 0)
         ds = gen_task_data("TC", 40, 0)
         batch = [TaskExample("TC", tokens=ex.tokens[:n], tags=ex.tags[:n])

@@ -8,19 +8,19 @@ from bplm.model import (AttentionMode, ModelConfig, attention, forward,
                         forward_batch, init_params, lm_head, param_shapes)
 
 
-def attended(pad, causal):
-    """[N, N] booleans over the N real positions of pad, row after row: True
-    where moving a key's k and v rows moves a query's gqa_attention output.
-    A masked key gets exactly zero weight, so the output does not move at
-    all."""
-    n = int(np.sum(pad))
+def attended(lengths, causal):
+    """[N, N] booleans over the N positions of sequences of the given
+    lengths, sequence after sequence: True where moving a key's k and v rows
+    moves a query's gqa_attention output. A masked key gets exactly zero
+    weight, so the output does not move at all."""
+    n = sum(lengths)
     rng = np.random.default_rng(0)
     q, k, v = (rng.normal(size=(n, 8)), rng.normal(size=(n, 4)),
                rng.normal(size=(n, 4)))
 
     def run(k, v):
-        return T.gqa_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), pad,
-                               causal, 2, 1, 100.0).data
+        return T.gqa_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v),
+                               lengths, causal, 2, 1, 100.0).data
     base = run(k, v)
     seen = np.zeros((n, n), dtype=bool)
     for key in range(n):
@@ -124,7 +124,7 @@ class TestAttention:
         # uniformly, so all output rows coincide
         row = np.random.default_rng(0).normal(size=tiny_cfg.embed_dim)
         hidden = T.Tensor(np.tile(row, (5, 1)))
-        out = attention(hidden, tiny_params, 0, tiny_cfg, [[True] * 5],
+        out = attention(hidden, tiny_params, 0, tiny_cfg, [5],
                         AttentionMode.BIDIRECTIONAL)
         np.testing.assert_allclose(out.data, np.tile(out.data[0], (5, 1)),
                                    atol=1e-10)
@@ -135,7 +135,7 @@ class TestAttention:
         params = {k: T.Tensor(v.data.copy()) for k, v in tiny_params.items()}
         params["layer.0.attn.wo"] = T.Tensor(np.eye(tiny_cfg.embed_dim))
         hidden = T.Tensor(rng.normal(size=(6, tiny_cfg.embed_dim)))
-        base = attention(hidden, params, 0, tiny_cfg, [[True] * 6],
+        base = attention(hidden, params, 0, tiny_cfg, [6],
                          AttentionMode.BIDIRECTIONAL).data
 
         hd = tiny_cfg.head_dim
@@ -143,7 +143,7 @@ class TestAttention:
             arr = params[f"layer.0.attn.{name}"].data.copy()
             arr[:, hd:] = 0.0  # kv group 1
             params[f"layer.0.attn.{name}"] = T.Tensor(arr)
-        ablated = attention(hidden, params, 0, tiny_cfg, [[True] * 6],
+        ablated = attention(hidden, params, 0, tiny_cfg, [6],
                             AttentionMode.BIDIRECTIONAL).data
         heads01 = slice(0, 2 * hd)
         heads23 = slice(2 * hd, 4 * hd)
@@ -151,10 +151,10 @@ class TestAttention:
                                    atol=1e-12)
         assert not np.allclose(ablated[:, heads23], base[:, heads23])
 
-    def test_all_padded_rejected(self, tiny_cfg, tiny_params):
-        with pytest.raises(ValueError, match="padded"):
-            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5]],
-                          AttentionMode.BIDIRECTIONAL, [[False, False, False]])
+    def test_empty_sequence_rejected(self, tiny_cfg, tiny_params):
+        with pytest.raises(ValueError, match="empty sequence"):
+            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5], []],
+                          AttentionMode.BIDIRECTIONAL)
 
     def test_too_long_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError):
@@ -163,67 +163,66 @@ class TestAttention:
 
 
 class TestAttentionMask:
-    """The mask gqa_attention builds from the pad mask and the mode."""
+    """The mask gqa_attention builds from the lengths and the mode."""
 
-    def test_causal_and_pad(self):
-        # real positions: row 0 at 0-1 (2 is a pad), row 1 at 0-2
-        seen = attended([[True, True, False], [True, True, True]], True)
+    def test_causal_within_each_sequence(self):
+        # positions: sequence 0 at 0-1, sequence 1 at 2-4
+        seen = attended([2, 3], True)
         np.testing.assert_array_equal(seen, [[1, 0, 0, 0, 0],
                                              [1, 1, 0, 0, 0],
                                              [0, 0, 1, 0, 0],
                                              [0, 0, 1, 1, 0],
                                              [0, 0, 1, 1, 1]])
 
-    def test_bidirectional_masks_pad_keys_only(self):
-        # a leading pad in row 0, a trailing one in row 1
-        seen = attended([[False, True, True], [True, True, False]], False)
+    def test_bidirectional_attends_its_own_sequence_only(self):
+        seen = attended([2, 2], False)
         np.testing.assert_array_equal(seen, [[1, 1, 0, 0],
                                              [1, 1, 0, 0],
                                              [0, 0, 1, 1],
                                              [0, 0, 1, 1]])
-        # and a pad key gets no weight: without it the output is the same
+        # and the other sequence's keys get no weight: alone, the output
+        # is the same
         rng = np.random.default_rng(1)
-        q, k, v = (T.Tensor(rng.normal(size=(2, w))) for w in (8, 4, 4))
-        padded = T.gqa_attention(q, k, v, [[True, True, False]], False,
+        q, k, v = (rng.normal(size=(5, w)) for w in (8, 4, 4))
+        beside = T.gqa_attention(*map(T.Tensor, (q, k, v)), [2, 3], False,
                                  2, 1, 100.0)
-        alone = T.gqa_attention(q, k, v, [[True, True]], False, 2, 1, 100.0)
-        np.testing.assert_allclose(padded.data, alone.data, rtol=0,
+        alone = T.gqa_attention(*(T.Tensor(a[:2]) for a in (q, k, v)), [2],
+                                False, 2, 1, 100.0)
+        np.testing.assert_allclose(beside.data[:2], alone.data, rtol=0,
                                    atol=1e-12)
 
-    def test_one_all_pad_row_rejected(self):
+    def test_one_empty_sequence_rejected(self):
         q, kv = T.Tensor(np.ones((2, 8))), T.Tensor(np.ones((2, 4)))
-        with pytest.raises(ValueError, match="padded"):
-            T.gqa_attention(q, kv, kv, [[True, True], [False, False]], True,
-                            2, 1, 100.0)
+        with pytest.raises(ValueError, match="empty sequence"):
+            T.gqa_attention(q, kv, kv, [2, 0], True, 2, 1, 100.0)
 
 
 class TestForwardBatch:
+    SEQS = [[3, 4, 5, 6, 7], [8, 2, 9], [5, 5, 1, 10]]
     ROWS = [[3, 4, 5, 6, 7], [8, 2, 9, 0, 0], [5, 5, 1, 10, 0]]
-    PADS = [[True] * 5, [True, True, True, False, False], [True] * 4 + [False]]
 
     @pytest.mark.parametrize("mode", list(AttentionMode))
     def test_rows_match_single_row_forward(self, tiny_cfg, tiny_params, mode):
-        hidden = forward_batch(tiny_params, tiny_cfg, self.ROWS, mode,
-                               self.PADS)
-        # the N = 5 + 3 + 4 real tokens, row after row
+        hidden = forward_batch(tiny_params, tiny_cfg, self.SEQS, mode)
+        # the N = 5 + 3 + 4 tokens, sequence after sequence
         assert hidden.data.shape == (12, tiny_cfg.embed_dim)
         at = 0
-        for row, pad in zip(self.ROWS, self.PADS):
-            n = sum(pad)
-            h, _ = forward(tiny_params, tiny_cfg, row[:n], mode)
-            np.testing.assert_allclose(hidden.data[at: at + n], h.data,
+        for seq in self.SEQS:
+            h, _ = forward(tiny_params, tiny_cfg, seq, mode)
+            np.testing.assert_allclose(hidden.data[at: at + len(seq)], h.data,
                                        rtol=0, atol=1e-12)
-            at += n
+            at += len(seq)
 
-    def test_pad_tokens_do_not_leak(self, tiny_cfg, tiny_params):
-        # masked weights are exactly 0, so changing what sits at pad
-        # positions leaves every real position bit-identical
-        a = forward_batch(tiny_params, tiny_cfg, self.ROWS,
-                          AttentionMode.BIDIRECTIONAL, self.PADS)
-        rows = [[3, 4, 5, 6, 7], [8, 2, 9, 7, 6], [5, 5, 1, 10, 9]]
-        b = forward_batch(tiny_params, tiny_cfg, rows,
-                          AttentionMode.BIDIRECTIONAL, self.PADS)
-        np.testing.assert_array_equal(a.data, b.data)
+    def test_other_sequences_do_not_leak(self, tiny_cfg, tiny_params):
+        # masked weights are exactly 0, so changing the tokens of the other
+        # sequences leaves every row of the first bit-identical
+        a = forward_batch(tiny_params, tiny_cfg, self.SEQS,
+                          AttentionMode.BIDIRECTIONAL)
+        seqs = [[3, 4, 5, 6, 7], [1, 1, 6], [9, 2, 2, 4]]
+        b = forward_batch(tiny_params, tiny_cfg, seqs,
+                          AttentionMode.BIDIRECTIONAL)
+        np.testing.assert_array_equal(a.data[:5], b.data[:5])
+        assert not np.array_equal(a.data[5:], b.data[5:])
 
     def test_unpadded_batch_keeps_every_position(self, tiny_cfg, tiny_params):
         hidden = forward_batch(tiny_params, tiny_cfg, self.ROWS,
@@ -237,16 +236,9 @@ class TestForwardBatch:
             logits.data, lm_head(tiny_params, h).data, rtol=0,
             atol=0)
 
-    def test_ragged_rows_rejected(self, tiny_cfg, tiny_params):
-        # numpy refuses to make one [B, T] array of them
-        with pytest.raises(ValueError, match="inhomogeneous"):
-            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5], [3, 4]],
-                          AttentionMode.CAUSAL)
-
-    def test_pad_shape_mismatch_rejected(self, tiny_cfg, tiny_params):
-        with pytest.raises(ValueError, match="pad masks"):
-            forward_batch(tiny_params, tiny_cfg, [[3, 4, 5]],
-                          AttentionMode.CAUSAL, [[True, True]])
+    def test_empty_batch_rejected(self, tiny_cfg, tiny_params):
+        with pytest.raises(ValueError, match="empty batch"):
+            forward_batch(tiny_params, tiny_cfg, [], AttentionMode.CAUSAL)
 
 
 class TestForward:

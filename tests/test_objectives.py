@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bplm import tensor as T
 from bplm.data import PAD_ID, BatchStream, CorpusSpec, gen_corpus, pad_rows
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
-from bplm.objectives import (IGNORE_INDEX, LmBatch, MaskingPlan, Objective,
-                             clm_loss, mlm_loss, pretrain_loss, select_mask)
+from bplm.objectives import (LmBatch, MaskingPlan, Objective, clm_loss,
+                             mlm_loss, pretrain_loss, select_mask)
 from bplm.tensor import Tape, Tensor, backward
 
 BIG = 1e9
@@ -31,10 +31,10 @@ class TestSelectMask:
         assert abs(n - 4000) <= 3 * sd
 
     def test_pads_never_masked(self, rng):
-        tokens = [5, 6, 0, 0]
-        pad = [True, True, False, False]
+        # a row's plan is drawn over its real tokens alone
+        batch = LmBatch([[5, 6, 0, 0]], [[True, True, False, False]])
         for _ in range(50):
-            plan = select_mask(tokens, 0.9, rng, 1, pad)
+            plan = select_mask(batch.seqs[0], 0.9, rng, 1)
             assert all(p < 2 for p in plan.masked_positions)
 
     def test_deterministic_in_seed(self):
@@ -84,6 +84,18 @@ class TestMlmLoss:
         with pytest.raises(ValueError):
             mlm_loss(Tensor(np.zeros((2, 4))), MaskingPlan(1, [], []))
 
+    @pytest.mark.parametrize("positions", [[-1], [3], [1, 1]])
+    def test_plan_outside_the_row_or_repeated_rejected(self, tiny_cfg,
+                                                       tiny_params, positions):
+        # -1 would score the row's last token, 3 lies past the row and a
+        # repeated position would be scored twice; both losses refuse each
+        plan = MaskingPlan(1, positions, [2] * len(positions))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            mlm_loss(Tensor(np.zeros((3, 4))), plan)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
+                          LmBatch([[3, 4, 5]], [[True] * 3], [plan]))
+
     def test_gradient_zero_at_unmasked(self, rng):
         logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
         plan = MaskingPlan(1, [1, 3], [2, 6])
@@ -105,21 +117,18 @@ class TestClmLoss:
         with pytest.raises(ValueError):
             clm_loss(Tensor(np.zeros((1, 4))), [1])
 
-    def test_pad_targets_ignored(self):
-        # prediction into a pad position contributes nothing
-        logits = np.zeros((4, 4))
-        logits[2] = 99.0  # would-be prediction of the pad target
-        value = clm_loss(Tensor(logits), [1, 2, 3, 0],
-                         [True, True, True, False]).item()
-        assert abs(value - math.log(4)) < 1e-12
+    def test_one_row_of_logits_per_token(self):
+        with pytest.raises(ValueError, match="one row of logits per token"):
+            clm_loss(Tensor(np.zeros((4, 4))), [1, 2, 3])
 
     def test_shift_identity(self, rng):
         # internal consistency: equals cross entropy on shifted targets
+        # over every position but the last
         tokens = [3, 1, 2, 3]
-        logits = Tensor(rng.normal(size=(4, 4)))
-        targets = [1, 2, 3, IGNORE_INDEX]
-        direct = T.cross_entropy_from_logits(logits, targets).item()
-        assert clm_loss(logits, tokens).item() == direct
+        logits = rng.normal(size=(4, 4))
+        direct = T.cross_entropy_from_logits(Tensor(logits[:3]),
+                                             [1, 2, 3]).item()
+        assert clm_loss(Tensor(logits), tokens).item() == direct
 
 
 class TestPretrainLoss:
@@ -162,15 +171,8 @@ class TestPretrainLoss:
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
                           LmBatch([], []))
 
-    def test_clm_row_without_adjacent_real_pair_rejected(self, tiny_cfg,
-                                                         tiny_params):
-        with pytest.raises(ValueError, match="empty loss"):
-            pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
-                          LmBatch([[3, 4, 5], [3, 0, 5]],
-                                  [[True] * 3, [True, False, True]]))
-
     def test_short_clm_row_rejected(self, tiny_cfg, tiny_params):
-        with pytest.raises(ValueError, match="2 non-pad"):
+        with pytest.raises(ValueError, match="at least 2 tokens"):
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
                           LmBatch([[3, 4], [3, 0]],
                                   [[True, True], [True, False]]))
@@ -184,6 +186,13 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match="one shape"):
             LmBatch([[3, 4, 5], [3, 4, 0]], [[True] * 2] * 2)
 
+    @pytest.mark.parametrize("pads", [
+        [[True] * 3, [False, True, True]],   # a leading pad
+        [[True] * 3, [True, False, True]]])  # a hole
+    def test_pads_not_at_the_end_rejected(self, pads):
+        with pytest.raises(ValueError, match="real tokens first"):
+            LmBatch([[3, 4, 5], [3, 4, 5]], pads)
+
     @pytest.mark.parametrize("objective", list(Objective))
     def test_list_and_array_batches_agree(self, tiny_cfg, tiny_params,
                                           objective):
@@ -192,8 +201,8 @@ class TestPretrainLoss:
         rows = [s + [PAD_ID] * (6 - len(s)) for s in seqs]
         pads = [[True] * len(s) + [False] * (6 - len(s)) for s in seqs]
         tokens, real = pad_rows(seqs, PAD_ID)
-        plans = [select_mask(r, 0.4, np.random.default_rng(i), 1, p)
-                 for i, (r, p) in enumerate(zip(rows, pads))]
+        plans = [select_mask(s, 0.4, np.random.default_rng(i), 1)
+                 for i, s in enumerate(seqs)]
         from_lists = LmBatch(rows, pads, plans)
         from_arrays = LmBatch(tokens, real, plans)
         assert from_arrays.rows.dtype == np.int64
@@ -219,7 +228,7 @@ class TestPretrainLoss:
         pads = [[t != 0 for t in r] for r in rows]
         plans = [MaskingPlan(1, [0, 2], [3, 5]),
                  MaskingPlan(1, [1, position], [2, 0])]
-        with pytest.raises(ValueError, match="row 1: masking plan selects"):
+        with pytest.raises(ValueError, match="row 1: masking plan positions"):
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
                           LmBatch(rows, pads, plans))
 
@@ -240,7 +249,7 @@ class TestPretrainLoss:
         rows = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3, 0, 0, 0, 0],
                 [4, 4, 5, 6, 10, 0, 0], [7, 6, 0, 0, 0, 0, 0]]
         pads = [[t != 0 for t in r] for r in rows]
-        plans = [select_mask(r, 0.5, np.random.default_rng(i), 1, p)
+        plans = [select_mask(r[:sum(p)], 0.5, np.random.default_rng(i), 1)
                  for i, (r, p) in enumerate(zip(rows, pads))]
         with Tape() as tape:
             loss = pretrain_loss(objective, tiny_params, tiny_cfg,
@@ -258,8 +267,7 @@ class TestPretrainLoss:
                                        min_len=16, max_len=48, seed=5))
         batch = BatchStream(corpus.sequences, 4, 16, 48, PAD_ID, 0).batch(0)
         rng = np.random.default_rng(0)
-        plans = [select_mask(r, 0.4, rng, 1, p)
-                 for r, p in zip(batch.rows, batch.pad_masks)]
+        plans = [select_mask(s, 0.4, rng, 1) for s in batch.seqs]
         for objective in Objective:
             with Tape() as tape:
                 pretrain_loss(objective, params, cfg,
@@ -274,7 +282,7 @@ class TestPretrainLoss:
         # row per padded position (B*T = 18)
         rows = [[3, 4, 5, 6, 7, 8], [9, 2, 3, 0, 0, 0], [4, 4, 5, 6, 0, 0]]
         pads = [[True] * 6, [True] * 3 + [False] * 3, [True] * 4 + [False] * 2]
-        plans = [select_mask(r, 0.4, np.random.default_rng(i), 1, p)
+        plans = [select_mask(r[:sum(p)], 0.4, np.random.default_rng(i), 1)
                  for i, (r, p) in enumerate(zip(rows, pads))]
         with Tape() as tape:
             pretrain_loss(objective, tiny_params, tiny_cfg,
@@ -339,15 +347,13 @@ class TestBatchedMatchesPerRow:
     @staticmethod
     def per_row_loss(objective, params, cfg, batch):
         losses = []
-        # rows are right-padded, so row[:n] holds every real token
-        for i, (row, pad) in enumerate(zip(batch.rows, batch.pad_masks)):
-            n = sum(pad)
+        for i, seq in enumerate(batch.seqs):
             if objective is Objective.CLM:
-                _, logits = forward(params, cfg, row[:n], AttentionMode.CAUSAL)
-                losses.append(clm_loss(logits, row[:n]))
+                _, logits = forward(params, cfg, seq, AttentionMode.CAUSAL)
+                losses.append(clm_loss(logits, seq))
             else:
                 plan = batch.plans[i]
-                _, logits = forward(params, cfg, plan.apply(row)[:n],
+                _, logits = forward(params, cfg, plan.apply(seq),
                                     AttentionMode.BIDIRECTIONAL)
                 losses.append(mlm_loss(logits, plan))
         total = losses[0]
@@ -366,7 +372,8 @@ class TestBatchedMatchesPerRow:
                           kv_heads=kv_heads, vocab_size=11, max_seq_len=16)
         params = init_params(cfg, seed)
         rows, pads = batch
-        plans = [select_mask(r, 0.4, np.random.default_rng([seed, i]), 1, p)
+        plans = [select_mask(r[:sum(p)], 0.4,
+                             np.random.default_rng([seed, i]), 1)
                  for i, (r, p) in enumerate(zip(rows, pads))]
         lm = LmBatch(rows, pads, plans)
         results = []

@@ -107,32 +107,15 @@ class TestCrossEntropy:
         out = T.cross_entropy_from_logits(t([[0.0, 0.0]]), [0])
         assert abs(out.item() - math.log(2)) < 1e-15
 
-    def test_masked_mean(self):
-        # one ignored row plus one uniform V=4 row -> mean over the kept row
-        logits = t(np.vstack([np.full(4, 9.9), np.zeros(4)]))
-        out = T.cross_entropy_from_logits(logits, [-100, 1])
-        assert abs(out.item() - math.log(4)) < 1e-15
-
-    def test_all_ignored_is_error(self):
+    def test_no_rows_is_error(self):
         with pytest.raises(ValueError, match="empty loss"):
-            T.cross_entropy_from_logits(t(np.zeros((2, 3))), [-100, -100])
+            T.cross_entropy_from_logits(t(np.zeros((0, 3))), [])
 
-    def test_ignored_values_are_irrelevant(self, rng):
-        base = rng.normal(size=(3, 5))
-        targets = [2, -100, 4]
-        x1 = t(base.copy(), grad=True)
-        with Tape() as tape:
-            l1 = T.cross_entropy_from_logits(x1, targets)
-        backward(l1, tape)
-        noisy = base.copy()
-        noisy[1] = rng.normal(size=5) * 100
-        x2 = t(noisy, grad=True)
-        with Tape() as tape:
-            l2 = T.cross_entropy_from_logits(x2, targets)
-        backward(l2, tape)
-        assert l1.item() == l2.item()
-        np.testing.assert_array_equal(x1.grad, x2.grad)
-        np.testing.assert_array_equal(x1.grad[1], np.zeros(5))
+    @pytest.mark.parametrize("target", [-100, -1, 3])
+    def test_target_out_of_range_is_error(self, target):
+        # every row is scored: no target value, -100 included, is skipped
+        with pytest.raises(ValueError, match="out of range"):
+            T.cross_entropy_from_logits(t(np.zeros((2, 3))), [0, target])
 
 
 class TestMeanPool:
@@ -293,7 +276,7 @@ class TestGradCheck:
             T.swiglu(Tensor(np.linspace(-2, 2, 32).reshape(4, 8)), x)),
             (4, 8)),
         "cross_entropy": (lambda x: T.cross_entropy_from_logits(
-            x, [0, 2, -100, 7]), (4, 8)),
+            x, [0, 2, 5, 7]), (4, 8)),
         "mean_pool": (lambda x: sum_all(
             mul(T.mean_pool(x, [1, 3]),
                   Tensor(np.arange(16.0).reshape(2, 8)))), (4, 8)),
@@ -446,10 +429,9 @@ def per_head_attention(q, k, v, mask, heads, kv_heads, theta):
 
 
 def additive_mask(pad, causal):
-    """per_head_attention's [B, T, T] mask: 0 where a query may attend a key
-    (a real key, and with causal one at or before the query), NEG_INF
-    elsewhere."""
-    pad = np.asarray(pad, dtype=bool)
+    """per_head_attention's [B, T, T] mask, given the [B, T] real-position
+    mask pad: 0 where a query may attend a key (a real key, and with causal
+    one at or before the query), NEG_INF elsewhere."""
     seq_len = pad.shape[1]
     allowed = np.broadcast_to(pad[:, None, :], (len(pad), seq_len, seq_len))
     if causal:
@@ -457,12 +439,14 @@ def additive_mask(pad, causal):
     return np.where(allowed, 0.0, T.NEG_INF)
 
 
-def check_against_per_head(pad, causal, kv_heads, rng):
-    """gqa_attention on the real positions' q, k and v, with their pad mask,
-    equals per_head_attention on the full [B*T] grid at the real rows, in
-    the output and the q/k/v gradients, within 1e-12."""
+def check_against_per_head(lengths, causal, kv_heads, rng, width=None):
+    """gqa_attention on the q, k and v of B sequences of the given lengths
+    equals per_head_attention on them padded at the end to width (the
+    longest by default), a [B*width] grid, at the real rows, in the output
+    and the q/k/v gradients, within 1e-12."""
     heads, hd = 4, 4
-    real = np.asarray(pad, dtype=bool).reshape(-1)
+    pad = np.arange(width or max(lengths)) < np.array(lengths)[:, None]
+    real = pad.reshape(-1)
     grid = [rng.normal(size=(real.size, w * hd))
             for w in (heads, kv_heads, kv_heads)]
     probe = rng.normal(size=(real.size, heads * hd))
@@ -477,8 +461,8 @@ def check_against_per_head(pad, causal, kv_heads, rng):
         backward(loss, tape)
         return [out.data] + [x.grad for x in inputs]
 
-    packed = run(lambda *x: T.gqa_attention(*x, pad, causal, heads, kv_heads,
-                                            100.0),
+    packed = run(lambda *x: T.gqa_attention(*x, lengths, causal, heads,
+                                            kv_heads, 100.0),
                  [a[real] for a in grid], real)
     reference = run(lambda *x: per_head_attention(*x, mask, heads, kv_heads,
                                                   100.0), grid, slice(None))
@@ -487,12 +471,11 @@ def check_against_per_head(pad, causal, kv_heads, rng):
 
 
 CAUSAL, BIDIRECTIONAL = AttentionMode.CAUSAL, AttentionMode.BIDIRECTIONAL
-GQA_CASES = {  # name: (pad, causal)
-    "causal": ([[True] * 4] * 2, True),
-    "bidirectional": ([[True] * 4] * 2, False),
-    "ragged_causal": ([[True] * 4, [True, True, False, False]], True),
-    "ragged_bidirectional": ([[True, True, True, False],
-                              [True, False, False, False]], False),
+GQA_CASES = {  # name: (lengths, causal)
+    "causal": ([4, 4], True),
+    "bidirectional": ([4, 4], False),
+    "ragged_causal": ([4, 2], True),
+    "ragged_bidirectional": ([3, 1], False),
 }
 
 
@@ -502,43 +485,45 @@ class TestGqaAttention:
     def test_matches_per_head_composition(self, mask_name, kv_heads, rng):
         check_against_per_head(*GQA_CASES[mask_name], kv_heads, rng)
 
-    @pytest.mark.parametrize("pads", [
-        [[True] * 4, [True, True, False, False]],
-        [[True, True, True, False], [True, False, False, False]],
-        [[True, False, False, False], [True, True, True, True]],
-        # a two-row run of length 3 beside single rows: lengths 3, 3, 1, 3
-        [[True] * 3 + [False]] * 2 + [[True] + [False] * 3,
-                                      [True] * 3 + [False]],
-        [[False, True, True, True], [True, False, True, True]],  # pads inside
-        [[True, True, False, False]] * 3])  # one padded run
+    @pytest.mark.parametrize("lengths, width", [
+        ([4, 2], None), ([3, 1], None), ([1, 4], None),
+        # a two-row run of length 3 beside single rows
+        ([3, 3, 1, 3], 4),
+        ([2, 2, 2], 4)])  # one run, against a padded reference
     @pytest.mark.parametrize("mode", [CAUSAL, BIDIRECTIONAL])
     @pytest.mark.parametrize("kv_heads", [1, 2, 4])
-    def test_packed_rows_match_padded_op(self, pads, mode, kv_heads, rng):
-        check_against_per_head(pads, mode is CAUSAL, kv_heads, rng)
+    def test_packed_rows_match_padded_op(self, lengths, width, mode,
+                                         kv_heads, rng):
+        check_against_per_head(lengths, mode is CAUSAL, kv_heads, rng, width)
 
     @pytest.mark.parametrize("mode", [CAUSAL, BIDIRECTIONAL])
-    def test_trailing_pad_columns_change_nothing(self, mode, rng):
-        # all-pad columns add no real key and move no real position, so the
-        # output and the q/k/v gradients keep every bit
-        pad = [[True] * 3 + [False]] * 2 + [[True] * 2 + [False] * 2,
-                                            [True] * 4]
+    def test_each_run_alone_changes_nothing(self, mode, rng):
+        # the runs of a batch of mixed lengths rotate by rows gathered from
+        # a longer RoPE table; a run of one length alone reads its own table
+        # as it is, and the output and the q/k/v gradients keep every bit
         heads, kv_heads, hd = 4, 2, 4
-        n = sum(map(sum, pad))
-        qkv = [rng.normal(size=(n, w * hd)) for w in (heads, kv_heads, kv_heads)]
-        probe = Tensor(rng.normal(size=(n, heads * hd)))
+        runs = [[3, 3], [2], [4]]
+        lengths = [n for run in runs for n in run]
+        qkv = [rng.normal(size=(sum(lengths), w * hd))
+               for w in (heads, kv_heads, kv_heads)]
+        probe = rng.normal(size=(sum(lengths), heads * hd))
 
-        def run(pad):
-            inputs = [t(a, grad=True) for a in qkv]
+        def run(lengths, rows):
+            inputs = [t(a[rows], grad=True) for a in qkv]
             with Tape() as tape:
-                out = T.gqa_attention(*inputs, pad, mode is CAUSAL, heads,
+                out = T.gqa_attention(*inputs, lengths, mode is CAUSAL, heads,
                                       kv_heads, 100.0)
-                loss = sum_all(mul(out, probe))
+                loss = sum_all(mul(out, Tensor(probe[rows])))
             backward(loss, tape)
             return [out.data] + [x.grad for x in inputs]
 
-        wide = [row + [False] * 5 for row in pad]
-        for a, b in zip(run(pad), run(wide)):
-            assert np.array_equal(a, b)
+        whole = run(lengths, slice(None))
+        at, alone = 0, []
+        for lens in runs:
+            alone.append(run(lens, slice(at, at + sum(lens))))
+            at += sum(lens)
+        for i, a in enumerate(whole):
+            assert np.array_equal(a, np.concatenate([b[i] for b in alone]))
 
     def test_causal_mask_is_cached_read_only(self):
         mask = T._causal_mask(3, 2)
@@ -552,33 +537,31 @@ class TestGqaAttention:
             mask[0, 0] = 1.0
 
     def test_shape_mismatch_rejected(self):
-        # q, k and v must each have one row per real position: pad.sum()
-        pad = [[True] * 4, [True, True, False, False]]
+        # q, k and v must each have one row per position: sum(lengths)
+        lengths = [4, 2]
         good = [t(np.ones((6, w))) for w in (8, 4, 4)]
-        T.gqa_attention(*good, pad, True, 2, 1, 100.0)
+        T.gqa_attention(*good, lengths, True, 2, 1, 100.0)
         for i in range(3):
-            for rows in (5, 8):  # one short, and the whole [B*T] grid
+            for rows in (5, 8):  # one short, and a [B*T] grid
                 args = list(good)
                 args[i] = t(np.ones((rows, args[i].data.shape[1])))
                 with pytest.raises(ValueError, match="shape"):
-                    T.gqa_attention(*args, pad, True, 2, 1, 100.0)
+                    T.gqa_attention(*args, lengths, True, 2, 1, 100.0)
 
-    def test_bad_real_index_rejected(self):
-        # the real positions come from pad: it must be [B, T] with a real
-        # position in every row
+    def test_bad_lengths_rejected(self):
+        # lengths must be a non-empty list with no empty sequence
         q, kv = t(np.ones((4, 8))), t(np.ones((4, 4)))
-        for pad in ([True] * 4, [[[True] * 2] * 2]):
-            with pytest.raises(ValueError, match=r"\[B, T\]"):
-                T.gqa_attention(q, kv, kv, pad, True, 2, 1, 100.0)
-        with pytest.raises(ValueError, match="padded"):
-            T.gqa_attention(q, kv, kv, [[True] * 4, [False] * 4], True, 2, 1,
-                            100.0)
+        for lengths in ([], [[2, 2]]):
+            with pytest.raises(ValueError, match="non-empty list"):
+                T.gqa_attention(q, kv, kv, lengths, True, 2, 1, 100.0)
+        with pytest.raises(ValueError, match="empty sequence"):
+            T.gqa_attention(q, kv, kv, [4, 0], True, 2, 1, 100.0)
 
 
 class TestWeightedCrossEntropy:
     def test_weights_give_mean_of_row_means(self, rng):
         logits = rng.normal(size=(5, 3))
-        targets = [0, 2, -100, 1, 1]
+        targets = [0, 2, 1, 1, 1]
         weights = [0.25, 0.25, 0.0, 0.5, 0.0]
         value = T.cross_entropy_from_logits(t(logits), targets,
                                             weights=weights).item()
@@ -588,7 +571,7 @@ class TestWeightedCrossEntropy:
 
     def test_weighted_gradient(self):
         anchored = lambda x: T.add(T.cross_entropy_from_logits(  # noqa: E731
-            x, [0, 2, -100, 7], weights=[0.1, 0.7, 5.0, 0.2]), sum_all(x))
+            x, [0, 2, 5, 7], weights=[0.1, 0.7, 5.0, 0.2]), sum_all(x))
         for seed in range(10):
             x = t(np.random.default_rng(seed).normal(size=(4, 8)), grad=True)
             assert grad_check(anchored, x, eps=1e-5) < 1e-6, f"seed {seed}"

@@ -11,7 +11,8 @@ copy: in an A/A test on pretrain-clm the same code read 1-2% slower run
 from the checkout than from an export. Runs each tree's own
 ``benchmark/run.py`` on every workload and seed, alternating which side
 runs first from one seed to the next, for BENCHMARK.json's ``run_seconds``
-each, and removes the copies at the end. A run that reports
+each, and removes the copies at the end, also when SIGTERM stops it (the
+run it was waiting on is killed). A run that reports
 ``"correct": false`` stops the tool with a message naming its side,
 workload and seed.
 Writes ``BENCH_<label>.json`` at the root of this checkout: per-seed rows
@@ -30,6 +31,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -162,6 +164,12 @@ def summarize(rows, metrics):
     return out
 
 
+def stop(signum, frame):
+    """SIGTERM as SystemExit: subprocess.run kills the run it waits on, and
+    main's finally removes the exported trees."""
+    sys.exit(f"bench_ab: stopped by signal {signum}")
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
@@ -179,6 +187,7 @@ def main(argv=None):
     dirty = bool(git("status", "--porcelain", "--", "src", "benchmark"))
     revs = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "head": git("stash", "create") or head_rev}
+    signal.signal(signal.SIGTERM, stop)
     tmp = tempfile.mkdtemp(prefix="bench_ab-")
     try:
         trees = {side: os.path.join(tmp, side) for side in revs}
