@@ -314,9 +314,9 @@ class TestEncode:
 class TestPerTokenWork:
     @pytest.mark.parametrize("task", ["SC", "TC", "QA", "IR"])
     def test_runs_on_real_tokens_only(self, task):
-        # in a padded step every RMSNorm node holds the N real tokens and no
-        # node holds a row per padded position, but QA's [B*W, 2] grid of
-        # start and end scores
+        # in a step of mixed lengths every RMSNorm node holds the N tokens
+        # and no node holds a row per position of a padded [B*W] grid, but
+        # QA's [B*W, 2] grid of start and end scores
         ds = gen_task_data(task, 40, 0)
         if task == "IR":
             shape = [(5, 16, (16, 7, 11)), (2, 9, ()), (4, 12, (5, 14))]
