@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (BatchStream, CorpusSpec, MASK_ID, PAD_ID, gen_corpus,
+from .data import (BatchStream, CorpusSpec, MASK_ID, gen_corpus,
                    load_task_dataset)
 from .finetune import (REPORT_FIELDS, GridSearchSpec, ci95_half_width,
                        run_grid_search, write_report)
@@ -150,13 +150,12 @@ def _train(args) -> int:
             raise CliError(f"[train] clm_fraction must lie in [0, 1], "
                            f"got {t['clm_fraction']}")
         clm_steps = int(steps * t["clm_fraction"])
-        plan = [(o, n) for o, n in ((Objective.CLM, clm_steps),
-                                    (Objective.MLM, steps - clm_steps)) if n]
+        plan = [(Objective.CLM, clm_steps), (Objective.MLM, steps - clm_steps)]
         schedule = WsdSchedule(
             peak_lr=t["peak_lr"], warmup_steps=t["warmup_steps"],
             total_steps=steps, decay_steps=t["decay_steps"])
     mask_ratio = t["mask_ratio"]
-    if Objective.MLM in dict(plan) and not args.allow_nonstudy:
+    if (cpt or dict(plan)[Objective.MLM]) and not args.allow_nonstudy:
         if not any(abs(mask_ratio - r) < 1e-12 for r in STUDY_MASK_RATIOS):
             raise CliError(
                 f"masking ratio {mask_ratio} outside the study set "
@@ -171,7 +170,7 @@ def _train(args) -> int:
         cfg["data"]["max_len"], model_cfg.max_seq_len)))
     corpus = gen_corpus(spec)
     stream = BatchStream(corpus.sequences, t["batch_rows"],
-                         spec.min_len, spec.max_len, PAD_ID, train_cfg.seed)
+                         spec.min_len, spec.max_len, train_cfg.seed)
 
     trace: list = []
     if cpt:

@@ -163,45 +163,41 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     return Corpus(sequences, entropy, P)
 
 
-def pad_rows(seqs: Sequence[Sequence[int]], pad_id: int
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """B sequences padded at the end with pad_id to the longest, W: the
-    [B, W] int64 tokens and the [B, W] mask, True at each sequence's own."""
-    lengths = [len(s) for s in seqs]
-    tokens = np.full((len(seqs), max(lengths, default=0)), pad_id,
-                     dtype=np.int64)
-    for row, seq in zip(tokens, seqs):
-        row[:len(seq)] = seq
-    return tokens, np.arange(tokens.shape[1]) < np.array(lengths)[:, None]
-
-
 class BatchStream:
     """Deterministic, randomly-accessible stream of LmBatch values.
 
     batch(step) depends only on (seed, step), which makes mid-run resumes
     exact: a resumed runner regenerates precisely the batches it would have
-    seen.
+    seen. The pool's sequences are read-only int64 arrays, which batches
+    hold without a copy.
     """
 
     def __init__(self, sequences: Sequence[Sequence[int]], batch_rows: int,
-                 min_len: int, max_len: int, pad_id: int, seed: int):
+                 min_len: int, max_len: int, seed: int):
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
-        self.pool = [list(s)[:max_len] for s in sequences if len(s) >= min_len]
+        if max_len < min_len:
+            raise ValueError(f"max_len {max_len} < min_len {min_len}")
+        self.pool = [np.array(s[:max_len], dtype=np.int64)
+                     for s in sequences if len(s) >= min_len]
+        for seq in self.pool:
+            seq.flags.writeable = False
         self.discarded = len(sequences) - len(self.pool)
         if not self.pool:
             raise ValueError("no sequences of at least min_len tokens")
         self.batch_rows = batch_rows
-        self.pad_id = pad_id
         self.seed = seed
 
     def batch(self, step: int) -> LmBatch:
         rng = np.random.default_rng([self.seed, step])
         idx = rng.integers(0, len(self.pool), size=self.batch_rows)
-        return LmBatch(*pad_rows([self.pool[i] for i in idx], self.pad_id))
+        return LmBatch([self.pool[i] for i in idx])
 
 
-pack_batches = BatchStream  # alias: benchmark/workloads.py calls this name
+def pack_batches(sequences, batch_rows, min_len, max_len, pad_id, seed):
+    """BatchStream under the name and signature benchmark/workloads.py
+    calls; pad_id is unused, since batches hold their sequences unpadded."""
+    return BatchStream(sequences, batch_rows, min_len, max_len, seed)
 
 
 # ---------------------------------------------------------------------------

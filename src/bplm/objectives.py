@@ -46,27 +46,21 @@ class MaskingPlan:
 
 @dataclass
 class LmBatch:
-    rows: np.ndarray       # [B, T] int64 token ids, pads at the end
-    pad_masks: np.ndarray  # [B, T] bool, True where real token
+    seqs: List[np.ndarray]  # B int64 token sequences, each of any length
     plans: Optional[List[MaskingPlan]] = None  # MLM only
 
     def __post_init__(self):
-        # lists of rows are converted; numpy refuses rows of mixed length
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.pad_masks = np.asarray(self.pad_masks, dtype=bool)
-        if self.rows.ndim != 2 or self.pad_masks.shape != self.rows.shape:
-            raise ValueError("rows and pad_masks must be [B, T] arrays of "
-                             "one shape")
-        self.lengths = self.pad_masks.sum(axis=1)
-        if (self.pad_masks != (np.arange(self.rows.shape[1])
-                               < self.lengths[:, None])).any():
-            raise ValueError("pad_masks must mark each row's real tokens "
-                             "first and its pads after them")
+        # int64 arrays pass through uncopied; lists are converted
+        self.seqs = [np.asarray(s, dtype=np.int64) for s in self.seqs]
+        if any(s.ndim != 1 for s in self.seqs):
+            raise ValueError("each sequence must be a 1-D token array")
+        self.lengths = np.array([s.size for s in self.seqs], dtype=np.int64)
 
     @property
-    def seqs(self) -> List[np.ndarray]:
-        """Each row's real tokens."""
-        return [row[:n] for row, n in zip(self.rows, self.lengths)]
+    def pad_masks(self) -> np.ndarray:
+        """[B, T] bool, True at each row's real tokens when right-padded to
+        the longest; read only by benchmark/workloads.py."""
+        return np.arange(self.lengths.max(initial=0)) < self.lengths[:, None]
 
 
 def select_mask(tokens: Sequence[int], ratio: float, rng: np.random.Generator,
@@ -145,7 +139,7 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
     rows = len(batch.lengths)
     if not rows:
         raise ValueError("empty batch")
-    tokens = batch.rows[batch.pad_masks]  # the real tokens, row after row
+    tokens = np.concatenate(batch.seqs)  # the real tokens, row after row
     ends = np.cumsum(batch.lengths)
     if objective is Objective.CLM:
         mode = AttentionMode.CAUSAL

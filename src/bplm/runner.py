@@ -61,7 +61,9 @@ class TrainConfig:
         planned = sum(steps for _, steps in self.objective_plan)
         if planned != self.schedule.total_steps:
             raise ValueError("objective plan must cover schedule.total_steps")
-        phases = [(obj, n) for obj, n in self.objective_plan if n > 0]
+        # a zero-step phase runs nothing, so a plan holds none
+        self.objective_plan = [(o, n) for o, n in self.objective_plan if n]
+        phases = self.objective_plan
         if len(phases) == 2:
             if phases[0][0] is not Objective.CLM or phases[1][0] is not Objective.MLM:
                 raise ValueError("biphasic plans run CLM first, then MLM")
@@ -82,10 +84,9 @@ class TrainConfig:
 
     def switch_step(self) -> Optional[int]:
         """Global step at which a two-phase plan switches, else None."""
-        phases = [(obj, n) for obj, n in self.objective_plan if n > 0]
-        if len(phases) != 2:
+        if len(self.objective_plan) != 2:
             return None
-        return phases[0][1]
+        return self.objective_plan[0][1]
 
 
 @dataclass
@@ -111,7 +112,7 @@ def _mask_batch(batch: LmBatch, ratio: float, mask_id: int, seed: int,
     plans = [select_mask(tokens, ratio,
                          np.random.default_rng([seed, step, row_idx]), mask_id)
              for row_idx, tokens in enumerate(batch.seqs)]
-    return LmBatch(batch.rows, batch.pad_masks, plans)
+    return LmBatch(batch.seqs, plans)
 
 
 def _masked_fraction(batch: LmBatch) -> float:
@@ -125,7 +126,7 @@ def _check_start(start: Checkpoint, cfg: TrainConfig,
                  model_cfg: ModelConfig) -> None:
     """A start checkpoint must come from a run under the same config, its
     history ending in the plan's phases (CPT's "cpt" marker aside)."""
-    plan = [(obj.value, n) for obj, n in cfg.objective_plan if n > 0]
+    plan = [(obj.value, n) for obj, n in cfg.objective_plan]
     ran = [(h["objective"], h["steps"]) for h in start.objective_history]
     for name, have, want in (
             ("model_config", start.model_config, model_cfg),
@@ -153,7 +154,7 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
         start = Checkpoint(
             model_cfg, init_params(model_cfg, cfg.seed), AdamWState(),
             cfg.schedule, 0, [{"objective": obj.value, "steps": steps}
-                              for obj, steps in cfg.objective_plan if steps > 0],
+                              for obj, steps in cfg.objective_plan],
             cfg.seed, cfg.mask_ratio)
     _check_start(start, cfg, model_cfg)
     # adamw_step moves params and moments into buffers of its own at its

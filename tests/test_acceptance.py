@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from bplm import tensor as T
-from bplm.data import (MASK_ID, NUM_RESERVED, PAD_ID, BatchStream,
+from bplm.data import (MASK_ID, NUM_RESERVED, BatchStream,
                        CorpusSpec, gen_corpus, gen_task_data)
 from bplm.finetune import (GridSearchSpec, accuracy, ci95_half_width,
                            entity_f1, evaluate, finetune_one, ndcg_at_10,
@@ -124,8 +124,8 @@ class TestC1GradientCorrectness:
         tokens = [3, 7, 5, 9, 4, 6]
         plan = select_mask(tokens, 0.4, np.random.default_rng(1), MASK_ID)
         batches = {
-            Objective.CLM: LmBatch([tokens], [[True] * 6]),
-            Objective.MLM: LmBatch([tokens], [[True] * 6], [plan]),
+            Objective.CLM: LmBatch([tokens]),
+            Objective.MLM: LmBatch([tokens], [plan]),
         }
         params = init_params(GRAD_CFG, 0)
         for objective, batch in batches.items():
@@ -386,7 +386,7 @@ class TestC7LearnabilityFloor:
         pattern_corpus = gen_corpus(CorpusSpec(
             num_symbols=3, transition=((0, 1, 0), (0, 0, 1), (1, 0, 0)),
             target_tokens=30_000, min_len=16, max_len=48))
-        stream = BatchStream(pattern_corpus.sequences, 4, 16, 48, PAD_ID, 0)
+        stream = BatchStream(pattern_corpus.sequences, 4, 16, 48, 0)
         cfg = TrainConfig(objective_plan=[(Objective.CLM, 2000)],
                           schedule=WsdSchedule(1e-3, 200, 2000, 100))
         trace = []
@@ -398,7 +398,7 @@ class TestC7LearnabilityFloor:
         markov = gen_corpus(CorpusSpec(num_symbols=6, seed=5,
                                        target_tokens=60_000, min_len=16,
                                        max_len=48))
-        stream = BatchStream(markov.sequences, 4, 16, 48, PAD_ID, 0)
+        stream = BatchStream(markov.sequences, 4, 16, 48, 0)
         cfg = TrainConfig(objective_plan=[(Objective.CLM, 2000)],
                           schedule=WsdSchedule(1e-3, 200, 2000, 100))
         final = run_pfs(cfg, stream, DESK_CFG)
@@ -428,7 +428,7 @@ class TestC8RegimeIdentities:
         def stream():
             corpus = gen_corpus(CorpusSpec(num_symbols=5, target_tokens=4000,
                                            min_len=8, max_len=16))
-            return BatchStream(corpus.sequences, 2, 8, 16, PAD_ID, 0)
+            return BatchStream(corpus.sequences, 2, 8, 16, 0)
 
         sched = WsdSchedule(1e-3, 4, 30, 4)
 
@@ -523,7 +523,7 @@ class TestC10DirectionalTrend:
         spec = GridSearchSpec(learning_rates=(1e-3,), seeds=(0, 1, 2, 3, 4))
         means = {}
         for name, plan in plans.items():
-            stream = BatchStream(corpus.sequences, 4, 16, 48, PAD_ID, 0)
+            stream = BatchStream(corpus.sequences, 4, 16, 48, 0)
             cfg = TrainConfig(objective_plan=plan, schedule=sched,
                               mask_ratio=0.4)
             ckpt = run_pfs(cfg, stream, model_cfg)

@@ -13,7 +13,7 @@ import pytest
 
 import bplm.cli
 from bplm.cli import CliError, expand_config, main
-from bplm.data import (MASK_ID, PAD_ID, BatchStream, CorpusSpec, gen_corpus,
+from bplm.data import (MASK_ID, BatchStream, CorpusSpec, gen_corpus,
                        gen_task_data, save_task_dataset)
 from bplm.finetune import REPORT_FIELDS, GridSearchSpec
 from bplm.objectives import Objective
@@ -437,7 +437,7 @@ class TestCpt:
         spec = CorpusSpec(**ran["data"])
         stream = BatchStream(gen_corpus(spec).sequences,
                              ran["train"]["batch_rows"], spec.min_len,
-                             spec.max_len, PAD_ID, ran["train"]["seed"])
+                             spec.max_len, ran["train"]["seed"])
         cpt_cfg = TrainConfig(
             [(Objective.MLM, 8)],
             rescaled_schedule(ran["train"]["peak_lr"], 8, CPT_DECAY_SHARE),

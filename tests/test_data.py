@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bplm.data import (MAX_MARKOV_STATES, NUM_RESERVED, PAD_ID, BatchStream,
                        Corpus, CorpusSpec, _markov_table, _stationary,
                        gen_corpus, gen_task_data, load_jsonl,
-                       load_task_dataset, pad_rows, save_jsonl,
+                       load_task_dataset, save_jsonl,
                        save_task_dataset)
 
 
@@ -296,48 +296,37 @@ class TestCorpusSpecValidation:
                                   transition=((0.5, 0.5 + 1e-6), (0.3, 0.7))))
 
 
-class TestPadRows:
-    @settings(max_examples=60, deadline=None)
-    @given(seqs=st.lists(st.lists(st.integers(0, 2 ** 40), max_size=9),
-                         min_size=1, max_size=6),
-           pad_id=st.integers(-100, 100))
-    def test_matches_per_row_end_padding(self, seqs, pad_id):
-        tokens, real = pad_rows(seqs, pad_id)
-        width = max(map(len, seqs))
-        assert tokens.dtype == np.int64 and real.dtype == bool
-        assert tokens.tolist() == [s + [pad_id] * (width - len(s))
-                                   for s in seqs]
-        assert real.tolist() == [[True] * len(s) + [False] * (width - len(s))
-                                 for s in seqs]
-
-    def test_no_sequences(self):
-        tokens, real = pad_rows([], PAD_ID)
-        assert tokens.shape == real.shape == (0, 0)
+def padded(batch):
+    """The batch's sequences right-padded with PAD_ID to the longest, as
+    lists of rows and of real-token masks."""
+    width = max(batch.lengths)
+    return ([s.tolist() + [PAD_ID] * (width - len(s)) for s in batch.seqs],
+            [[True] * len(s) + [False] * (width - len(s)) for s in batch.seqs])
 
 
 class TestBatchStream:
     def make(self, **kw):
         corpus = gen_corpus(CorpusSpec(target_tokens=2000, min_len=4,
                                        max_len=12))
-        defaults = dict(batch_rows=3, min_len=4, max_len=12, pad_id=PAD_ID,
-                        seed=0)
+        defaults = dict(batch_rows=3, min_len=4, max_len=12, seed=0)
         defaults.update(kw)
         return BatchStream(corpus.sequences, **defaults)
 
     def test_random_access_deterministic(self):
         stream = self.make()
         a, b = stream.batch(17), stream.batch(17)
-        assert np.array_equal(a.rows, b.rows) \
+        assert padded(a) == padded(b) \
             and np.array_equal(a.pad_masks, b.pad_masks)
 
     def test_steps_differ(self):
         stream = self.make()
-        assert not np.array_equal(stream.batch(0).rows, stream.batch(1).rows)
+        assert padded(stream.batch(0))[0] != padded(stream.batch(1))[0]
 
     def test_padding_consistent(self):
         batch = self.make().batch(3)
-        width = len(batch.rows[0])
-        for row, pad in zip(batch.rows, batch.pad_masks):
+        rows, _ = padded(batch)
+        width = len(rows[0])
+        for row, pad in zip(rows, batch.pad_masks):
             assert len(row) == len(pad) == width
             for tok, keep in zip(row, pad):
                 assert keep == (tok != PAD_ID)
@@ -345,7 +334,13 @@ class TestBatchStream:
     def test_truncation_to_max_len(self):
         stream = self.make(max_len=6)
         for step in range(10):
-            assert all(len(r) <= 6 for r in stream.batch(step).rows)
+            assert all(len(s) <= 6 for s in stream.batch(step).seqs)
+
+    def test_max_len_below_min_len_refused(self):
+        # kept 3-token rows of a stream whose rows hold at least 6
+        with pytest.raises(ValueError, match="max_len 3 < min_len 6"):
+            BatchStream([[5, 6, 7, 8, 9, 10]], 1, min_len=6, max_len=3,
+                        seed=0)
 
     # SHA-256 of steps 0-9, rows and pad masks in list form; taken from the
     # list-of-lists batches that preceded the [B, T] arrays
@@ -364,22 +359,39 @@ class TestBatchStream:
     ])
     def test_batches_pinned(self, name, spec, rows, min_len, max_len, seed):
         stream = BatchStream(gen_corpus(spec).sequences, rows, min_len,
-                             max_len, PAD_ID, seed)
-        out = [[np.asarray(b.rows).tolist(), np.asarray(b.pad_masks).tolist()]
-               for b in map(stream.batch, range(10))]
+                             max_len, seed)
+        out = [list(padded(b)) for b in map(stream.batch, range(10))]
         digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
         assert digest == self.PINNED[name]
 
     def test_batch_layout(self):
         batch = self.make().batch(5)
-        assert batch.rows.dtype == np.int64 and batch.pad_masks.dtype == bool
-        assert batch.rows.shape == batch.pad_masks.shape
+        assert all(s.dtype == np.int64 and s.ndim == 1 for s in batch.seqs)
+        assert batch.pad_masks.dtype == bool
+        assert batch.pad_masks.shape == (3, max(batch.lengths))
         assert batch.pad_masks[:, 0].all()  # every row has real tokens
+
+    def test_pad_masks_count_the_real_tokens(self):
+        # benchmark/workloads.py counts a step's tokens from pad_masks
+        stream = self.make()
+        for step in range(20):
+            batch = stream.batch(step)
+            assert batch.pad_masks.sum() == batch.lengths.sum() \
+                == sum(map(len, batch.seqs))
+
+    def test_sequences_are_the_pool_read_only(self):
+        stream = self.make()
+        before = [s.copy() for s in stream.pool]
+        batch = stream.batch(0)
+        assert all(any(s is p for p in stream.pool) for s in batch.seqs)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.seqs[0][0] = 99
+        assert all(np.array_equal(a, b) for a, b in zip(stream.pool, before))
 
     def test_discard_counter(self):
         seqs = [[5, 6, 7, 8], [5, 6], [7]]
         stream = BatchStream(seqs, batch_rows=1, min_len=4, max_len=8,
-                             pad_id=PAD_ID, seed=0)
+                             seed=0)
         assert stream.discarded == 2
 
     def test_zero_rows_refused(self):
@@ -388,14 +400,12 @@ class TestBatchStream:
 
     def test_all_discarded(self):
         with pytest.raises(ValueError):
-            BatchStream([[5]], batch_rows=1, min_len=4, max_len=8,
-                        pad_id=PAD_ID, seed=0)
+            BatchStream([[5]], batch_rows=1, min_len=4, max_len=8, seed=0)
 
     def test_coverage_histogram(self):
         # over many steps every pool sequence should get sampled
         stream = BatchStream([[5, 6, 7, 8]] * 8 + [[8, 7, 6, 5]] * 8,
-                             batch_rows=4, min_len=4, max_len=8,
-                             pad_id=PAD_ID, seed=0)
+                             batch_rows=4, min_len=4, max_len=8, seed=0)
         seen = set()
         for step in range(200):
             rng = np.random.default_rng([0, step])

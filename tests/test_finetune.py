@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bplm import tensor as T
-from bplm.data import (PAD_ID, TASK_SEQ_LEN, TC_TAGSET, BatchStream,
+from bplm.data import (TASK_SEQ_LEN, TC_TAGSET, BatchStream,
                        CorpusSpec, TaskDataset, TaskExample, gen_corpus,
                        gen_task_data)
 from bplm.finetune import (EVAL_CHUNK, GridSearchSpec, accuracy, bio_spans,
@@ -31,7 +31,7 @@ def pretrained_base(steps=20, seed=0):
     corpus = gen_corpus(CorpusSpec(num_symbols=40, target_tokens=3000,
                                    min_len=4, max_len=12, seed=seed))
     stream = BatchStream(corpus.sequences, batch_rows=2, min_len=4,
-                         max_len=12, pad_id=PAD_ID, seed=seed)
+                         max_len=12, seed=seed)
     cfg = TrainConfig(objective_plan=[(Objective.MLM, steps)],
                       schedule=WsdSchedule(1e-3, 2, steps, 2), seed=seed)
     return run_pfs(cfg, stream, CFG)

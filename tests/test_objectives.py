@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bplm import tensor as T
-from bplm.data import PAD_ID, BatchStream, CorpusSpec, gen_corpus, pad_rows
+from bplm.data import BatchStream, CorpusSpec, gen_corpus
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
 from bplm.objectives import (LmBatch, MaskingPlan, Objective, clm_loss,
                              mlm_loss, pretrain_loss, select_mask)
@@ -31,8 +31,8 @@ class TestSelectMask:
         assert abs(n - 4000) <= 3 * sd
 
     def test_pads_never_masked(self, rng):
-        # a row's plan is drawn over its real tokens alone
-        batch = LmBatch([[5, 6, 0, 0]], [[True, True, False, False]])
+        # a row's plan is drawn over its own tokens alone
+        batch = LmBatch([[5, 6]])
         for _ in range(50):
             plan = select_mask(batch.seqs[0], 0.9, rng, 1)
             assert all(p < 2 for p in plan.masked_positions)
@@ -94,7 +94,7 @@ class TestMlmLoss:
             mlm_loss(Tensor(np.zeros((3, 4))), plan)
         with pytest.raises(ValueError, match="strictly increasing"):
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
-                          LmBatch([[3, 4, 5]], [[True] * 3], [plan]))
+                          LmBatch([[3, 4, 5]], [plan]))
 
     def test_gradient_zero_at_unmasked(self, rng):
         logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
@@ -134,7 +134,7 @@ class TestClmLoss:
 class TestPretrainLoss:
     def test_clm_batch_of_identical_rows(self, tiny_cfg, tiny_params):
         row = [3, 4, 5, 6]
-        batch = LmBatch([row, row], [[True] * 4] * 2)
+        batch = LmBatch([row, row])
         batched = pretrain_loss(Objective.CLM, tiny_params, tiny_cfg, batch)
         _, logits = forward(tiny_params, tiny_cfg, row, AttentionMode.CAUSAL)
         single = clm_loss(logits, row)
@@ -146,70 +146,39 @@ class TestPretrainLoss:
             np.zeros((tiny_cfg.embed_dim, tiny_cfg.vocab_size)))
         rows = [[3, 4, 5, 6]]
         plan = select_mask(rows[0], 1.0, rng, mask_token_id=1)
-        batch = LmBatch(rows, [[True] * 4], [plan])
+        batch = LmBatch(rows, [plan])
         value = pretrain_loss(Objective.MLM, params, tiny_cfg, batch).item()
         assert abs(value - math.log(tiny_cfg.vocab_size)) < 1e-12
 
     def test_objectives_differ(self, tiny_cfg, tiny_params, rng):
         rows = [[3, 4, 5, 6, 7, 8]]
-        pads = [[True] * 6]
         plan = select_mask(rows[0], 0.4, rng, mask_token_id=1)
         clm = pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
-                            LmBatch(rows, pads)).item()
+                            LmBatch(rows)).item()
         mlm = pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
-                            LmBatch(rows, pads, [plan])).item()
+                            LmBatch(rows, [plan])).item()
         assert math.isfinite(clm) and math.isfinite(mlm)
         assert clm != mlm
 
     def test_mlm_without_plans_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError, match="plan"):
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
-                          LmBatch([[3, 4]], [[True, True]]))
+                          LmBatch([[3, 4]]))
 
     def test_empty_batch_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError):
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
-                          LmBatch([], []))
+                          LmBatch([]))
 
     def test_short_clm_row_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError, match="at least 2 tokens"):
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
-                          LmBatch([[3, 4], [3, 0]],
-                                  [[True, True], [True, False]]))
+                          LmBatch([[3, 4], [3]]))
 
-    def test_ragged_rows_rejected(self):
-        # an LmBatch holds one [B, T] array; numpy refuses to make one
-        with pytest.raises(ValueError, match="inhomogeneous"):
-            LmBatch([[3, 4, 5], [3, 4]], [[True] * 3, [True] * 2])
-
-    def test_pad_mask_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="one shape"):
-            LmBatch([[3, 4, 5], [3, 4, 0]], [[True] * 2] * 2)
-
-    @pytest.mark.parametrize("pads", [
-        [[True] * 3, [False, True, True]],   # a leading pad
-        [[True] * 3, [True, False, True]]])  # a hole
-    def test_pads_not_at_the_end_rejected(self, pads):
-        with pytest.raises(ValueError, match="real tokens first"):
-            LmBatch([[3, 4, 5], [3, 4, 5]], pads)
-
-    @pytest.mark.parametrize("objective", list(Objective))
-    def test_list_and_array_batches_agree(self, tiny_cfg, tiny_params,
-                                          objective):
-        # padded rows as lists, against pad_rows' arrays of the same rows
-        seqs = [[3, 4, 5, 6, 7], [8, 9, 2], [4, 5, 6, 7, 8, 9]]
-        rows = [s + [PAD_ID] * (6 - len(s)) for s in seqs]
-        pads = [[True] * len(s) + [False] * (6 - len(s)) for s in seqs]
-        tokens, real = pad_rows(seqs, PAD_ID)
-        plans = [select_mask(s, 0.4, np.random.default_rng(i), 1)
-                 for i, s in enumerate(seqs)]
-        from_lists = LmBatch(rows, pads, plans)
-        from_arrays = LmBatch(tokens, real, plans)
-        assert from_arrays.rows.dtype == np.int64
-        assert from_arrays.pad_masks.dtype == bool
-        losses = [pretrain_loss(objective, tiny_params, tiny_cfg, b).item()
-                  for b in (from_lists, from_arrays)]
-        assert losses[0].hex() == losses[1].hex()
+    @pytest.mark.parametrize("seq", [[[3, 4], [5, 6]], 3])
+    def test_sequence_not_1d_rejected(self, seq):
+        with pytest.raises(ValueError, match="1-D"):
+            LmBatch([[3, 4, 5], seq])
 
     def test_empty_plan_rejected(self, tiny_cfg, tiny_params, rng):
         rows = [[3, 4, 5], [6, 7, 8]]
@@ -217,25 +186,24 @@ class TestPretrainLoss:
                  MaskingPlan(1, [], [])]
         with pytest.raises(ValueError, match="empty masking plan"):
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
-                          LmBatch(rows, [[True] * 3] * 2, plans))
+                          LmBatch(rows, plans))
 
     @pytest.mark.parametrize("position", [4, 7, -1])
     def test_plan_at_a_pad_or_outside_the_row_rejected(self, tiny_cfg,
                                                        tiny_params, position):
-        # row 1 holds 3 real tokens of 7: position 4 is a pad, 7 lies past
-        # the row and -1 would index its last position, a pad
-        rows = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3, 0, 0, 0, 0]]
-        pads = [[t != 0 for t in r] for r in rows]
+        # row 1 holds 3 tokens, row 0 holds 7: positions 4 and 7 lie past
+        # row 1 and -1 would index its last position
+        rows = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3]]
         plans = [MaskingPlan(1, [0, 2], [3, 5]),
                  MaskingPlan(1, [1, position], [2, 0])]
         with pytest.raises(ValueError, match="row 1: masking plan positions"):
             pretrain_loss(Objective.MLM, tiny_params, tiny_cfg,
-                          LmBatch(rows, pads, plans))
+                          LmBatch(rows, plans))
 
     def test_token_out_of_range_rejected(self, tiny_cfg, tiny_params):
         with pytest.raises(ValueError, match="token id"):
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
-                          LmBatch([[3, 4], [3, 99]], [[True] * 2] * 2))
+                          LmBatch([[3, 4], [3, 99]]))
 
     @pytest.mark.parametrize("objective, loss_hex, grad_hex", [
         (Objective.CLM, "0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509efp-1"),
@@ -243,17 +211,15 @@ class TestPretrainLoss:
     ])
     def test_padded_batch_pinned(self, tiny_cfg, tiny_params, objective,
                                  loss_hex, grad_hex):
-        # the loss and the sum of the embedding gradient on a padded batch;
-        # both are pinned from the forward that returned the padded
-        # [B*T, d] grid
-        rows = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3, 0, 0, 0, 0],
-                [4, 4, 5, 6, 10, 0, 0], [7, 6, 0, 0, 0, 0, 0]]
-        pads = [[t != 0 for t in r] for r in rows]
-        plans = [select_mask(r[:sum(p)], 0.5, np.random.default_rng(i), 1)
-                 for i, (r, p) in enumerate(zip(rows, pads))]
+        # the loss and the sum of the embedding gradient on a batch of
+        # mixed lengths; both are pinned from the forward that returned the
+        # padded [B*T, d] grid
+        seqs = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3], [4, 4, 5, 6, 10], [7, 6]]
+        plans = [select_mask(s, 0.5, np.random.default_rng(i), 1)
+                 for i, s in enumerate(seqs)]
         with Tape() as tape:
             loss = pretrain_loss(objective, tiny_params, tiny_cfg,
-                                 LmBatch(rows, pads, plans))
+                                 LmBatch(seqs, plans))
         backward(loss, tape)
         assert loss.item().hex() == loss_hex
         assert float(tiny_params["embed"].grad.sum()).hex() == grad_hex
@@ -265,13 +231,13 @@ class TestPretrainLoss:
         params = init_params(cfg, 0)
         corpus = gen_corpus(CorpusSpec(num_symbols=6, target_tokens=2000,
                                        min_len=16, max_len=48, seed=5))
-        batch = BatchStream(corpus.sequences, 4, 16, 48, PAD_ID, 0).batch(0)
+        batch = BatchStream(corpus.sequences, 4, 16, 48, 0).batch(0)
         rng = np.random.default_rng(0)
         plans = [select_mask(s, 0.4, rng, 1) for s in batch.seqs]
         for objective in Objective:
             with Tape() as tape:
                 pretrain_loss(objective, params, cfg,
-                              LmBatch(batch.rows, batch.pad_masks, plans))
+                              LmBatch(batch.seqs, plans))
             assert len(tape.nodes) <= 40, objective
 
     @pytest.mark.parametrize("objective", list(Objective))
@@ -279,16 +245,15 @@ class TestPretrainLoss:
                                                      tiny_params, objective):
         # every RMSNorm and FFN node holds the N real tokens, the LM head
         # holds only the positions that have a target, and no node holds a
-        # row per padded position (B*T = 18)
-        rows = [[3, 4, 5, 6, 7, 8], [9, 2, 3, 0, 0, 0], [4, 4, 5, 6, 0, 0]]
-        pads = [[True] * 6, [True] * 3 + [False] * 3, [True] * 4 + [False] * 2]
-        plans = [select_mask(r[:sum(p)], 0.4, np.random.default_rng(i), 1)
-                 for i, (r, p) in enumerate(zip(rows, pads))]
+        # row per position of the padded grid (B*T = 18)
+        seqs = [[3, 4, 5, 6, 7, 8], [9, 2, 3], [4, 4, 5, 6]]
+        plans = [select_mask(s, 0.4, np.random.default_rng(i), 1)
+                 for i, s in enumerate(seqs)]
         with Tape() as tape:
             pretrain_loss(objective, tiny_params, tiny_cfg,
-                          LmBatch(rows, pads, plans))
+                          LmBatch(seqs, plans))
         if objective is Objective.CLM:
-            targets = sum(n - 1 for n in map(sum, pads))
+            targets = sum(n - 1 for n in map(len, seqs))
         else:
             targets = sum(len(p.masked_positions) for p in plans)
         ffn = {tiny_params[f"layer.{i}.ffn.{w}"] for i in range(2)
@@ -312,29 +277,24 @@ class TestPretrainLoss:
 
 @st.composite
 def ragged_batches(draw):
-    """1-4 rows of 2-8 real tokens, right-padded to the longest."""
+    """1-4 sequences of 2-8 tokens."""
     lengths = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
-    width = max(lengths)
-    rows = [draw(st.lists(st.integers(2, 10), min_size=n, max_size=n))
-            + [0] * (width - n) for n in lengths]
-    pads = [[True] * n + [False] * (width - n) for n in lengths]
-    return rows, pads
+    return [draw(st.lists(st.integers(2, 10), min_size=n, max_size=n))
+            for n in lengths]
 
 
-def padded_rows(lengths, width):
-    """Right-padded rows of the given real lengths, with their pad masks."""
-    return ([[2 + (i + j) % 9 for j in range(n)] + [0] * (width - n)
-             for i, n in enumerate(lengths)],
-            [[True] * n + [False] * (width - n) for n in lengths])
+def sequences(lengths):
+    """Sequences of the given lengths."""
+    return [[2 + (i + j) % 9 for j in range(n)] for i, n in enumerate(lengths)]
 
 
 def with_run_examples(test):
-    """Add @examples whose adjacent padded rows of one length attend as one
+    """Add @examples whose adjacent sequences of one length attend as one
     multi-row run, for both objectives and kv_heads 1, 2 and 4."""
-    for lengths, width in (((3, 3, 5, 3), 5), ((4, 4, 4), 6)):
+    for lengths in ((3, 3, 5, 3), (4, 4, 4)):
         for kv_heads in (1, 2, 4):
             for objective in Objective:
-                test = example(batch=padded_rows(lengths, width),
+                test = example(batch=sequences(lengths),
                                kv_heads=kv_heads, objective=objective,
                                seed=kv_heads, layers=1 + kv_heads % 2)(test)
     return test
@@ -371,11 +331,9 @@ class TestBatchedMatchesPerRow:
         cfg = ModelConfig(layers=layers, embed_dim=16, ffn_dim=32, heads=4,
                           kv_heads=kv_heads, vocab_size=11, max_seq_len=16)
         params = init_params(cfg, seed)
-        rows, pads = batch
-        plans = [select_mask(r[:sum(p)], 0.4,
-                             np.random.default_rng([seed, i]), 1)
-                 for i, (r, p) in enumerate(zip(rows, pads))]
-        lm = LmBatch(rows, pads, plans)
+        plans = [select_mask(s, 0.4, np.random.default_rng([seed, i]), 1)
+                 for i, s in enumerate(batch)]
+        lm = LmBatch(batch, plans)
         results = []
         for loss_fn in (pretrain_loss, self.per_row_loss):
             for p in params.values():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bplm.data import MASK_ID, PAD_ID, BatchStream, CorpusSpec, gen_corpus
+from bplm.data import MASK_ID, BatchStream, CorpusSpec, gen_corpus
 from bplm.model import ModelConfig, param_shapes
 from bplm.objectives import Objective
 from bplm.optim import AdamWState, WsdSchedule, rescaled_schedule, wsd_lr
@@ -34,7 +34,7 @@ def make_stream(seed=0):
     corpus = gen_corpus(CorpusSpec(num_symbols=5, target_tokens=3000,
                                    min_len=4, max_len=12, seed=seed))
     return BatchStream(corpus.sequences, batch_rows=2, min_len=4, max_len=12,
-                       pad_id=PAD_ID, seed=seed)
+                       seed=seed)
 
 
 def train_cfg(plan, total, warmup=2, decay=2, **kw):
@@ -175,7 +175,7 @@ class TestRunPfs:
             num_symbols=3, transition=((0, 1, 0), (0, 0, 1), (1, 0, 0)),
             target_tokens=2000, min_len=8, max_len=16))
         stream = BatchStream(corpus.sequences, batch_rows=4, min_len=8,
-                             max_len=16, pad_id=PAD_ID, seed=0)
+                             max_len=16, seed=0)
         cfg = train_cfg([(Objective.CLM, 60)], total=60, warmup=5, decay=5)
         trace = []
         run_pfs(cfg, stream, CFG, trace=trace)
@@ -208,10 +208,10 @@ class TestMaskBatch:
 
     def test_plans_attached(self):
         batch = self.masked(0, 5)
-        assert batch.plans is not None and len(batch.plans) == len(batch.rows)
-        for plan, pad in zip(batch.plans, batch.pad_masks):
+        assert batch.plans is not None and len(batch.plans) == len(batch.seqs)
+        for plan, n in zip(batch.plans, batch.lengths):
             assert plan.masked_positions
-            assert all(pad[p] for p in plan.masked_positions)
+            assert all(0 <= p < n for p in plan.masked_positions)
 
     def test_plans_deterministic(self):
         def positions(seed, step):
@@ -230,6 +230,19 @@ class TestBiphasic:
             bi = run_pfs(train_cfg(plan, total=8), make_stream(), CFG)
             pfs = run_pfs(train_cfg(pure, total=8), make_stream(), CFG)
             assert_params_equal(bi.params, pfs.params)
+
+    def test_degenerate_plan_trace_matches_single_phase(self):
+        # the empty CLM phase is dropped, so the MLM steps are phase 0
+        traces = []
+        for plan in ([(Objective.CLM, 0), (Objective.MLM, 4)],
+                     [(Objective.MLM, 4)]):
+            cfg = train_cfg(plan, total=4)
+            assert cfg.objective_plan == [(Objective.MLM, 4)]
+            trace = []
+            run_pfs(cfg, make_stream(), CFG, trace=trace)
+            traces.append([{k: v for k, v in row.items() if k != "wall_ms"}
+                           for row in trace])
+        assert traces[0] == traces[1]
 
     def test_handoff_weight_equality(self):
         # weights at the switch equal a pure CLM run stopped there
