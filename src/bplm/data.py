@@ -16,7 +16,7 @@ import numpy as np
 
 from .objectives import LmBatch, select_mask  # noqa: F401 (re-export)
 
-PAD_ID = 0
+PAD_ID = 0  # reserved; src pads no tokens, benchmark/workloads.py reads it
 MASK_ID = 1
 NUM_RESERVED = 3  # ids 0..2; id 2 is reserved but unused
 MAX_MARKOV_STATES = 4096  # gen_corpus's dense state chain: 128 MiB

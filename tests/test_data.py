@@ -342,8 +342,9 @@ class TestBatchStream:
             BatchStream([[5, 6, 7, 8, 9, 10]], 1, min_len=6, max_len=3,
                         seed=0)
 
-    # SHA-256 of steps 0-9, rows and pad masks in list form; taken from the
-    # list-of-lists batches that preceded the [B, T] arrays
+    # SHA-256 of steps 0-9, the sequences right-padded with PAD_ID and their
+    # masks in list form; taken from the list-of-lists batches that preceded
+    # the [B, T] arrays
     PINNED = {
         "small": ("64e55ce3421cbf4af8855270e88c036e"
                   "73ae6ef4d0ada9ed487f52bc0ac1559b"),
