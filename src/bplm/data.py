@@ -1,5 +1,5 @@
 """Reserved token ids, synthetic corpora with known entropy rates,
-variable-length batch packing, and synthetic fine-tuning datasets.
+unpadded variable-length batches, and synthetic fine-tuning datasets.
 
 Every corpus comes from an order-k Markov table, whose exact conditional
 entropy is computable, so trained-model losses can be checked against an
