@@ -118,12 +118,14 @@ def _out_dir(args, default_name: str) -> str:
 
 def _train(args) -> int:
     """bplm pretrain and bplm cpt. --seed is written into cfg, so config.ini
-    records the seed the run used. Pretraining's plan is int(total_steps *
-    clm_fraction) CLM steps, then MLM, an empty phase left out. CPT's is
-    [cpt] steps of MLM from its base, under the rescaled CPT schedule at
-    [train] peak_lr; [train]'s plan and schedule are not read. Both mask at
-    [train] mask_ratio. Cadence checkpoints, final.ckpt, the trace and the
-    expanded config go to the output directory, which the run creates."""
+    records the seed the run used, and its [model] is the model the run
+    trained. Pretraining's plan is int(total_steps * clm_fraction) CLM
+    steps, then MLM, an empty phase left out. CPT's is [cpt] steps of MLM
+    from its base (0 included: a checkpoint of the base's params under the
+    run's seed), under the rescaled CPT schedule at [train] peak_lr;
+    [train]'s plan and schedule are not read. Both mask at [train]
+    mask_ratio. Cadence checkpoints, final.ckpt, the trace and the expanded
+    config go to the output directory, which the run creates."""
     cfg = expand_config(args.config)
     cpt = args.command == "cpt"
     base = load_checkpoint(args.base) if cpt else None
@@ -135,11 +137,6 @@ def _train(args) -> int:
         steps = cfg["cpt"]["steps"]
         if steps < 0:
             raise ValueError("[cpt] steps must be >= 0")
-        if steps == 0:  # the base is saved as is; config.ini names its seed
-            if args.seed not in (None, base.seed):
-                raise CliError(f"--seed {args.seed} differs from the base's "
-                               f"seed {base.seed}; zero-step CPT keeps it")
-            t["seed"] = base.seed
         plan = [(Objective.MLM, steps)]
         schedule = rescaled_schedule(t["peak_lr"], steps, CPT_DECAY_SHARE)
     else:
@@ -181,6 +178,7 @@ def _train(args) -> int:
     os.makedirs(out, exist_ok=True)
     save_checkpoint(final, os.path.join(out, "final.ckpt"))
     write_trace(trace, out)
+    cfg["model"] = asdict(model_cfg)  # CPT's is the base's
     parser = configparser.ConfigParser()
     parser.read_dict(cfg)
     with open(os.path.join(out, "config.ini"), "w") as f:

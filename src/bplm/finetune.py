@@ -160,21 +160,17 @@ def encode(params: Parameters, cfg: ModelConfig,
 
 def init_head(task: str, cfg: ModelConfig, dataset: TaskDataset,
               seed: int) -> Dict[str, Tensor]:
-    rng = np.random.default_rng([seed, 7])
-    d = cfg.embed_dim
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
-
-    if task == "SC":
-        return {"w": w(d, dataset.num_classes)}
-    if task == "TC":
-        return {"w": w(d, len(dataset.tagset))}
-    if task == "QA":
-        return {"w": w(d, 2)}
-    if task == "IR":
+    """The task head: one [d, width] weight "w", or none at width 0 (IR
+    scores by similarity)."""
+    widths = {"SC": dataset.num_classes, "TC": len(dataset.tagset),
+              "QA": 2, "IR": 0}
+    if task not in widths:
+        raise ValueError(f"unknown task {task!r}")
+    if not widths[task]:
         return {}
-    raise ValueError(f"unknown task {task!r}")
+    rng = np.random.default_rng([seed, 7])
+    w = rng.normal(0.0, 0.02, size=(cfg.embed_dim, widths[task]))
+    return {"w": Tensor(w, requires_grad=True)}
 
 
 def _scores(task: str, head: Dict[str, Tensor], params: Parameters,

@@ -126,7 +126,9 @@ def forward_batch(params: Parameters, cfg: ModelConfig,
         raise ValueError("sequence longer than max_seq_len")
     tokens = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
-        raise ValueError("token id out of range")
+        bad = tokens[(tokens < 0) | (tokens >= cfg.vocab_size)][0]
+        raise ValueError(f"token id {bad} out of range for vocab_size "
+                         f"{cfg.vocab_size}")
 
     x = T.gather_rows(params["embed"], tokens)
     for i in range(cfg.layers):

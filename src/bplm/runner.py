@@ -213,15 +213,13 @@ def run_pfs(cfg: TrainConfig, stream: BatchStream, model_cfg: ModelConfig,
 def run_cpt(base: Checkpoint, cpt_steps: int, cfg: TrainConfig,
             stream: BatchStream, mask_id: int = MASK_ID, force: bool = False,
             trace: Optional[List[dict]] = None) -> Checkpoint:
-    """Continue a decayed checkpoint with MLM under the rescaled schedule
-    (CPT_DECAY_SHARE) at cfg's peak lr; optimizer moments restart. Of cfg's
-    plan and schedule only the peak lr is read.
-    """
+    """Continue a decayed checkpoint with cpt_steps of MLM under the
+    rescaled schedule (CPT_DECAY_SHARE) at cfg's peak lr; optimizer moments
+    restart. Of cfg's plan and schedule only the peak lr is read. 0 steps
+    trains none: the base's params under CPT's history, seed and ratio."""
     if not base.decayed and not force:
         raise ValueError("CPT base checkpoint has not undergone lr decay; "
                          "pass --force (force=True) to continue it anyway")
-    if cpt_steps == 0:
-        return base
     schedule = rescaled_schedule(cfg.schedule.peak_lr, cpt_steps,
                                  CPT_DECAY_SHARE)
     cpt_cfg = replace(cfg, objective_plan=[(Objective.MLM, cpt_steps)],

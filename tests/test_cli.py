@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import bplm.cli
 from bplm.cli import CliError, expand_config, main
 from bplm.data import (MASK_ID, BatchStream, CorpusSpec, gen_corpus,
                        gen_task_data, save_task_dataset)
-from bplm.finetune import REPORT_FIELDS, GridSearchSpec
+from bplm.finetune import REPORT_FIELDS, GridSearchSpec, run_grid_search
 from bplm.objectives import Objective
 from bplm.optim import rescaled_schedule
 from bplm.runner import (CPT_DECAY_SHARE, CheckpointError, TrainConfig,
@@ -396,31 +397,57 @@ class TestCpt:
         assert capsys.readouterr().err == "error: [cpt] steps must be >= 0\n"
         assert not os.path.exists(out)
 
-    def test_zero_steps_record_the_base_seed(self, tmp_path):
-        # the base is saved unchanged, so config.ini names its seed (0), not
-        # the config's
+    def test_zero_steps_write_a_cpt_checkpoint(self, tmp_path):
+        # a CPT of no steps is a CPT run: the base's params under the run's
+        # own seed, which config.ini and final.ckpt both record
         pre = self.pretrain(tmp_path)
-        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
-                           + "[train]\nseed = 3\n[cpt]\nsteps = 0\n", "cpt.ini")
-        base = os.path.join(pre, "final.ckpt")
-        for name, seed in (("a", []), ("b", ["--seed", "0"])):
-            out = str(tmp_path / name)
-            assert main(["cpt", base, "--config", cfg, "--out", out] + seed) == 0
-            assert Path(out, "final.ckpt").read_bytes() \
-                == Path(base).read_bytes()
-            recorded = configparser.ConfigParser()
-            recorded.read(os.path.join(out, "config.ini"))
-            assert recorded["train"]["seed"] == "0"
-
-    def test_zero_steps_refuse_a_different_seed(self, tmp_path, capsys):
-        pre = self.pretrain(tmp_path)
+        base = load_checkpoint(os.path.join(pre, "final.ckpt"))
         out = str(tmp_path / "cpt")
         assert main(["cpt", os.path.join(pre, "final.ckpt"), "--config",
                      self.cpt_config(tmp_path, 0), "--out", out,
-                     "--seed", "7"]) == 1
-        err = capsys.readouterr().err
-        assert "--seed 7" in err and "seed 0" in err
-        assert not os.path.exists(out)
+                     "--seed", "7"]) == 0
+        final = load_checkpoint(os.path.join(out, "final.ckpt"))
+        assert final.seed == 7
+        assert expand_config(os.path.join(out, "config.ini"))["train"][
+            "seed"] == 7
+        for name in base.params:
+            assert final.params[name].data.tobytes() \
+                == base.params[name].data.tobytes()
+        assert (final.step, final.opt_state.step_count) == (0, 0)
+        assert final.opt_state.m == {} and final.decayed
+        assert final.objective_history[-1] == {"objective": "mlm",
+                                               "steps": 0, "cpt": True}
+
+    def test_config_records_the_base_model(self, tmp_path):
+        # the config file has no [model]; the run trained the base's
+        pre = self.pretrain(tmp_path)
+        base = load_checkpoint(os.path.join(pre, "final.ckpt"))
+        cfg = write_config(tmp_path, TINY_DATA + "[cpt]\nsteps = 2\n",
+                           "cpt.ini")
+        out = str(tmp_path / "cpt")
+        assert main(["cpt", os.path.join(pre, "final.ckpt"),
+                     "--config", cfg, "--out", out]) == 0
+        assert expand_config(os.path.join(out, "config.ini"))["model"] \
+            == asdict(base.model_config)
+
+    def test_zero_steps_fine_tune_as_the_base(self, tmp_path):
+        # the CLM-base point of a CPT budget sweep: no CPT steps, the
+        # base's fine-tuning rows
+        cfg = write_config(tmp_path, TINY_MODEL.replace(
+            "vocab_size = 16", "vocab_size = 64") + TINY_DATA
+            + "[train]\nclm_fraction = 1\ntotal_steps = 4\n"
+              "warmup_steps = 1\ndecay_steps = 1\n[cpt]\nsteps = 0\n")
+        pre, cpt = str(tmp_path / "pre"), str(tmp_path / "cpt")
+        assert main(["pretrain", "--config", cfg, "--out", pre]) == 0
+        assert main(["cpt", os.path.join(pre, "final.ckpt"), "--config", cfg,
+                     "--out", cpt, "--seed", "3"]) == 0
+        dataset = gen_task_data("SC", 30, 0)
+        spec = GridSearchSpec(learning_rates=(1e-3, 1e-2), seeds=(0, 1),
+                              max_steps=2, batch_size=4)
+        base, final = (run_grid_search(load_checkpoint(
+            os.path.join(out, "final.ckpt")), dataset, spec)
+            for out in (pre, cpt))
+        assert final.rows == base.rows
 
     def test_cadence_checkpoints_resume_to_final(self, tmp_path):
         pre = self.pretrain(tmp_path)
@@ -528,6 +555,18 @@ class TestFinetuneAndReport:
                      "--seeds", "0", "--out", out]) == 1
         assert "error: seeds must not be empty" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_vocabulary_too_small_names_the_id(self, tmp_path, capsys):
+        # SC token ids run from 8 to 26; the tiny model's vocabulary has 16
+        ds_dir = str(tmp_path / "sc-synth")
+        save_task_dataset(gen_task_data("SC", 30, 0), ds_dir)
+        assert main(["finetune", self.checkpoint(tmp_path), ds_dir,
+                     "--out", str(tmp_path / "ft")]) == 1
+        err = capsys.readouterr().err
+        bad = re.fullmatch(r"error: token id (\d+) out of range for "
+                           r"vocab_size 16\n", err)
+        assert bad, err
+        assert 16 <= int(bad[1]) < 64
 
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "3"],
                                       ["--allow-nonstudy"]])

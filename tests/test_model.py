@@ -257,6 +257,15 @@ class TestForward:
         with pytest.raises(ValueError, match="token id"):
             forward(tiny_params, tiny_cfg, [3, 99], AttentionMode.CAUSAL)
 
+    @pytest.mark.parametrize("seqs, bad", [([[3, 99, 12]], 99),
+                                           ([[3, 4], [-2, 11]], -2)])
+    def test_out_of_range_names_the_id_and_vocab(self, tiny_cfg, tiny_params,
+                                                 seqs, bad):
+        # the first id outside [0, vocab_size), and the vocabulary (11)
+        with pytest.raises(ValueError, match=rf"^token id {bad} out of range "
+                           r"for vocab_size 11$"):
+            forward_batch(tiny_params, tiny_cfg, seqs, AttentionMode.CAUSAL)
+
     def test_pure_function(self, tiny_cfg, tiny_params):
         tokens = [1, 5, 9, 2]
         _, a = forward(tiny_params, tiny_cfg, tokens,

@@ -1,7 +1,7 @@
 """The suite's own pytest settings: a failing property test reports its
 falsifying example under the warning filters in pyproject.toml and lets the
 session go on, and the session header names the BLAS setup, the thread
-count OpenBLAS reports among it."""
+count OpenBLAS reports among it, and the package's line count."""
 
 import os
 import re
@@ -67,3 +67,8 @@ def test_header_names_the_blas_setup(tmp_path):
     assert header[3] == str(os.cpu_count())
     # the count OpenBLAS itself reports: the one the caller set
     assert header[4] == ("unknown" if bplm._OPENBLAS is None else "3")
+    # the package's size, as the shell counts it
+    wc = subprocess.run("cat src/bplm/*.py | wc -l", shell=True, cwd=ROOT,
+                        capture_output=True, text=True, check=True)
+    assert re.search(r"^bplm: src/bplm/\*\.py (\d+) lines$", out,
+                     re.M)[1] == wc.stdout.strip()

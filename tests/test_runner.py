@@ -763,10 +763,26 @@ class TestCpt:
             run_cpt(mid, 4, cfg, make_stream())
         run_cpt(mid, 4, cfg, make_stream(), force=True)  # override works
 
-    def test_zero_steps_returns_base(self):
+    def test_zero_steps_is_a_cpt_checkpoint(self, tmp_path):
+        # a CPT of no steps trains none, but is a CPT run's checkpoint: the
+        # base's params under the run's seed, ratio and CPT history
         base = self.decayed_base()
-        cfg = train_cfg([(Objective.CLM, 6)], total=6)
-        assert run_cpt(base, 0, cfg, make_stream()) is base
+        cfg = train_cfg([(Objective.CLM, 6)], total=6, seed=5, mask_ratio=0.3)
+        trace = []
+        final = run_cpt(base, 0, cfg, make_stream(), trace=trace)
+        assert trace == []
+        assert_params_equal(final.params, base.params)
+        assert (final.step, final.opt_state.step_count) == (0, 0)
+        assert final.opt_state.m == final.opt_state.v == {}
+        assert final.schedule == rescaled_schedule(1e-3, 0, CPT_DECAY_SHARE)
+        assert final.decayed
+        assert final.objective_history == base.objective_history + [
+            {"objective": "mlm", "steps": 0, "cpt": True}]
+        assert (final.seed, final.mask_ratio) == (5, 0.3)
+        save_checkpoint(final, tmp_path / "cpt.ckpt")
+        loaded = load_checkpoint(tmp_path / "cpt.ckpt")
+        assert_params_equal(loaded.params, base.params)
+        assert loaded.opt_state.m == {} and loaded.decayed
 
     def test_fresh_moments_and_schedule(self):
         base = self.decayed_base()
