@@ -13,8 +13,9 @@ import numpy as np  # noqa: E402
 
 
 def _openblas():
-    """numpy's bundled OpenBLAS through ctypes, its thread-count calls
-    typed, or None where the wheel bundles none that exports them."""
+    """numpy's bundled OpenBLAS through ctypes, its thread-count calls (and
+    its core-name call, where it exports one) typed, or None where the wheel
+    bundles none that exports the thread-count calls."""
     for path in glob.glob(os.path.join(
             os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
             "libscipy_openblas64_*.so")):
@@ -26,8 +27,19 @@ def _openblas():
             continue
         put.argtypes, put.restype = [ctypes.c_int], None
         get.argtypes, get.restype = [], ctypes.c_int
+        core = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if core is not None:
+            core.argtypes, core.restype = [], ctypes.c_char_p
         return lib
     return None
+
+
+def _openblas_core() -> str:
+    """The kernel OpenBLAS picked when it loaded (OPENBLAS_CORETYPE picks
+    another), such as SkylakeX, or unknown. Matmul sums round per kernel,
+    so bit-exact pins hold per kernel."""
+    core = getattr(_OPENBLAS, "scipy_openblas_get_corename64_", None)
+    return core().decode() if core is not None else "unknown"
 
 
 # BLAS read the variables when numpy loaded, which may have been before

@@ -51,7 +51,9 @@ class CorpusSpec:
 
 @dataclass
 class Corpus:
-    sequences: List[List[int]]
+    """sequences are read-only int64 views, in order, of one buffer that
+    holds the corpus's tokens sequence after sequence."""
+    sequences: List[np.ndarray]
     entropy_rate: float  # nats per token, exact for the generating chain
     transition: np.ndarray  # [states x symbols]
 
@@ -93,7 +95,9 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     random() double through searchsorted(cdf, side="right"). So all lengths
     are drawn in one call, all doubles in another, and every sequence steps
     at once: at each step a live sequence's symbol is the count of its CDF
-    row's entries <= its double, which is searchsorted's answer.
+    row's entries <= its double, which is searchsorted's answer. Each
+    symbol goes straight to its slot in one flat int64 buffer, which is
+    then made read-only and cut into the sequences.
     """
     rng = np.random.default_rng(spec.seed)
     lengths_rng = np.random.default_rng(spec.seed + 1)
@@ -143,24 +147,41 @@ def gen_corpus(spec: CorpusSpec) -> Corpus:
     first, emits = first[order], emits[order]
     width = int(emits[0])
     state = np.searchsorted(_cdf(pi), u[first], side="right")
-    # one row per step, one column per sequence; so are the doubles, whose
-    # entries past a sequence's end go unread
-    out = np.empty((k + width, len(order)), dtype=np.int64)
-    out[:k] = state // n ** np.arange(k - 1, -1, -1)[:, None] % n
+    # one row of doubles per step, one column per sequence; entries past a
+    # sequence's end go unread
     U = u[np.minimum(first + np.arange(1, width + 1)[:, None], len(u) - 1)]
     cols = np.ascontiguousarray(_cdf(P).T)  # one row per symbol
+    # every token is written once, in place: sequence after sequence
+    ends = np.cumsum(lengths)
+    tokens = np.empty(int(ends[-1]), dtype=np.int64)
+    at = (ends - lengths)[order]  # each sequence's first slot, longest first
+    head = state // n ** np.arange(k - 1, -1, -1)[:, None] % n
+    for j in range(k):  # a sequence shorter than the order keeps a prefix
+        keep = lengths[order] > j
+        tokens[at[keep] + j] = head[j, keep]
+    at += k
     # live[t]: how many sequences emit a symbol at step t
     live = np.searchsorted(-emits, -np.arange(width), side="left")
     for t, m in enumerate(live.tolist()):
         s = state[:m]
         sym = (cols.take(s, axis=1) <= U[t, :m]).sum(axis=0)
-        out[k + t, :m] = sym
+        tokens[at[:m] + t] = sym
         state[:m] = (s * n + sym) % n_states
-    tokens = np.empty_like(out.T)
-    tokens[order] = out.T + NUM_RESERVED
-    sequences = [row[:length] for row, length
-                 in zip(tokens.tolist(), lengths.tolist())]
+    tokens += NUM_RESERVED
+    tokens.flags.writeable = False
+    sequences = [tokens[a:b] for a, b in zip((ends - lengths).tolist(),
+                                              ends.tolist())]
     return Corpus(sequences, entropy, P)
+
+
+def _frozen(a) -> bool:
+    """True when a is an array that neither it nor any array it views lets
+    anyone write to."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 class BatchStream:
@@ -169,7 +190,10 @@ class BatchStream:
     batch(step) depends only on (seed, step), which makes mid-run resumes
     exact: a resumed runner regenerates precisely the batches it would have
     seen. The pool's sequences are read-only int64 arrays, which batches
-    hold without a copy.
+    hold without a copy. A sequence that already is one, over memory that
+    nothing can write to (gen_corpus's are), is pooled as a view cut to
+    max_len; any other (a list, a writeable array) is copied, so a caller
+    that changes it afterwards does not change the stream.
     """
 
     def __init__(self, sequences: Sequence[Sequence[int]], batch_rows: int,
@@ -178,10 +202,16 @@ class BatchStream:
             raise ValueError("batch_rows must be >= 1")
         if max_len < min_len:
             raise ValueError(f"max_len {max_len} < min_len {min_len}")
-        self.pool = [np.array(s[:max_len], dtype=np.int64)
-                     for s in sequences if len(s) >= min_len]
-        for seq in self.pool:
-            seq.flags.writeable = False
+        self.pool = []
+        for s in sequences:
+            if len(s) < min_len:
+                continue
+            if _frozen(s) and s.dtype == np.int64:
+                s = s[:max_len]
+            else:
+                s = np.array(s[:max_len], dtype=np.int64)
+                s.flags.writeable = False
+            self.pool.append(s)
         self.discarded = len(sequences) - len(self.pool)
         if not self.pool:
             raise ValueError("no sequences of at least min_len tokens")

@@ -204,16 +204,20 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError("row index out of range")
-    out = Tensor(table.data[idx].copy())
+    out = Tensor(table.data[idx])  # fancy indexing copies
 
     def bw(g):
-        full = np.zeros_like(table.data)
         flat = idx.ravel()
         if (flat[1:] > flat[:-1]).all():  # strictly increasing, so distinct
+            full = np.zeros_like(table.data)
             full[idx] = g
-        else:
-            np.add.at(full, idx, g)
-        return (full,)
+            return (full,)
+        # repeated ids: bincount adds each cell's terms in id order, as
+        # np.add.at does, so the sums are the same bits
+        d = table.data[0].size
+        cells = (flat[:, None] * d + np.arange(d)).ravel()
+        full = np.bincount(cells, weights=g.ravel(), minlength=table.data.size)
+        return (full.reshape(table.data.shape),)
 
     return _record(out, (table,), bw)
 

@@ -18,7 +18,8 @@ def pytest_report_header(config):
     at one BLAS thread count. openblas_threads is the count OpenBLAS
     reports, or unknown where bplm found no OpenBLAS to ask. Then the size
     of the package under test, the count `cat src/bplm/*.py | wc -l`
-    gives."""
+    gives. Then the kernel OpenBLAS loaded, which bit-exact pins are keyed
+    on, or unknown where it names none."""
     threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
     count = "unknown" if bplm._OPENBLAS is None \
         else bplm._OPENBLAS.scipy_openblas_get_num_threads64_()
@@ -26,7 +27,8 @@ def pytest_report_header(config):
                 for path in Path(bplm.__file__).parent.glob("*.py"))
     return [f"bplm: numpy {np.__version__}, {threads}, "
             f"cpu_count={os.cpu_count()}, openblas_threads={count}",
-            f"bplm: src/bplm/*.py {lines} lines"]
+            f"bplm: src/bplm/*.py {lines} lines",
+            f"bplm: openblas_core={bplm._openblas_core()}"]
 
 
 @pytest.fixture

@@ -98,8 +98,12 @@ def corpus_specs(draw):
 CYCLE3 = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 
 
+def token_lists(corpus: Corpus):
+    return [s.tolist() for s in corpus.sequences]
+
+
 def sequences_sha256(corpus: Corpus) -> str:
-    return hashlib.sha256(json.dumps(corpus.sequences).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(token_lists(corpus)).encode()).hexdigest()
 
 
 class TestGenCorpus:
@@ -162,12 +166,32 @@ class TestGenCorpus:
     def test_deterministic_in_seed(self):
         a = gen_corpus(CorpusSpec(seed=9, target_tokens=800))
         b = gen_corpus(CorpusSpec(seed=9, target_tokens=800))
-        assert a.sequences == b.sequences
+        assert token_lists(a) == token_lists(b)
 
     def test_seed_changes_output(self):
         a = gen_corpus(CorpusSpec(seed=0, target_tokens=800))
         b = gen_corpus(CorpusSpec(seed=1, target_tokens=800))
-        assert a.sequences != b.sequences
+        assert token_lists(a) != token_lists(b)
+
+    def test_sequences_are_read_only_views_of_one_buffer(self):
+        corpus = gen_corpus(CorpusSpec(order=2, target_tokens=2000,
+                                       min_len=2, max_len=20))
+        seqs = corpus.sequences
+        buffer = seqs[0].base
+        assert buffer.dtype == np.int64 and buffer.ndim == 1
+        assert buffer.size == sum(map(len, seqs))
+        assert not buffer.flags.writeable
+        assert all(s.base is buffer for s in seqs)
+        assert np.shares_memory(seqs[0], buffer) \
+            and np.shares_memory(seqs[-1], buffer)
+        # sequence after sequence, each starting where the last one ended
+        starts = [s.__array_interface__["data"][0] for s in seqs]
+        offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]]) * 8
+        assert np.array_equal(np.subtract(starts, starts[0]), offsets)
+        assert starts[0] == buffer.__array_interface__["data"][0]
+        for seq in (seqs[0], seqs[-1]):
+            with pytest.raises(ValueError, match="read-only"):
+                seq[0] = NUM_RESERVED
 
     def test_empirical_bigram_frequencies(self):
         # law of large numbers: observed conditional frequencies approach P
@@ -196,7 +220,7 @@ class TestGenCorpusMatchesReference:
     @settings(max_examples=80, deadline=None)
     def test_same_corpus_as_per_token_sampler(self, spec):
         got, want = gen_corpus(spec), reference_gen_corpus(spec)
-        assert got.sequences == want.sequences
+        assert token_lists(got) == want.sequences
         assert got.entropy_rate == want.entropy_rate
         np.testing.assert_array_equal(got.transition, want.transition)
 
@@ -221,7 +245,7 @@ class TestGenCorpusMatchesReference:
     def test_larger_corpus_as_per_token_sampler(self, name):
         spec = CorpusSpec(**self.LARGER[name])
         got = gen_corpus(spec)
-        assert got.sequences == reference_gen_corpus(spec).sequences
+        assert token_lists(got) == reference_gen_corpus(spec).sequences
         lengths = [len(s) for s in got.sequences]
         if name == "fixed-length":
             assert sum(lengths) == spec.target_tokens
@@ -388,6 +412,43 @@ class TestBatchStream:
         with pytest.raises(ValueError, match="read-only"):
             batch.seqs[0][0] = 99
         assert all(np.array_equal(a, b) for a, b in zip(stream.pool, before))
+
+    def test_corpus_sequences_pooled_without_a_copy(self):
+        corpus = gen_corpus(CorpusSpec(target_tokens=2000, min_len=4,
+                                       max_len=12))
+        stream = BatchStream(corpus.sequences, 3, 6, 9, 0)
+        kept = [s for s in corpus.sequences if len(s) >= 6]
+        assert len(stream.pool) == len(kept)
+        for seq, pooled in zip(kept, stream.pool):
+            assert np.shares_memory(pooled, seq)
+            assert np.array_equal(pooled, seq[:9])
+
+    @pytest.mark.parametrize("kind", ["list", "writeable", "read-only-view",
+                                      "int32"])
+    def test_callers_sequences_copied(self, kind):
+        # the caller's objects can change after construction; only a
+        # read-only int64 array over memory nothing writes to is kept
+        rows = np.array([[5, 6, 7, 8, 9], [9, 8, 7, 6, 5]], dtype=np.int64)
+        seqs = {"list": rows.tolist(), "writeable": list(rows),
+                "read-only-view": [row.view() for row in rows],
+                "int32": [row.astype(np.int32) for row in rows]}[kind]
+        if kind in ("read-only-view", "int32"):
+            for seq in seqs:
+                seq.flags.writeable = False
+        stream = BatchStream(seqs, 2, 4, 8, 0)
+
+        def drawn():
+            return [[s.tolist() for s in stream.batch(step).seqs]
+                    for step in range(5)]
+
+        before = drawn()
+        rows[:, 0] = 99  # under the writeable arrays and the views
+        if kind == "list":
+            for seq in seqs:
+                seq[0] = 99
+        assert drawn() == before
+        assert all(s.dtype == np.int64 and not s.flags.writeable
+                   for s in stream.pool)
 
     def test_discard_counter(self):
         seqs = [[5, 6, 7, 8], [5, 6], [7]]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bplm
 from bplm import tensor as T
 from bplm.data import BatchStream, CorpusSpec, gen_corpus
 from bplm.model import AttentionMode, ModelConfig, forward, init_params
@@ -13,6 +14,29 @@ from bplm.objectives import (LmBatch, MaskingPlan, Objective, clm_loss,
 from bplm.tensor import Tape, Tensor, backward
 
 BIG = 1e9
+
+# float.hex of the loss and of the embedding gradient's sum on
+# test_padded_batch_pinned's batch, per OpenBLAS kernel as
+# bplm._openblas_core() names it: the matmul backward's sums round per
+# kernel. All but SkylakeX were measured by forcing the kernel with
+# OPENBLAS_CORETYPE; forcing Prescott loads the kernel named Katmai.
+PADDED_BATCH_PINS = {
+    "SkylakeX": {
+        Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509efp-1"),
+        Objective.MLM: ("0x1.c533af9f792e8p+1", "-0x1.397ce52e28ad3p+2")},
+    "Haswell": {
+        Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509eap-1"),
+        Objective.MLM: ("0x1.c533af9f792e8p+1", "-0x1.397ce52e28ad5p+2")},
+    "Sandybridge": {
+        Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509e8p-1"),
+        Objective.MLM: ("0x1.c533af9f792e9p+1", "-0x1.397ce52e28ad2p+2")},
+    "Nehalem": {
+        Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509f1p-1"),
+        Objective.MLM: ("0x1.c533af9f792e8p+1", "-0x1.397ce52e28acfp+2")},
+    "Katmai": {
+        Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509eep-1"),
+        Objective.MLM: ("0x1.c533af9f792e9p+1", "-0x1.397ce52e28ad1p+2")},
+}
 
 
 class TestSelectMask:
@@ -205,15 +229,16 @@ class TestPretrainLoss:
             pretrain_loss(Objective.CLM, tiny_params, tiny_cfg,
                           LmBatch([[3, 4], [3, 99]]))
 
-    @pytest.mark.parametrize("objective, loss_hex, grad_hex", [
-        (Objective.CLM, "0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509efp-1"),
-        (Objective.MLM, "0x1.c533af9f792e8p+1", "-0x1.397ce52e28ad3p+2"),
-    ])
-    def test_padded_batch_pinned(self, tiny_cfg, tiny_params, objective,
-                                 loss_hex, grad_hex):
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_padded_batch_pinned(self, tiny_cfg, tiny_params, objective):
         # the loss and the sum of the embedding gradient on a batch of
         # mixed lengths; both are pinned from the forward that returned the
-        # padded [B*T, d] grid
+        # padded [B*T, d] grid, under the kernel this process loaded
+        core = bplm._openblas_core()
+        assert core in PADDED_BATCH_PINS, (
+            f"no pins for OpenBLAS kernel {core}: add its values to "
+            f"PADDED_BATCH_PINS")
+        loss_hex, grad_hex = PADDED_BATCH_PINS[core][objective]
         seqs = [[3, 4, 5, 6, 7, 8, 9], [9, 2, 3], [4, 4, 5, 6, 10], [7, 6]]
         plans = [select_mask(s, 0.5, np.random.default_rng(i), 1)
                  for i, s in enumerate(seqs)]

@@ -1,7 +1,8 @@
 """The suite's own pytest settings: a failing property test reports its
 falsifying example under the warning filters in pyproject.toml and lets the
 session go on, and the session header names the BLAS setup, the thread
-count OpenBLAS reports among it, and the package's line count."""
+count OpenBLAS reports among it, the package's line count and the kernel
+OpenBLAS loaded."""
 
 import os
 import re
@@ -72,3 +73,9 @@ def test_header_names_the_blas_setup(tmp_path):
                         capture_output=True, text=True, check=True)
     assert re.search(r"^bplm: src/bplm/\*\.py (\d+) lines$", out,
                      re.M)[1] == wc.stdout.strip()
+    # the kernel OpenBLAS loaded, as it names itself
+    core = re.search(r"^bplm: openblas_core=(\S+)$", out, re.M)
+    assert core, out
+    assert core[1] == bplm._openblas_core()
+    if bplm._OPENBLAS is None:
+        assert core[1] == "unknown"

@@ -191,6 +191,23 @@ class TestGatherRowsBackward:
         np.add.at(want, np.asarray(ids, dtype=np.int64), g)
         assert np.array_equal(table.grad, want)
 
+    def test_repeated_ids_sum_in_add_at_order(self):
+        # unsorted ids, each repeated, with terms 16 decades apart: the
+        # gradient holds np.add.at's bits, which adds each row's terms in
+        # id order; the forward's rows are a copy of the table's
+        rng = np.random.default_rng(7)
+        ids = rng.integers(0, 16, size=300)
+        table = t(rng.normal(size=(16, 5)), grad=True)
+        g = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-8, 8, (300, 1))
+        with Tape() as tape:
+            out = T.gather_rows(table, ids)
+            loss = sum_all(mul(out, t(g)))
+        backward(loss, tape)
+        want = np.zeros((16, 5))
+        np.add.at(want, ids, g)
+        assert table.grad.tobytes() == want.tobytes()
+        assert not np.shares_memory(out.data, table.data)
+
 
 class TestReshape:
     def test_values_and_gradient_keep_row_major_order(self):
