@@ -14,8 +14,8 @@ import numpy as np  # noqa: E402
 
 def _openblas():
     """numpy's bundled OpenBLAS through ctypes, its thread-count calls (and
-    its core-name call, where it exports one) typed, or None where the wheel
-    bundles none that exports the thread-count calls."""
+    its core-name and config calls, where it exports them) typed, or None
+    where the wheel bundles none that exports the thread-count calls."""
     for path in glob.glob(os.path.join(
             os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
             "libscipy_openblas64_*.so")):
@@ -27,9 +27,10 @@ def _openblas():
             continue
         put.argtypes, put.restype = [ctypes.c_int], None
         get.argtypes, get.restype = [], ctypes.c_int
-        core = getattr(lib, "scipy_openblas_get_corename64_", None)
-        if core is not None:
-            core.argtypes, core.restype = [], ctypes.c_char_p
+        for name in ("corename", "config"):
+            text = getattr(lib, f"scipy_openblas_get_{name}64_", None)
+            if text is not None:
+                text.argtypes, text.restype = [], ctypes.c_char_p
         return lib
     return None
 
@@ -40,6 +41,19 @@ def _openblas_core() -> str:
     so bit-exact pins hold per kernel."""
     core = getattr(_OPENBLAS, "scipy_openblas_get_corename64_", None)
     return core().decode() if core is not None else "unknown"
+
+
+def _provenance() -> dict:
+    """What a run's bytes depend on beyond its inputs: the numpy version,
+    and the OpenBLAS build, the kernel it loaded and its thread count, each
+    unknown where bplm found no OpenBLAS to ask."""
+    config = getattr(_OPENBLAS, "scipy_openblas_get_config64_", None)
+    return {
+        "numpy": np.__version__,
+        "openblas_config": config().decode() if config else "unknown",
+        "openblas_core": _openblas_core(),
+        "openblas_threads": "unknown" if _OPENBLAS is None
+        else _OPENBLAS.scipy_openblas_get_num_threads64_()}
 
 
 # BLAS read the variables when numpy loaded, which may have been before

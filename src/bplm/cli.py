@@ -2,7 +2,8 @@
 
 Configs are flat INI files whose sections and keys are DEFAULTS's; a named
 preset under [experiment] expands to fully explicit values, and the expanded
-config is written next to the outputs for provenance.
+config is written next to the outputs, with provenance.json, the numpy and
+OpenBLAS setup the run's bytes depend on.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import configparser
 import csv
 import functools
 import io
+import json
 import math
 import os
 import sys
@@ -20,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _provenance
 from .data import (BatchStream, CorpusSpec, MASK_ID, gen_corpus,
                    load_task_dataset)
 from .finetune import (REPORT_FIELDS, GridSearchSpec, ci95_half_width,
@@ -116,6 +119,15 @@ def _out_dir(args, default_name: str) -> str:
         os.environ.get("BPLM_OUT_DIR", "runs"), default_name)
 
 
+def _write_provenance(out: str) -> None:
+    """provenance.json in out: the numpy and OpenBLAS setup the run's bytes
+    depend on, kept out of every checkpoint so reruns on one kernel stay
+    byte-identical."""
+    with open(os.path.join(out, "provenance.json"), "w") as f:
+        json.dump(_provenance(), f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _train(args) -> int:
     """bplm pretrain and bplm cpt. --seed is written into cfg, so config.ini
     records the seed the run used, and its [model] is the model the run
@@ -124,8 +136,9 @@ def _train(args) -> int:
     from its base (0 included: a checkpoint of the base's params under the
     run's seed), under the rescaled CPT schedule at [train] peak_lr;
     [train]'s plan and schedule are not read. Both mask at [train]
-    mask_ratio. Cadence checkpoints, final.ckpt, the trace and the expanded
-    config go to the output directory, which the run creates."""
+    mask_ratio. Cadence checkpoints, final.ckpt, the trace, the expanded
+    config and provenance.json go to the output directory, which the run
+    creates."""
     cfg = expand_config(args.config)
     cpt = args.command == "cpt"
     base = load_checkpoint(args.base) if cpt else None
@@ -183,6 +196,7 @@ def _train(args) -> int:
     parser.read_dict(cfg)
     with open(os.path.join(out, "config.ini"), "w") as f:
         parser.write(f)
+    _write_provenance(out)
     if cpt:
         print(f"cpt complete: {steps} MLM steps (bidirectional from step 0); "
               f"history {final.objective_history}; artifacts in {out}")
@@ -214,6 +228,7 @@ def cmd_finetune(args) -> int:
         ci = "" if report.ci95 is None else f"{report.ci95:.6f}"
         writer.writerow([report.task, name, report.selected_lr,
                          f"{report.test_mean:.6f}", ci])
+    _write_provenance(out)
     if report.ci95 is None:
         print("warning: fewer than 2 seeds, ci95 left empty", file=sys.stderr)
     print(f"{len(report.rows)} runs; selected lr {report.selected_lr}; "

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,17 +93,20 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
 
 
 def attention(hidden: Tensor, params: Parameters, layer: int, cfg: ModelConfig,
-              lengths: Sequence[int], mode: AttentionMode) -> Tensor:
+              lengths: Sequence[int], mode: AttentionMode,
+              rows: Optional[np.ndarray] = None) -> Tensor:
     """Grouped-query attention over a block input (already normalized by the
     caller): [N, d] for B sequences of the given lengths, sequence after
-    sequence (see T.gqa_attention). Query head i uses key/value group
-    floor(i / (heads / kv_heads))."""
+    sequence (see T.gqa_attention). Keys and values come from all N rows;
+    queries from rows only, when given, and the result has one row per
+    query. Query head i uses key/value group floor(i / (heads / kv_heads))."""
     p = f"layer.{layer}.attn"
-    q = T.matmul(hidden, params[f"{p}.wq"])
+    queries = hidden if rows is None else T.gather_rows(hidden, rows)
+    q = T.matmul(queries, params[f"{p}.wq"])
     k = T.matmul(hidden, params[f"{p}.wk"])
     v = T.matmul(hidden, params[f"{p}.wv"])
     heads = T.gqa_attention(q, k, v, lengths, mode is AttentionMode.CAUSAL,
-                            cfg.heads, cfg.kv_heads, ROPE_THETA)
+                            cfg.heads, cfg.kv_heads, ROPE_THETA, rows)
     return T.matmul(heads, params[f"{p}.wo"])
 
 
@@ -115,27 +118,45 @@ def _ffn(hidden: Tensor, params: Parameters, layer: int) -> Tensor:
 
 
 def forward_batch(params: Parameters, cfg: ModelConfig,
-                  seqs: Sequence[Sequence[int]], mode: AttentionMode) -> Tensor:
-    """Run the model on B token sequences of any lengths as one residual
-    stream, returning the final hidden states [N, d] of their N tokens,
-    sequence after sequence."""
+                  seqs: Sequence[Sequence[int]], mode: AttentionMode,
+                  rows: Optional[Sequence[int]] = None) -> Tensor:
+    """Run the model on B non-empty token sequences of any lengths as one
+    residual stream, returning the final hidden states [N, d] of their N
+    tokens, sequence after sequence. Given rows (strictly increasing
+    indices into the N tokens), it returns theirs only, [len(rows), d]:
+    every block but the last runs on all N rows, and the last computes keys
+    and values on all of them but its queries, output projection, residual
+    add and FFN, and the final norm, on rows alone."""
     if not len(seqs):
         raise ValueError("empty batch")
     lengths = [len(s) for s in seqs]
     if max(lengths) > cfg.max_seq_len:
         raise ValueError("sequence longer than max_seq_len")
+    if min(lengths) < 1:
+        raise ValueError("empty sequence")
     tokens = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         bad = tokens[(tokens < 0) | (tokens >= cfg.vocab_size)][0]
         raise ValueError(f"token id {bad} out of range for vocab_size "
                          f"{cfg.vocab_size}")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows[1:] <= rows[:-1]).any() or (
+                rows.size and (rows[0] < 0 or rows[-1] >= tokens.size)):
+            raise ValueError("rows must be strictly increasing indices in "
+                             f"[0, {tokens.size})")
 
     x = T.gather_rows(params["embed"], tokens)
     for i in range(cfg.layers):
+        last = rows if i == cfg.layers - 1 else None
         normed = T.rms_norm(x, params[f"layer.{i}.attn_norm"], RMSNORM_EPS)
-        x = T.add(x, attention(normed, params, i, cfg, lengths, mode))
+        if last is not None:
+            x = T.gather_rows(x, last)
+        x = T.add(x, attention(normed, params, i, cfg, lengths, mode, last))
         normed = T.rms_norm(x, params[f"layer.{i}.ffn_norm"], RMSNORM_EPS)
         x = T.add(x, _ffn(normed, params, i))
+    if rows is not None and not cfg.layers:
+        x = T.gather_rows(x, rows)
     return T.rms_norm(x, params["final_norm"], RMSNORM_EPS)
 
 

@@ -135,7 +135,10 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
     """Per-row losses averaged over the batch: the mean over rows of
     clm_loss / mlm_loss, computed as one batched forward of the rows' real
     tokens, the LM head on the positions that have a target only, and one
-    cross-entropy weighted 1 / (rows * predicted positions in the row)."""
+    cross-entropy weighted 1 / (rows * predicted positions in the row).
+    CLM gathers its positions from the whole final hidden states; MLM passes
+    its masked positions to forward_batch as rows, so the last block's
+    queries, FFN and final norm run on them alone."""
     rows = len(batch.lengths)
     if not rows:
         raise ValueError("empty batch")
@@ -154,6 +157,11 @@ def pretrain_loss(objective: Objective, params: Parameters, cfg: ModelConfig,
         tokens[positions] = np.array(
             [p.mask_token_id for p in batch.plans])[row]
     weights = 1.0 / (np.bincount(row, minlength=rows) * rows)
-    hidden = forward_batch(params, cfg, np.split(tokens, ends[:-1]), mode)
-    logits = lm_head(params, T.gather_rows(hidden, positions))
+    seqs = np.split(tokens, ends[:-1])
+    if objective is Objective.CLM:  # all but one row per sequence
+        hidden = T.gather_rows(forward_batch(params, cfg, seqs, mode),
+                               positions)
+    else:
+        hidden = forward_batch(params, cfg, seqs, mode, positions)
+    logits = lm_head(params, hidden)
     return T.cross_entropy_from_logits(logits, targets, weights[row])

@@ -14,7 +14,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-NEG_INF = -1e30  # finite stand-in for -inf in masked attention logits
+# Finite stand-in for -inf in masked attention logits; exp maps it to
+# exactly 0. It stays this far out because numpy's exp takes a slow path on
+# lanes that underflow: on a [2, 32, 64] block half at the mask value, exp
+# took 8.2 us at -1e30, 29 us at -1000 and 197 us at -740 (subnormal
+# results), against 3.3 us unmasked (numpy 2.4.6, AVX-512 Xeon). Clamping
+# to -700 and zeroing the masked lanes after exp, bit-equal, cut a causal
+# gqa_attention forward at L = 32 from 164-168 to 147-151 us but left
+# forward and backward at 500-508 us, so no variant pays in training.
+NEG_INF = -1e30
 NORMALIZE_EPS = 1e-12  # keeps l2_normalize_rows finite on a zero row
 
 
@@ -344,18 +352,20 @@ def _causal_mask(seq_len: int, group: int):
 
 
 def gqa_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
-                  causal: bool, heads: int, kv_heads: int,
-                  theta: float) -> Tensor:
+                  causal: bool, heads: int, kv_heads: int, theta: float,
+                  queries: Optional[Sequence[int]] = None) -> Tensor:
     """Grouped-query scaled dot-product attention with RoPE over B sequences
     of the given lengths.
 
-    q is [N, heads*hd] and k and v are [N, kv_heads*hd], one row for each
-    of the N = sum(lengths) positions, sequence after sequence. A query
-    attends the keys of its sequence, and with causal only those at or
-    before it. Queries and keys are rotated by their position 0..L-1
-    within the sequence; query head h reads key/value group
-    h // (heads / kv_heads). Returns the head outputs side by side,
-    [N, heads*hd].
+    k and v are [N, kv_heads*hd], one row for each of the N = sum(lengths)
+    positions, sequence after sequence. q is [N, heads*hd] too, or, given
+    queries (strictly increasing indices into the N positions), holds only
+    those rows, and only their outputs are computed: a sequence with no
+    query then gets zero k and v gradients. A query attends the keys of its
+    sequence, and with causal only those at or before it. Queries and keys
+    are rotated by their position 0..L-1 within the sequence; query head h
+    reads key/value group h // (heads / kv_heads). Returns the head outputs
+    side by side, one row per query row of q.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or not lengths.size:
@@ -370,28 +380,47 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
     if hd % 2 != 0:
         raise ValueError("rope requires an even head dimension")
     n = int(lengths.sum())
+    counts, nq = lengths, n  # query rows per sequence, and in all
+    if queries is not None:
+        queries = np.asarray(queries, dtype=np.int64)
+        if queries.ndim != 1 or (queries[1:] <= queries[:-1]).any() or (
+                queries.size and (queries[0] < 0 or queries[-1] >= n)):
+            raise ValueError("attention: queries must be strictly "
+                             f"increasing rows in [0, {n})")
+        starts = np.cumsum(lengths) - lengths
+        seq = np.searchsorted(starts, queries, side="right") - 1
+        counts, nq = np.bincount(seq, minlength=lengths.size), queries.size
     kv_shape = (n, kv_heads * hd)
-    if q.data.shape[0] != n or k.data.shape != kv_shape \
+    if q.data.shape[0] != nq or k.data.shape != kv_shape \
             or v.data.shape != kv_shape:
         raise ValueError(f"attention shape mismatch: q {q.data.shape}, "
                          f"k {k.data.shape}, v {v.data.shape}, "
-                         f"{n} positions")
-    runs, lo = [], 0  # (first row, G sequences, length L) per run
-    for length, seqs in itertools.groupby(lengths.tolist()):
-        runs.append((lo, len(list(seqs)), length))
-        lo += runs[-1][1] * length
+                         f"{n} positions, {nq} queries")
+    # (first key row, first query row, G sequences, length L, Q queries
+    # each) per run
+    runs, lo, qlo = [], 0, 0
+    for (length, count), seqs in itertools.groupby(
+            zip(lengths.tolist(), counts.tolist())):
+        runs.append((lo, qlo, len(list(seqs)), length, count))
+        lo += runs[-1][2] * length
+        qlo += runs[-1][2] * count
 
     group = heads // kv_heads
     scale = 1.0 / np.sqrt(hd)
-    # a column per (head, pair): one rotation spans all heads, k's first ones
-    rot = _rope_table(int(lengths.max()), hd, theta, heads)
-    lead = (lengths.size, int(lengths[0]))  # one length reads it as it is
-    if len(runs) > 1:  # else each position reads its own row
-        lead = (n,)
-        rot = rot[np.arange(n) - np.repeat(np.cumsum(lengths) - lengths,
-                                           lengths)]
+    # a column per (head, pair): one rotation spans all heads, k's first
+    # ones. One run reads the table as it is; several, and queries, gather
+    # a row per position.
+    table = _rope_table(int(lengths.max()), hd, theta, heads)
+    rot, lead = table, (lengths.size, int(lengths[0]))
+    if len(runs) > 1:
+        rot, lead = table[np.arange(n) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths)], (n,)
+    qrot, qlead = rot, lead
+    if queries is not None:
+        qpos = queries - starts[seq]  # each query's position in its sequence
+        qrot, qlead = table[qpos], (queries.size,)
 
-    def rotate(a, r):  # rows [N, width], by position
+    def rotate(a, r, lead):  # rows [N, width], by position
         w = a.shape[1] // 2
         return _rope_rotate(a.reshape(*lead, 2 * w),
                             r[..., :w]).reshape(a.shape)
@@ -404,38 +433,47 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
         dst[lo:lo + G * L].reshape(G, L, kv_heads, width, hd)[...] = (
             a.reshape(G, kv_heads, width, L, hd).transpose(0, 3, 1, 2, 4))
 
+    def query_mask(qlo, G, L, Q):  # _causal_mask at each query's position
+        pos = np.tile(np.repeat(qpos[qlo:qlo + G * Q].reshape(G, Q),
+                                kv_heads, axis=0), (1, group))
+        return np.where(np.arange(L)[:, None] > pos[:, None, :], NEG_INF, 0.0)
+
     # The query heads of one kv group sit side by side, so each (row, group)
-    # is one [L, hd] x [hd, group*L] product and KV is never copied per head.
-    # Scores are [G*kv, Lk, group*Lq] blocks with keys on axis 1, the
+    # is one [L, hd] x [hd, group*Q] product and KV is never copied per head.
+    # Scores are [G*kv, L, group*Q] blocks with keys on axis 1, the
     # transpose of the usual layout, where numpy reduces fastest.
-    qr = rotate(q.data, rot) * scale
-    kr = rotate(k.data, rot)
+    qr = rotate(q.data, qrot, qlead) * scale
+    kr = rotate(k.data, rot, lead)
     out, saved = np.empty(q.data.shape), []
-    for run in runs:
-        lo, G, L = run
-        qt = (qr[lo:lo + G * L].reshape(G, L, kv_heads, group, hd)
-              .transpose(0, 2, 4, 3, 1).reshape(G * kv_heads, hd, group * L))
-        kt, vt = split(kr, *run, 1), split(v.data, *run, 1)
+    for lo, qlo, G, L, Q in runs:  # Q = 0 gives empty blocks, zero k/v grads
+        qt = (qr[qlo:qlo + G * Q].reshape(G, Q, kv_heads, group, hd)
+              .transpose(0, 2, 4, 3, 1).reshape(G * kv_heads, hd, group * Q))
+        kt, vt = split(kr, lo, G, L, 1), split(v.data, lo, G, L, 1)
         wt = kt @ qt  # softmax in place on the product: a reshape may copy
         if causal:
-            wt += _causal_mask(L, group)
+            # NEG_INF, not a milder constant: exp is slow on lanes that
+            # underflow, and slowest where its results are subnormal
+            # (see NEG_INF)
+            wt += (_causal_mask(L, group) if queries is None
+                   else query_mask(qlo, G, L, Q))
         wt -= wt.max(axis=1, keepdims=True)
         np.exp(wt, out=wt)
         wt /= wt.sum(axis=1, keepdims=True)
-        put(out, wt.transpose(0, 2, 1) @ vt, *run, group)
-        saved.append((run, qt, kt, vt, wt))
+        put(out, wt.transpose(0, 2, 1) @ vt, qlo, G, Q, group)
+        saved.append(((lo, qlo, G, L, Q), qt, kt, vt, wt))
 
     def bw(g):
         gq, gk, gv = np.empty(g.shape), np.empty(kv_shape), np.empty(kv_shape)
-        for run, qt, kt, vt, wt in saved:
-            go = split(g, *run, group)
+        for (lo, qlo, G, L, Q), qt, kt, vt, wt in saved:
+            go = split(g, qlo, G, Q, group)
             gw = vt @ go.transpose(0, 2, 1)
             gs = wt * (gw - (gw * wt).sum(axis=1, keepdims=True))
-            put(gq, gs.transpose(0, 2, 1) @ kt, *run, group)
-            put(gk, gs @ qt.transpose(0, 2, 1), *run, 1)
-            put(gv, wt @ go, *run, 1)
+            put(gq, gs.transpose(0, 2, 1) @ kt, qlo, G, Q, group)
+            put(gk, gs @ qt.transpose(0, 2, 1), lo, G, L, 1)
+            put(gv, wt @ go, lo, G, L, 1)
         back = rot.conj()
-        return rotate(gq * scale, back), rotate(gk, back), gv
+        qback = back if queries is None else qrot.conj()
+        return rotate(gq * scale, qback, qlead), rotate(gk, back, lead), gv
 
     return _record(Tensor(out), (q, k, v), bw)
 

@@ -1,7 +1,9 @@
 import configparser
 import csv
 import functools
+import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import bplm
 import bplm.cli
 from bplm.cli import CliError, expand_config, main
 from bplm.data import (MASK_ID, BatchStream, CorpusSpec, gen_corpus,
@@ -141,7 +144,10 @@ class TestPretrain:
         out = str(tmp_path / "out")
         assert main(["pretrain", "--config", cfg, "--out", out]) == 0
         assert sorted(os.listdir(out)) == ["config.ini", "final.ckpt",
-                                           "metrics.csv", "timing.csv"]
+                                           "metrics.csv", "provenance.json",
+                                           "timing.csv"]
+        with open(os.path.join(out, "provenance.json")) as f:
+            assert json.load(f) == bplm._provenance()
         rows = read_csv(os.path.join(out, "metrics.csv"))
         assert len(rows) == 8 and "wall_ms" not in rows[0]
         timing = read_csv(os.path.join(out, "timing.csv"))
@@ -294,6 +300,42 @@ class TestPretrain:
             a, b = (Path(out, name).read_bytes() for out in outs)
             assert a == b, name
 
+    def test_provenance_names_the_kernel_it_ran_on(self, tmp_path):
+        # OPENBLAS_CORETYPE picks the kernel when OpenBLAS loads; the run
+        # records it beside its outputs, and not in the checkpoint's bytes
+        cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
+                           + "[train]\nclm_fraction = 0.5\ntotal_steps = 4\n"
+                             "warmup_steps = 1\ndecay_steps = 1\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outs = {}
+        for core in ("Haswell", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_CORETYPE"}
+            if core is not None:
+                env["OPENBLAS_CORETYPE"] = core
+            env["PYTHONPATH"] = src
+            outs[core] = str(tmp_path / str(core))
+            subprocess.run([sys.executable, "-m", "bplm.cli", "pretrain",
+                            "--config", cfg, "--out", outs[core]],
+                           env=env, check=True, capture_output=True)
+        with open(os.path.join(outs["Haswell"], "provenance.json")) as f:
+            haswell = json.load(f)
+        with open(os.path.join(outs[None], "provenance.json")) as f:
+            default = json.load(f)
+        here = bplm._provenance()
+        assert default == here
+        kernel = ("openblas_core", "openblas_config")
+        assert {k: haswell[k] for k in set(here) - set(kernel)} \
+            == {k: here[k] for k in set(here) - set(kernel)}
+        if bplm._OPENBLAS is None:
+            assert [haswell[k] for k in kernel] == ["unknown", "unknown"]
+        elif platform.machine() == "x86_64":
+            assert haswell["openblas_core"] == "Haswell"
+            assert " Haswell " in haswell["openblas_config"]
+        for out in outs.values():
+            ckpt = Path(out, "final.ckpt").read_bytes()
+            assert b"OpenBLAS" not in ckpt and b"numpy" not in ckpt
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL + TINY_DATA
                            + "[train]\nclm_fraction = 1\ntotal_steps = 4\n"
@@ -332,6 +374,8 @@ class TestCpt:
         assert all(r["objective"] == "mlm" for r in rows)
         final = load_checkpoint(os.path.join(out, "final.ckpt"))
         assert final.objective_history[-1]["cpt"] is True
+        with open(os.path.join(out, "provenance.json")) as f:
+            assert json.load(f) == bplm._provenance()
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_cpt(self, tmp_path, steps):
@@ -538,6 +582,8 @@ class TestFinetuneAndReport:
 
         runs = read_csv(os.path.join(out, "runs.csv"))
         assert len(runs) == 6 * 1 * 2  # 6 lrs, 1 seed, val+test rows
+        with open(os.path.join(out, "provenance.json")) as f:
+            assert json.load(f) == bplm._provenance()
         assert {r["dataset"] for r in runs} == {"sc-synth"}
 
         # report aggregates the runs.csv into a summary

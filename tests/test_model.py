@@ -240,6 +240,41 @@ class TestForwardBatch:
         with pytest.raises(ValueError, match="empty batch"):
             forward_batch(tiny_params, tiny_cfg, [], AttentionMode.CAUSAL)
 
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_empty_sequence_rejected_at_any_depth(self, layers):
+        # a model with no block has no attention op to refuse it
+        cfg = ModelConfig(layers=layers, embed_dim=16, ffn_dim=32, heads=4,
+                          kv_heads=2, vocab_size=11, max_seq_len=16)
+        with pytest.raises(ValueError, match="empty sequence"):
+            forward_batch(init_params(cfg, 0), cfg, [[3, 4], []],
+                          AttentionMode.CAUSAL)
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("mode", list(AttentionMode))
+    def test_rows_are_the_whole_forwards_rows(self, layers, mode):
+        # the last block runs its queries and FFN on the rows alone, and
+        # the last sequence has none of them
+        cfg = ModelConfig(layers=layers, embed_dim=16, ffn_dim=32, heads=4,
+                          kv_heads=2, vocab_size=11, max_seq_len=16)
+        params = init_params(cfg, 1)
+        seqs = self.SEQS + [[4, 4]]
+        rows = [0, 3, 4, 5, 7, 9]
+        whole = forward_batch(params, cfg, seqs, mode)
+        some = forward_batch(params, cfg, seqs, mode, rows)
+        assert some.data.shape == (len(rows), cfg.embed_dim)
+        np.testing.assert_allclose(some.data, whole.data[rows], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    @pytest.mark.parametrize("rows", [[3, 3], [4, 1], [-1, 2], [0, 12],
+                                      [[0, 1]]])
+    def test_bad_rows_rejected(self, layers, rows):
+        cfg = ModelConfig(layers=layers, embed_dim=16, ffn_dim=32, heads=4,
+                          kv_heads=2, vocab_size=11, max_seq_len=16)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            forward_batch(init_params(cfg, 0), cfg, self.SEQS,
+                          AttentionMode.BIDIRECTIONAL, rows)
+
 
 class TestForward:
     def test_zero_head_uniform_logits(self, tiny_cfg, tiny_params):

@@ -19,7 +19,9 @@ BIG = 1e9
 # test_padded_batch_pinned's batch, per OpenBLAS kernel as
 # bplm._openblas_core() names it: the matmul backward's sums round per
 # kernel. All but SkylakeX were measured by forcing the kernel with
-# OPENBLAS_CORETYPE; forcing Prescott loads the kernel named Katmai.
+# OPENBLAS_CORETYPE; forcing Prescott loads the kernel named Katmai. MLM
+# runs its last block on the masked rows only, so its sums round per kernel
+# at that row count too: Nehalem's MLM gradient pin was re-measured for it.
 PADDED_BATCH_PINS = {
     "SkylakeX": {
         Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509efp-1"),
@@ -32,7 +34,7 @@ PADDED_BATCH_PINS = {
         Objective.MLM: ("0x1.c533af9f792e9p+1", "-0x1.397ce52e28ad2p+2")},
     "Nehalem": {
         Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509f1p-1"),
-        Objective.MLM: ("0x1.c533af9f792e8p+1", "-0x1.397ce52e28acfp+2")},
+        Objective.MLM: ("0x1.c533af9f792e8p+1", "-0x1.397ce52e28acep+2")},
     "Katmai": {
         Objective.CLM: ("0x1.d3b01a88ddae4p+1", "-0x1.1c83c043509eep-1"),
         Objective.MLM: ("0x1.c533af9f792e9p+1", "-0x1.397ce52e28ad1p+2")},
@@ -233,7 +235,8 @@ class TestPretrainLoss:
     def test_padded_batch_pinned(self, tiny_cfg, tiny_params, objective):
         # the loss and the sum of the embedding gradient on a batch of
         # mixed lengths; both are pinned from the forward that returned the
-        # padded [B*T, d] grid, under the kernel this process loaded
+        # padded [B*T, d] grid (but Nehalem's MLM gradient, see
+        # PADDED_BATCH_PINS), under the kernel this process loaded
         core = bplm._openblas_core()
         assert core in PADDED_BATCH_PINS, (
             f"no pins for OpenBLAS kernel {core}: add its values to "
@@ -268,9 +271,12 @@ class TestPretrainLoss:
     @pytest.mark.parametrize("objective", list(Objective))
     def test_per_token_work_runs_on_real_tokens_only(self, tiny_cfg,
                                                      tiny_params, objective):
-        # every RMSNorm and FFN node holds the N real tokens, the LM head
-        # holds only the positions that have a target, and no node holds a
-        # row per position of the padded grid (B*T = 18)
+        # every node that reads a parameter, and every SwiGLU, holds the
+        # N = 13 real tokens, but the LM head holds only the positions that
+        # have a target, and under MLM so does the last block past its keys
+        # and values: its queries, output projection, ffn_norm, SwiGLU and
+        # FFN, and the final norm. No node holds a row per position of the
+        # padded grid (B*T = 18).
         seqs = [[3, 4, 5, 6, 7, 8], [9, 2, 3], [4, 4, 5, 6]]
         plans = [select_mask(s, 0.4, np.random.default_rng(i), 1)
                  for i, s in enumerate(seqs)]
@@ -278,26 +284,28 @@ class TestPretrainLoss:
             pretrain_loss(objective, tiny_params, tiny_cfg,
                           LmBatch(seqs, plans))
         if objective is Objective.CLM:
-            targets = sum(n - 1 for n in map(len, seqs))
+            targets, last = 10, set()
         else:
-            targets = sum(len(p.masked_positions) for p in plans)
-        ffn = {tiny_params[f"layer.{i}.ffn.{w}"] for i in range(2)
-               for w in ("w_gate", "w_up", "w_down")}
-        kinds = {"rms_norm": 0, "swiglu": 0, "ffn": 0, "head": 0}
+            targets = 7
+            last = {"layer.1.attn.wq", "layer.1.attn.wo", "layer.1.ffn_norm",
+                    "layer.1.ffn.w_gate", "layer.1.ffn.w_up",
+                    "layer.1.ffn.w_down", "final_norm"}
+            assert sum(len(p.masked_positions) for p in plans) == targets
+        names = {id(p): name for name, p in tiny_params.items()}
+        held, swiglu = {}, []
         for node in tape.nodes:
-            op = node.backward_fn.__qualname__.split(".")[0]
-            rows_out = node.output.data.shape[:1]
-            if op in ("rms_norm", "swiglu"):
-                kinds[op] += 1
-                assert rows_out == (13,), op
-            elif any(x in ffn for x in node.inputs):
-                kinds["ffn"] += 1
-                assert rows_out == (13,)
-            elif any(x is tiny_params["head"] for x in node.inputs):
-                kinds["head"] += 1
-                assert rows_out == (targets,) and targets < 13
-        assert kinds == {"rms_norm": 5, "swiglu": 2, "ffn": 6, "head": 1}
-        assert all(node.output.data.shape[:1] != (18,) for node in tape.nodes)
+            rows = node.output.data.shape[:1]  # () for the loss
+            assert rows != (18,)
+            if node.backward_fn.__qualname__.startswith("swiglu."):
+                swiglu.append(rows)
+            for x in node.inputs:
+                if id(x) in names:
+                    held.setdefault(names[id(x)], []).append(rows)
+        assert held.keys() == tiny_params.keys()
+        for name, rows in held.items():
+            want = targets if name == "head" or name in last else 13
+            assert rows == [(want,)], name
+        assert swiglu == [(13,), (targets if last else 13,)]
 
 
 @st.composite

@@ -575,6 +575,93 @@ class TestGqaAttention:
             T.gqa_attention(q, kv, kv, [4, 0], True, 2, 1, 100.0)
 
 
+class TestGqaQueries:
+    """gqa_attention given queries: q holds those rows only. Sequences 0
+    and 1 (length 3, two queries each) form one run, sequence 2 (length 3,
+    one query) another, and sequence 3 (length 4) has no query."""
+
+    LENGTHS, QUERIES = [3, 3, 3, 4], [0, 2, 4, 5, 7]
+    HEADS, HD = 4, 4
+
+    def inputs(self, kv_heads, rng):
+        """q for every position, then k and v."""
+        n = sum(self.LENGTHS)
+        return [rng.normal(size=(n, w * self.HD))
+                for w in (self.HEADS, kv_heads, kv_heads)]
+
+    def op(self, causal, kv_heads, queries=None):
+        return lambda q, k, v: T.gqa_attention(
+            q, k, v, self.LENGTHS, causal, self.HEADS, kv_heads, 100.0,
+            queries)
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("kv_heads", [1, 2, 4])
+    def test_matches_finite_differences(self, causal, kv_heads, rng):
+        qkv = self.inputs(kv_heads, rng)
+        qkv[0] = qkv[0][self.QUERIES]
+        probe = Tensor(rng.normal(size=qkv[0].shape))
+        op = self.op(causal, kv_heads, self.QUERIES)
+        for i in range(3):
+            def f(x, i=i):
+                args = [Tensor(a) for a in qkv]
+                args[i] = x
+                return T.add(sum_all(mul(op(*args), probe)), sum_all(x))
+            x = Tensor(qkv[i].copy(), requires_grad=True)
+            assert grad_check(f, x, eps=1e-5) < 1e-6, "qkv"[i]
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("kv_heads", [1, 2, 4])
+    def test_rows_of_the_whole_op(self, causal, kv_heads, rng):
+        # the output and q gradient are the whole op's query rows, and the
+        # k and v gradients the whole op's when only those rows are read;
+        # the sequence with no query gets zero k and v gradients
+        qkv = self.inputs(kv_heads, rng)
+        probe = np.zeros(qkv[0].shape)
+        probe[self.QUERIES] = rng.normal(size=(len(self.QUERIES),
+                                               probe.shape[1]))
+
+        def run(op, rows):
+            inputs = [t(qkv[0][rows], grad=True)] + [t(a, grad=True)
+                                                     for a in qkv[1:]]
+            with Tape() as tape:
+                out = op(*inputs)
+                loss = sum_all(mul(out, Tensor(probe[rows])))
+            backward(loss, tape)
+            return [out.data] + [x.grad for x in inputs]
+
+        some = run(self.op(causal, kv_heads, self.QUERIES), self.QUERIES)
+        whole = run(self.op(causal, kv_heads), slice(None))
+        for a, b in zip(some[:2], whole[:2]):
+            assert np.abs(a - b[self.QUERIES]).max() <= 1e-12
+        for a, b in zip(some[2:], whole[2:]):
+            assert np.abs(a - b).max() <= 1e-12
+            assert not a[9:].any()
+
+    def test_causal_queries_see_keys_up_to_their_position(self, rng):
+        # moving key 5 (sequence 1, position 2) moves the causal output of
+        # query 5 but not of query 4, which sits before it
+        q, k, v = self.inputs(1, rng)
+        op = self.op(True, 1, self.QUERIES)
+        base = op(*map(Tensor, (q[self.QUERIES], k, v))).data
+        k[5] += 1.0
+        moved = op(*map(Tensor, (q[self.QUERIES], k, v))).data
+        assert (moved != base).any(axis=1).tolist() == [
+            False, False, False, True, False]
+
+    @pytest.mark.parametrize("queries", [[0, 2, 2, 5, 7], [0, 4, 2, 5, 7],
+                                         [-1, 2, 4, 5, 7], [0, 2, 4, 5, 13],
+                                         [[0, 2, 4, 5, 7]]])
+    def test_bad_queries_rejected(self, queries, rng):
+        q, k, v = self.inputs(2, rng)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.op(True, 2, queries)(*map(Tensor, (q[:5], k, v)))
+
+    def test_one_q_row_per_query(self, rng):
+        q, k, v = self.inputs(2, rng)
+        with pytest.raises(ValueError, match="shape"):
+            self.op(True, 2, self.QUERIES)(*map(Tensor, (q, k, v)))
+
+
 class TestWeightedCrossEntropy:
     def test_weights_give_mean_of_row_means(self, rng):
         logits = rng.normal(size=(5, 3))
